@@ -31,7 +31,6 @@ from .errors import (
     ModelError,
     OptPulseError,
     TransformError,
-    UnknownMethodError,
 )
 from .model import apply_detuning, build_operator, load_model
 from .synthesis import compile_circuit, emit_program, load_program
@@ -338,9 +337,6 @@ def main(argv=None) -> int:
     except TransformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except UnknownMethodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OptPulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

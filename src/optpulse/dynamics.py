@@ -3,11 +3,14 @@
 Three solvers over a shared bilinear control system H(t) = H_drift +
 sum_c s_c(t) * Op_c:
 
-* ``piecewise_propagator`` -- exact product of slice exponentials for
-  sampled (piecewise-constant) signals, closed systems only.
+* ``piecewise_propagator`` / ``evolve_states`` -- exact products of slice
+  exponentials for sampled (piecewise-constant) signals, closed systems
+  only. The slice exponentials come from ``slice_propagators``, one stacked
+  eigendecomposition that the GRAPE, GOAT and Krotov optimizers share.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
-  unitarity defect meets tolerance.
+  unitarity defect meets tolerance. It shares no exponential with the other
+  engines, so the tests use it as an independent oracle.
 * ``lindblad_evolve`` -- RK3 integration of the Lindblad master equation,
   returning the density-matrix trajectory at every sample time.
 
@@ -113,13 +116,6 @@ class ControlSignal:
             return complex(arr[idx])
         return complex(self.envelopes[channel](t))
 
-    def sample_array(self, channel: str) -> np.ndarray:
-        """Samples for a channel; analytic envelopes use left-endpoint values."""
-        if self.is_sampled:
-            return np.array(self.samples[channel], dtype=complex)
-        f = self.envelopes[channel]
-        return np.array([f(n * self.dt) for n in range(self.n_samples)], dtype=complex)
-
 
 def _check_signal_channels(model: SystemModel, signal: ControlSignal) -> None:
     unknown = set(signal.channels) - set(model.channels)
@@ -140,6 +136,21 @@ def _real_samples(signal: ControlSignal, channel: str) -> np.ndarray:
     return arr.real
 
 
+def slice_propagators(
+    hams: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-i H dt) for one Hermitian H or a stack of them, by one eigh.
+
+    Returns (umats, evals, evecs) with H = evecs diag(evals) evecs^+ per
+    slice. Only the lower triangle of H is read; Hermiticity is the
+    caller's guarantee.
+    """
+    evals, evecs = np.linalg.eigh(hams)
+    phases = np.exp(-1j * evals * dt)
+    umats = (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    return umats, evals, evecs
+
+
 def matrix_exp_hermitian_skew(hamiltonian: np.ndarray, time: float) -> np.ndarray:
     """exp(-i * H * time) for Hermitian H, via eigendecomposition."""
     h = np.asarray(hamiltonian, dtype=complex)
@@ -147,21 +158,23 @@ def matrix_exp_hermitian_skew(hamiltonian: np.ndarray, time: float) -> np.ndarra
         raise DynamicsError(f"expected a square matrix, got shape {h.shape}")
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise DynamicsError("matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * time)
-    return (evecs * phases) @ evecs.conj().T
+    return slice_propagators(h, time)[0]
+
+
+def _stacked_hamiltonians(
+    drift: np.ndarray, ops: np.ndarray, amps: np.ndarray
+) -> np.ndarray:
+    """H_n = drift + sum_c amps[c, n] ops[c]: (C, N) amplitudes -> (N, d, d)."""
+    d = drift.shape[0]
+    return drift + (amps.T @ ops.reshape(len(ops), d * d)).reshape(-1, d, d)
 
 
 def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Stack of H(t_n) for each slice, shape (N, dim, dim)."""
-    drift = model.drift_matrix()
-    controls = model.control_matrices()
-    n = signal.n_samples
-    hams = np.broadcast_to(drift, (n, *drift.shape)).copy()
+    amps = np.zeros((len(model.channels), signal.n_samples))
     for ch in signal.channels:
-        amps = _real_samples(signal, ch)
-        hams += amps[:, None, None] * controls[ch]
-    return hams
+        amps[model.channels.index(ch)] = _real_samples(signal, ch)
+    return _stacked_hamiltonians(model.drift_matrix(), model.control_stack, amps)
 
 
 def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarray:
@@ -178,8 +191,8 @@ def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarra
             f"signal dt={signal.dt} does not match model dt={model.dt}"
         )
     total = np.eye(model.dim, dtype=complex)
-    for h in _slice_hamiltonians(model, signal):
-        total = matrix_exp_hermitian_skew(h, signal.dt) @ total
+    for u in slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]:
+        total = u @ total
     return total
 
 
@@ -198,9 +211,9 @@ def evolve_states(
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise DynamicsError("initial state is not normalized")
     states = [psi.copy()]
-    for h in _slice_hamiltonians(model, signal):
-        psi = matrix_exp_hermitian_skew(h, signal.dt) @ psi
-        states.append(psi.copy())
+    for u in slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]:
+        psi = u @ psi
+        states.append(psi)
     times = np.arange(signal.n_samples + 1) * signal.dt
     return times, states
 

@@ -162,10 +162,6 @@ def build_operator(expression: str, n_qubits: int) -> np.ndarray:
     return matrix
 
 
-def validate_expression(expression: str, n_qubits: int) -> None:
-    build_operator(expression, n_qubits)
-
-
 @dataclass(frozen=True)
 class SystemModel:
     """Immutable device model: drift/control operators, dissipation, timing.
@@ -197,18 +193,29 @@ class SystemModel:
         for ch, _ in self.lo_delta:
             if ch not in channels:
                 raise ModelError(f"lo_delta references unknown channel {ch!r}")
-        for _, expr in self.drift:
+        drift = np.zeros((self.dim, self.dim), dtype=complex)
+        for coef, expr in self.drift:
             op = build_operator(expr, self.n_qubits)
             if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
                 raise ModelError(f"drift operator {expr!r} is not Hermitian")
-        for ch, expr in self.control:
+            drift += coef * op
+        controls = np.zeros((len(self.control), self.dim, self.dim), dtype=complex)
+        for i, (ch, expr) in enumerate(self.control):
             op = build_operator(expr, self.n_qubits)
             if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
                 raise ModelError(
                     f"control operator {expr!r} on channel {ch!r} is not Hermitian"
                 )
-        for _, expr in self.collapse:
-            validate_expression(expr, self.n_qubits)
+            controls[i] = op
+        collapse = [
+            (rate, build_operator(expr, self.n_qubits)) for rate, expr in self.collapse
+        ]
+        # built once per model; callers share the arrays, so freeze them
+        for arr in (drift, controls, *(op for _, op in collapse)):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_drift", drift)
+        object.__setattr__(self, "_controls", controls)
+        object.__setattr__(self, "_collapse", tuple(collapse))
 
     @property
     def dim(self) -> int:
@@ -219,23 +226,20 @@ class SystemModel:
         return tuple(ch for ch, _ in self.control)
 
     def drift_matrix(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for coef, expr in self.drift:
-            h += coef * build_operator(expr, self.n_qubits)
-        return h
+        """H_drift = sum of coef * op; read-only."""
+        return self._drift
+
+    @property
+    def control_stack(self) -> np.ndarray:
+        """Control operators stacked in channel order, (C, dim, dim); read-only."""
+        return self._controls
 
     def control_matrices(self) -> dict[str, np.ndarray]:
-        return {
-            ch: build_operator(expr, self.n_qubits) for ch, expr in self.control
-        }
+        return dict(zip(self.channels, self._controls))
 
     def collapse_terms(self) -> list[tuple[float, np.ndarray]]:
         """(rate, operator) pairs with strictly positive rate."""
-        return [
-            (rate, build_operator(expr, self.n_qubits))
-            for rate, expr in self.collapse
-            if rate > 0
-        ]
+        return [(rate, op) for rate, op in self._collapse if rate > 0]
 
     @property
     def has_dissipation(self) -> bool:

@@ -160,6 +160,11 @@ def _envelope_spec_from_options(
         raise OptimizationError(
             "control-funcs with trainable parameters needs initial-parameters"
         )
+    if isinstance(inits, Mapping):
+        raise OptimizationError(
+            "initial-parameters must be a list in control-params order, "
+            f"got a mapping {dict(inits)!r}"
+        )
     x0 = np.asarray([float(v) for v in _as_list(inits)], dtype=float)
     return spec, x0
 

@@ -1,15 +1,9 @@
 """GRAPE: one amplitude per channel per time slice, exact gradient descent.
 
-The gradient uses the eigendecomposition form of the slice-exponential
-derivative rather than the first-order commutator approximation: with
-H = V diag(w) V^+ and a = w*dt,
-
-    d exp(-i H dt) / du = V ( (V^+ (-i dt Op) V) o Phi ) V^+,
-    Phi_kl = exp(-i(a_k + a_l)/2) * sinc((a_k - a_l)/2),
-
-which is exact for any dt and degeneracy-safe (sinc handles a_k == a_l).
-Combined with forward/backward partial products this gives the full
-gradient in a single O(N) sweep.
+The gradient is the exact eigenbasis derivative of each slice exponential
+(``problem._gradient_from_state``, shared with GOAT) rather than the
+first-order commutator approximation; forward/backward partial products
+turn it into the full gradient in a single O(N) sweep.
 """
 
 from __future__ import annotations
@@ -20,6 +14,7 @@ from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
     OptimResult,
+    _gradient_from_state,
     _Propagation,
     clip_amplitudes,
     initial_amplitudes,
@@ -29,37 +24,6 @@ DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_LEARNING_RATE = 0.1
 MIN_STEP = 1e-12
-
-
-def _stacked_ops(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
-    controls = problem.model.control_matrices()
-    ops = np.stack([controls[ch] for ch in problem.model.channels])
-    return problem.model.drift_matrix(), ops
-
-
-def _loss_and_state(problem: ControlProblem, amps: np.ndarray) -> _Propagation:
-    drift, ops = _stacked_ops(problem)
-    return _Propagation(drift, ops, amps, problem.dt, problem.target_u)
-
-
-def _gradient_from_state(
-    state: _Propagation, ops: np.ndarray, target: np.ndarray, dt: float
-) -> np.ndarray:
-    d = target.shape[0]
-    a = state.evals * dt  # (N, d) real
-    half_sum = 0.5 * (a[:, :, None] + a[:, None, :])
-    half_diff = 0.5 * (a[:, :, None] - a[:, None, :])
-    phi = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
-    v = state.evecs
-    vh = v.conj().swapaxes(1, 2)
-    # W[n,c] = V^+ (-i dt Op_c) V
-    w = np.einsum("nki,ckl,nlj->ncij", v.conj(), (-1j * dt) * ops, v)
-    # C[n] = fwd[n] @ target^+ @ bwd[n+1]; dg_cn = Tr(C[n] dU_n)
-    c = np.einsum("nij,jk,nkl->nil", state.fwd[:-1], target.conj().T, state.bwd[1:])
-    t_mat = vh @ c @ v
-    p = t_mat.swapaxes(1, 2) * phi
-    dg = np.einsum("nij,ncij->cn", p, w)
-    return (-2.0 / d**2) * np.real(np.conj(state.overlap) * dg)
 
 
 def grape_gradient(problem: ControlProblem, amps: np.ndarray) -> np.ndarray:
@@ -74,8 +38,10 @@ def grape_gradient(problem: ControlProblem, amps: np.ndarray) -> np.ndarray:
             f"amplitudes shape {arr.shape} != ({len(channels)}, "
             f"{problem.n_samples})"
         )
-    drift, ops = _stacked_ops(problem)
-    state = _Propagation(drift, ops, arr, problem.dt, problem.target_u)
+    ops = problem.model.control_stack
+    state = _Propagation(
+        problem.model.drift_matrix(), ops, arr, problem.dt, problem.target_u
+    )
     grad = _gradient_from_state(state, ops, problem.target_u, problem.dt)
     return grad.ravel() if flat else grad
 
@@ -94,7 +60,7 @@ def grape_optimize(
     """
     tol = DEFAULT_TOL if problem.tol is None else problem.tol
     max_iters = DEFAULT_MAX_ITERS if problem.max_iters is None else problem.max_iters
-    drift, ops = _stacked_ops(problem)
+    drift, ops = problem.model.drift_matrix(), problem.model.control_stack
     target = problem.target_u
     dt = problem.dt
     bound = problem.amplitude_bound

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dynamics import _stacked_hamiltonians, slice_propagators
 from ..errors import OptimizationError
-from ..dynamics import matrix_exp_hermitian_skew
 from .problem import (
     ControlProblem,
     OptimResult,
     _Propagation,
+    _trace_loss,
     clip_amplitudes,
     initial_amplitudes,
 )
@@ -32,12 +33,6 @@ DEFAULT_TOL = 1e-4
 DEFAULT_MAX_SWEEPS = 200
 MONOTONE_TOL = 1e-10
 MAX_LAMBDA_DOUBLINGS = 60
-
-
-def _loss(total: np.ndarray, target: np.ndarray) -> float:
-    d = target.shape[0]
-    overlap = complex(np.trace(target.conj().T @ total))
-    return float(1.0 - abs(overlap) ** 2 / d**2)
 
 
 def krotov_optimize(
@@ -60,9 +55,7 @@ def krotov_optimize(
     dt = problem.dt
     d = problem.dim
     target = problem.target_u
-    drift = problem.model.drift_matrix()
-    controls = problem.model.control_matrices()
-    ops = np.stack([controls[ch] for ch in channels])
+    drift, ops = problem.model.drift_matrix(), problem.model.control_stack
     shape = np.ones(n) if update_shape is None else np.asarray(update_shape, float)
     if shape.shape != (n,):
         raise OptimizationError(f"update shape must have {n} entries")
@@ -105,9 +98,9 @@ def krotov_optimize(
                             problem.amplitude_bound,
                             out=new_amps[:, k],
                         )
-                    ham = drift + np.einsum("c,cij->ij", new_amps[:, k], ops)
-                    psi = matrix_exp_hermitian_skew(ham, dt) @ psi
-                new_loss = _loss(psi, target)
+                    ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])
+                    psi = slice_propagators(ham[0], dt)[0] @ psi
+                _, new_loss = _trace_loss(psi, target)
                 if new_loss <= loss + MONOTONE_TOL:
                     accepted = True
                     break

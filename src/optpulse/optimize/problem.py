@@ -1,4 +1,5 @@
-"""Shared optimizer plumbing: the loss, the problem container, results.
+"""Shared optimizer plumbing: the loss, the problem container, results,
+and the slice propagation with its exact amplitude gradient.
 
 All methods minimize the trace infidelity
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dynamics import _stacked_hamiltonians, slice_propagators
 from ..errors import OptimizationError
 from ..model import SystemModel
 
@@ -40,9 +42,14 @@ def infidelity(u: np.ndarray, target: np.ndarray) -> float:
         raise OptimizationError(
             f"dimension mismatch: propagator {mat.shape} vs target {tgt.shape}"
         )
-    d = mat.shape[0]
-    overlap = np.trace(tgt.conj().T @ mat)
-    return float(1.0 - (abs(overlap) ** 2) / d**2)
+    return _trace_loss(mat, tgt)[1]
+
+
+def _trace_loss(total: np.ndarray, target: np.ndarray) -> tuple[complex, float]:
+    """Overlap g = Tr(target^+ total) and the loss 1 - |g|^2 / d^2."""
+    d = target.shape[0]
+    overlap = complex(np.trace(target.conj().T @ total))
+    return overlap, float(1.0 - abs(overlap) ** 2 / d**2)
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,8 @@ class OptimResult:
 class _Propagation:
     """Slice propagators plus forward/backward partial products.
 
-    Shared by GRAPE (gradient) and Krotov (state sweeps). Eigendecomposes
-    every slice Hamiltonian in one stacked call; fields:
+    Shared by all three optimizers. Slice exponentials come from one
+    stacked ``slice_propagators`` call; fields:
       umats (N,d,d), evals (N,d), evecs (N,d,d),
       fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0,
       bwd (N+1,d,d) with bwd[n] = U_{N-1}...U_n,
@@ -146,12 +153,8 @@ class _Propagation:
     ):
         n = amps.shape[1]
         d = drift.shape[0]
-        hams = drift[None, :, :] + np.einsum("cn,cij->nij", amps, ops)
-        evals, evecs = np.linalg.eigh(hams)
-        phases = np.exp(-1j * evals * dt)
-        self.umats = (evecs * phases[:, None, :]) @ evecs.conj().swapaxes(1, 2)
-        self.evals = evals
-        self.evecs = evecs
+        hams = _stacked_hamiltonians(drift, ops, amps)
+        self.umats, self.evals, self.evecs = slice_propagators(hams, dt)
         self.dt = dt
         fwd = np.empty((n + 1, d, d), dtype=complex)
         fwd[0] = np.eye(d)
@@ -164,8 +167,36 @@ class _Propagation:
         self.fwd = fwd
         self.bwd = bwd
         self.total = fwd[n]
-        self.overlap = complex(np.trace(target.conj().T @ self.total))
-        self.loss = float(1.0 - abs(self.overlap) ** 2 / d**2)
+        self.overlap, self.loss = _trace_loss(self.total, target)
+
+
+def _gradient_from_state(
+    state: _Propagation, ops: np.ndarray, target: np.ndarray, dt: float
+) -> np.ndarray:
+    """Exact d(loss)/d(amps), shape (C, N), in the slice eigenbasis.
+
+    With H = V diag(w) V^+ and a = w*dt,
+
+        d exp(-i H dt) / du = V ( (V^+ (-i dt Op) V) o Phi ) V^+,
+        Phi_kl = exp(-i(a_k + a_l)/2) * sinc((a_k - a_l)/2),
+
+    which is exact for any dt and degeneracy-safe (sinc handles a_k == a_l).
+    """
+    d = target.shape[0]
+    a = state.evals * dt  # (N, d) real
+    half_sum = 0.5 * (a[:, :, None] + a[:, None, :])
+    half_diff = 0.5 * (a[:, :, None] - a[:, None, :])
+    phi = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
+    v = state.evecs
+    vh = v.conj().swapaxes(1, 2)
+    # W[n,c] = V^+ (-i dt Op_c) V
+    w = np.einsum("nki,ckl,nlj->ncij", v.conj(), (-1j * dt) * ops, v)
+    # C[n] = fwd[n] @ target^+ @ bwd[n+1]; dg_cn = Tr(C[n] dU_n)
+    c = np.einsum("nij,jk,nkl->nil", state.fwd[:-1], target.conj().T, state.bwd[1:])
+    t_mat = vh @ c @ v
+    p = t_mat.swapaxes(1, 2) * phi
+    dg = np.einsum("nij,ncij->cn", p, w)
+    return (-2.0 / d**2) * np.real(np.conj(state.overlap) * dg)
 
 
 def initial_amplitudes(

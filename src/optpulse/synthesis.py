@@ -51,9 +51,6 @@ class PulseInstruction:
     def end(self) -> int:
         return self.t0 + len(self.samples)
 
-    def sample_array(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=complex)
-
 
 @dataclass(frozen=True)
 class PulseProgram:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_compile_unknown_method_exits_2_with_list(tmp_path, fixtures, capsys):
     )
     assert code == 2
     assert "GRAPE, GOAT, krotov" in stderr
+
+
+def test_compile_goat_on_drifted_model_stays_finite(tmp_path, fixtures, capsys):
+    # L-BFGS tries huge amplitudes here; they once overflowed the integrator
+    # and ended in "non-finite GOAT objective" with exit 2
+    out = tmp_path / "x.pulse.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, stderr = run(
+            capsys,
+            "compile", fixtures / "x.xasm", fixtures / "model_1q_x.json",
+            "--method", "GOAT", "--max-time", "10", "-o", out,
+        )
+    assert code in (0, 3), stderr
+    infidelity = json.loads(out.read_text())["metadata"]["infidelity"]
+    assert 0.0 <= infidelity <= 1.0
 
 
 def test_compile_missing_input_exits_1(tmp_path, fixtures, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from optpulse.dynamics import (
@@ -12,6 +14,7 @@ from optpulse.dynamics import (
     lindblad_evolve,
     matrix_exp_hermitian_skew,
     piecewise_propagator,
+    slice_propagators,
     trajectory_csv,
 )
 from optpulse.errors import DynamicsError
@@ -65,6 +68,29 @@ def test_matrix_exp_matches_scipy():
         h = a + a.conj().T
         t = rng.uniform(-2, 2)
         assert np.max(np.abs(matrix_exp_hermitian_skew(h, t) - expm(-1j * t * h))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 4, 8, 16]),
+    n_slices=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 5.0),
+    dt=st.floats(1e-3, 2.0),
+)
+def test_slice_propagators_unitary_and_exact(dim, n_slices, seed, scale, dt):
+    rng = np.random.default_rng(seed)
+    shape = (n_slices, dim, dim)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    hams = scale * (a + a.conj().swapaxes(1, 2)) / 2
+    umats, evals, evecs = slice_propagators(hams, dt)
+    eye = np.eye(dim)
+    for h, u, w, v in zip(hams, umats, evals, evecs):
+        assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
+        assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
+        assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10 * max(1.0, scale)
+    # a single matrix takes the same path as a stack of one
+    assert np.array_equal(slice_propagators(hams[0], dt)[0], umats[0])
 
 
 # ------------------------------------------------------------ closed system

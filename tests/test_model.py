@@ -78,6 +78,29 @@ def test_parse_model_basics():
     assert not m.has_dissipation
 
 
+def test_operators_built_once_per_model(monkeypatch):
+    import optpulse.model as model_module
+
+    calls = []
+    real = model_module.build_operator
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model_module, "build_operator", counting)
+    m = parse_model(dict(MODEL_DOC, collapse=[{"rate": 0.1, "op": "SM0"}]))
+    assert len(calls) == 4  # one drift, two controls, one collapse
+    for _ in range(3):
+        m.drift_matrix()
+        m.control_matrices()
+        m.collapse_terms()
+    assert len(calls) == 4
+    assert np.array_equal(m.control_stack[1], m.control_matrices()["dy"])
+    with pytest.raises(ValueError):
+        m.drift_matrix()[0, 0] = 2.0  # shared arrays are read-only
+
+
 def test_parse_model_rejects_unknown_keys():
     doc = dict(MODEL_DOC)
     doc["couplings"] = []

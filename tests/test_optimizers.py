@@ -16,7 +16,12 @@ from optpulse.optimize import (
     infidelity,
     krotov_optimize,
 )
-from optpulse.optimize.goat import _AugmentedIntegrator, default_envelope_spec, parse_control_func
+from optpulse.optimize.goat import (
+    SUBSTEPS,
+    _CF4Objective,
+    default_envelope_spec,
+    parse_control_func,
+)
 from optpulse.optimize.problem import initial_amplitudes
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -203,16 +208,18 @@ def test_goat_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     p = random_problem(rng, n_channels=1, n_samples=10)
     spec, x0 = default_envelope_spec(p)
-    integ = _AugmentedIntegrator(p, spec, n_steps=60)
+    objective = _CF4Objective(p, spec, SUBSTEPS)
     x = x0 + rng.uniform(-0.02, 0.02, x0.shape)
-    _, grad = integ.loss_and_grad(x)
+    _, grad = objective.loss_and_grad(x)
     h = 1e-6
     fd = np.zeros_like(x)
     for i in range(x.size):
         up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (integ.loss_and_grad(up)[0] - integ.loss_and_grad(dn)[0]) / (2 * h)
+        fd[i] = (
+            objective.loss_and_grad(up)[0] - objective.loss_and_grad(dn)[0]
+        ) / (2 * h)
     denom = max(np.max(np.abs(fd)), 1e-12)
     assert np.max(np.abs(grad - fd)) / denom <= 1e-5
 
@@ -226,13 +233,31 @@ def test_goat_reaches_x_gate_and_resimulates():
     assert abs(infidelity(u, X) - res.final_infidelity) <= 1e-6
 
 
+def test_goat_drifted_two_channel_resimulates():
+    # drift Z0 plus X and Y drives: exercises the CF4 mix of two channels
+    p = h_problem(max_time=5.0, tol=1e-7)
+    spec = GoatEnvelopeSpec(
+        terms=(
+            ("dx", GaussianTerm("a", "c", "s")),
+            ("dy", GaussianTerm("b", "e", "w")),
+        ),
+        param_names=("a", "c", "s", "b", "e", "w"),
+    )
+    x0 = np.array([0.3, 3.0, 1.0, 0.3, 3.5, 1.0])
+    res = goat_optimize(p, spec=spec, initial_parameters=x0)
+    assert res.final_infidelity <= 1e-7
+    sig = ControlSignal.from_envelopes(res.envelopes, duration=5.0, dt=p.dt)
+    u = evolve_continuous(p.model, sig)
+    assert abs(infidelity(u, H) - res.final_infidelity) <= 1e-6
+
+
 def test_goat_width_floor():
     p = x_problem(max_iters=5)
     spec, x0 = default_envelope_spec(p)
     x0 = x0.copy()
-    x0[1] = 1e-6  # below the 1e-3 width floor; must be clipped, not crash
+    x0[1] = 1e-6  # below the width floor dt; must be clipped, not crash
     res = goat_optimize(p, spec=spec, initial_parameters=x0)
-    assert res.optimal_params[1] >= 1e-3
+    assert res.optimal_params[1] >= p.dt
 
 
 def test_goat_is_deterministic():

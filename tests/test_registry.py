@@ -1,8 +1,14 @@
 """Optimizer registry: options maps, standalone problems, target parsing."""
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import optpulse
+from optpulse.cli import main
 from optpulse.errors import OptimizationError, UnknownMethodError
 from optpulse.model import SystemModel
 from optpulse.optimize import (
@@ -15,6 +21,20 @@ from optpulse.optimize import (
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only GOAT needs scipy.optimize; importing it costs most of the start-up
+    src = pathlib.Path(optpulse.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import optpulse; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_method_names():
@@ -108,6 +128,44 @@ def test_standalone_goat_without_control_funcs_fails():
         {"dimension": 2, "target-U": "X0", "control-H": ["X0"], "max-time": 10.0},
     )
     with pytest.raises(OptimizationError):
+        handle.optimize()
+
+
+def test_goat_rejects_amplitude_bound(tmp_path, fixtures):
+    options = {
+        "dimension": 2,
+        "target-U": "X0",
+        "control-H": ["X0"],
+        "control-funcs": ["a*exp(-(t-5)^2/(2*s^2))"],
+        "control-params": ["a", "s"],
+        "initial-parameters": [0.2, 2.0],
+        "max-time": 10.0,
+        "amplitude-bound": 0.5,
+    }
+    with pytest.raises(OptimizationError, match="amplitude-bound"):
+        get_optimizer("GOAT", options).optimize()
+    code = main([
+        "compile", str(fixtures / "x.xasm"), str(fixtures / "model_1q_x.json"),
+        "--method", "GOAT", "--max-time", "10", "--amplitude-bound", "0.5",
+        "-o", str(tmp_path / "x.pulse.json"),
+    ])
+    assert code == 2
+
+
+def test_goat_initial_parameters_mapping_rejected():
+    handle = get_optimizer(
+        "GOAT",
+        {
+            "dimension": 2,
+            "target-U": "X0",
+            "control-H": ["X0"],
+            "control-funcs": ["exp(-t^2/(2*sigma^2))"],
+            "control-params": ["sigma"],
+            "initial-parameters": {"sigma": 8.0},
+            "max-time": 100.0,
+        },
+    )
+    with pytest.raises(OptimizationError, match="initial-parameters"):
         handle.optimize()
 
 
