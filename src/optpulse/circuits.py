@@ -317,6 +317,15 @@ class _Parser:
         return lhs / rhs
 
 
+def parse_angle(text: str) -> float:
+    """Value of one angle expression of the dialect, e.g. ``3*pi/4``."""
+    parser = _Parser(_tokenize(text))
+    value = parser._expression()
+    if parser._peek() is not None or isinstance(value, tuple):
+        raise CircuitError(f"cannot parse numeric value {text!r}")
+    return value
+
+
 def parse_circuit(source: str, n_qubits: int | None = None) -> Circuit:
     """Parse assembly source into a :class:`Circuit`.
 

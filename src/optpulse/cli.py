@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import re
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .circuits import Circuit, circuit_unitary, eval_parametric, parse_circuit
+from .circuits import (
+    Circuit,
+    circuit_unitary,
+    eval_parametric,
+    parse_angle,
+    parse_circuit,
+)
 from .dynamics import evolve_states, lindblad_evolve, trajectory_csv
 from .errors import (
     CircuitError,
@@ -40,21 +44,6 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_NO_CONVERGENCE = 3
 
-def _parse_value(raw: str) -> float:
-    """Numeric literal with optional 'pi' arithmetic, e.g. '3*pi/4'."""
-    text = raw.strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    # arithmetic on digits and pi only; no names reach eval
-    if not text or not re.fullmatch(r"[0-9+\-*/(). ]*", text.replace("pi", "")):
-        raise CircuitError(f"cannot parse numeric value {raw!r}")
-    try:
-        return float(eval(text, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception:
-        raise CircuitError(f"cannot parse numeric value {raw!r}") from None
-
 
 def _load_circuit(path: str) -> Circuit:
     with open(path, encoding="utf-8") as fh:
@@ -68,7 +57,7 @@ def _bind_circuit(circuit: Circuit, bind_args) -> Circuit:
             name, eq, raw = piece.partition("=")
             if not eq:
                 raise CircuitError(f"bad --bind entry {piece!r} (want name=value)")
-            bindings[name.strip()] = _parse_value(raw)
+            bindings[name.strip()] = parse_angle(raw)
     if not bindings:
         return circuit
     unknown = sorted(set(bindings) - set(circuit.free_params))
@@ -235,7 +224,8 @@ def cmd_sweep(args) -> int:
         )
     model = load_model(args.model)
     values = [
-        _parse_value(v) for v in filter(None, (s.strip() for s in args.values.split(",")))
+        parse_angle(v)
+        for v in filter(None, (s.strip() for s in args.values.split(",")))
     ]
     opts = _optimizer_options(args)
     ground = _basis_state("0" * model.n_qubits, model.n_qubits)

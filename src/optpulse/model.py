@@ -2,8 +2,7 @@
 
 A model document is JSON with keys ``n_qubits``, ``dt``, ``drift``
 (list of ``{coef, op}``), ``control`` (list of ``{channel, op}``),
-``collapse`` (list of ``{rate, op}``), and optional ``lo_delta``
-(map channel -> dimensionless detuning).
+and ``collapse`` (list of ``{rate, op}``). Any other key is rejected.
 
 Operator expressions combine the tokens ``X/Y/Z/I/SP/SM`` suffixed with a
 qubit index, scalar coefficients, ``+``/``-``, ``*`` and parentheses, e.g.
@@ -167,8 +166,8 @@ class SystemModel:
     """Immutable device model: drift/control operators, dissipation, timing.
 
     ``drift`` holds (coefficient, expression) pairs, ``control`` holds
-    (channel id, expression) pairs, ``collapse`` holds (rate, expression)
-    pairs, ``lo_delta`` maps channel id to a dimensionless static detuning.
+    (channel id, expression) pairs and ``collapse`` holds (rate, expression)
+    pairs.
     """
 
     n_qubits: int
@@ -176,7 +175,6 @@ class SystemModel:
     drift: tuple[tuple[float, str], ...] = ()
     control: tuple[tuple[str, str], ...] = ()
     collapse: tuple[tuple[float, str], ...] = ()
-    lo_delta: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -190,9 +188,6 @@ class SystemModel:
         for rate, _ in self.collapse:
             if rate < 0:
                 raise ModelError(f"collapse rate must be >= 0, got {rate}")
-        for ch, _ in self.lo_delta:
-            if ch not in channels:
-                raise ModelError(f"lo_delta references unknown channel {ch!r}")
         drift = np.zeros((self.dim, self.dim), dtype=complex)
         for coef, expr in self.drift:
             op = build_operator(expr, self.n_qubits)
@@ -246,7 +241,7 @@ class SystemModel:
         return any(rate > 0 for rate, _ in self.collapse)
 
 
-_SCHEMA_KEYS = {"n_qubits", "dt", "drift", "control", "collapse", "lo_delta"}
+_SCHEMA_KEYS = {"n_qubits", "dt", "drift", "control", "collapse"}
 
 
 def parse_model(document: str | dict) -> SystemModel:
@@ -283,17 +278,12 @@ def parse_model(document: str | dict) -> SystemModel:
         )
     except (TypeError, KeyError) as exc:
         raise ModelError(f"malformed model entry: {exc!r}") from exc
-    lo_delta_doc = doc.get("lo_delta", {})
-    if not isinstance(lo_delta_doc, dict):
-        raise ModelError("lo_delta must be a map of channel -> delta")
-    lo_delta = tuple((str(ch), float(d)) for ch, d in lo_delta_doc.items())
     return SystemModel(
         n_qubits=doc["n_qubits"],
         dt=float(doc["dt"]),
         drift=drift,
         control=control,
         collapse=collapse,
-        lo_delta=lo_delta,
     )
 
 
@@ -310,7 +300,6 @@ def serialize_model(model: SystemModel) -> str:
         "drift": [{"coef": c, "op": op} for c, op in model.drift],
         "control": [{"channel": ch, "op": op} for ch, op in model.control],
         "collapse": [{"rate": r, "op": op} for r, op in model.collapse],
-        "lo_delta": {ch: d for ch, d in model.lo_delta},
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -128,8 +128,7 @@ def _standalone_model(options: Mapping, method: str) -> SystemModel:
         dt = max_time / n
     control = tuple((f"d{i}", op) for i, op in enumerate(ops))
     return SystemModel(
-        n_qubits=n_qubits, dt=dt, drift=(), control=control, collapse=(),
-        lo_delta=(),
+        n_qubits=n_qubits, dt=dt, drift=(), control=control, collapse=()
     )
 
 

@@ -230,6 +230,30 @@ def test_unitary_free_params_exit_2_without_bind(fixtures, capsys):
     assert np.allclose(rows, [[0, -1j], [-1j, 0]], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "raw, theta", [("3*pi/4", 3 * np.pi / 4), ("-pi/2", -np.pi / 2)]
+)
+def test_bind_accepts_pi_arithmetic(fixtures, capsys, raw, theta):
+    code, stdout, _ = run(
+        capsys, "unitary", fixtures / "rx_theta.xasm", "--bind", f"theta={raw}"
+    )
+    assert code == 0
+    rows = [[complex(z) for z in line.split()] for line in stdout.strip().split("\n")]
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    assert np.allclose(rows, [[c, -1j * s], [-1j * s, c]], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "raw", ["__import__('os').getcwd()", "__import__", "pi pi", ""]
+)
+def test_bind_rejects_anything_but_a_number(fixtures, capsys, raw):
+    code, _, stderr = run(
+        capsys, "unitary", fixtures / "rx_theta.xasm", "--bind", f"theta={raw}"
+    )
+    assert code == 2
+    assert stderr.startswith("error:")
+
+
 # ------------------------------------------------------------------- sweep
 
 

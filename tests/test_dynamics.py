@@ -1,5 +1,7 @@
 """Propagation engines against closed-form oracles and each other."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,99 @@ def test_lindblad_with_no_collapse_matches_unitary_evolution():
     assert np.max(np.abs(rhos[-1] - rho_exact)) <= 1e-7
 
 
+def liouvillian(ham, jumps):
+    """Dense column-stacking superoperator: vec(A r B) = (B^T kron A) vec(r)."""
+    eye = np.eye(len(ham))
+    sup = -1j * (np.kron(eye, ham) - np.kron(ham.T, eye))
+    for rate, op in jumps:
+        l2 = op.conj().T @ op
+        sup += rate * (
+            np.kron(op.conj(), op) - 0.5 * np.kron(eye, l2) - 0.5 * np.kron(l2.T, eye)
+        )
+    return sup
+
+
+PAULI_TERMS = {1: ["X0", "Y0", "Z0"], 2: ["X0", "Y1", "Z0", "Z1", "X0*X1", "Y0*Z1"]}
+JUMP_TERMS = {1: ["SM0", "SP0", "Z0", "X0"], 2: ["SM0", "SM1", "SP1", "Z0", "SM0*SM1"]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_qubits=st.sampled_from([1, 2]),
+    n_jumps=st.integers(1, 3),
+    n_slices=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(0.01, 0.5),
+)
+def test_lindblad_matches_dense_liouvillian_exponential(
+    n_qubits, n_jumps, n_slices, seed, dt
+):
+    rng = np.random.default_rng(seed)
+    terms, jump_terms = PAULI_TERMS[n_qubits], JUMP_TERMS[n_qubits]
+    model = SystemModel(
+        n_qubits=n_qubits,
+        dt=dt,
+        drift=tuple((rng.uniform(-2, 2), op) for op in rng.choice(terms, 2)),
+        control=tuple((f"d{i}", op) for i, op in enumerate(rng.choice(terms, 2))),
+        collapse=tuple(
+            (rng.uniform(0.01, 2.0), op) for op in rng.choice(jump_terms, n_jumps)
+        ),
+    )
+    samples = {ch: rng.uniform(-3, 3, n_slices) for ch in model.channels}
+    sig = ControlSignal.from_samples(samples, dt)
+    dim = model.dim
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0)
+    times, rhos = lindblad_evolve(model, sig, rho0)
+    assert len(rhos) == n_slices + 1
+    assert np.allclose(times, np.arange(n_slices + 1) * dt)
+    drift, controls = model.drift_matrix(), model.control_matrices()
+    vec = rho0.reshape(-1, order="F")
+    for n, rho in enumerate(rhos[1:]):
+        ham = drift + sum(samples[ch][n] * controls[ch] for ch in model.channels)
+        vec = expm(liouvillian(ham, model.collapse_terms()) * dt) @ vec
+        assert np.max(np.abs(rho - vec.reshape(dim, dim, order="F"))) <= 1e-10
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
+def test_lindblad_duration_past_the_signal_leaves_the_drive_off():
+    model = SystemModel(
+        n_qubits=1, dt=0.2, drift=((0.3, "Z0"),), control=(("dx", "X0"),),
+        collapse=((0.2, "SM0"),),
+    )
+    drive = np.linspace(0.2, 0.6, 5)
+    sig = ControlSignal.from_samples({"dx": drive}, model.dt)
+    padded = ControlSignal.from_samples({"dx": np.r_[drive, 0.0, 0.0, 0.0]}, model.dt)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    _, longer = lindblad_evolve(model, sig, plus, duration=8 * model.dt)
+    _, shorter = lindblad_evolve(model, sig, plus, duration=3 * model.dt)
+    _, reference = lindblad_evolve(model, padded, plus)
+    assert len(longer) == 9 and len(shorter) == 4
+    for a, b in zip(longer + shorter, reference + reference[:4]):
+        assert np.array_equal(a, b)
+
+
+def test_lindblad_rejects_envelope_signal():
+    model = x_model()
+    sig = ControlSignal.from_envelopes({"dx": lambda t: 0.1}, duration=1.0, dt=model.dt)
+    with pytest.raises(DynamicsError, match="sampled"):
+        lindblad_evolve(model, sig, np.array([1.0, 0.0]))
+
+
+def test_lindblad_fails_fast_on_pathological_amplitude():
+    model = SystemModel(
+        n_qubits=1, dt=0.2, control=(("dx", "X0"),), collapse=((0.1, "SM0"),)
+    )
+    sig = ControlSignal.from_samples({"dx": np.full(50, 1e7)}, model.dt)
+    start = time.perf_counter()
+    with pytest.raises(DynamicsError, match="substeps"):
+        lindblad_evolve(model, sig, np.array([1.0, 0.0]))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_accepts_state_vector_as_rho0():
     model = x_model()
     sig = ControlSignal.from_samples({"dx": np.zeros(4)}, model.dt)
@@ -269,3 +364,49 @@ def test_trajectory_csv_extra_observables_and_two_qubits():
         "t, <X0>, <Y0>, <Z0>, p_excited, <X1>, <Y1>, <Z1>, p_excited1, Z0*Z1"
     )
     assert text.split("\n")[1].endswith(", 1")
+
+
+def per_state_rows(times, states, n_qubits, extra):
+    """The per-state, per-operator loop that trajectory_csv replaces."""
+
+    def value(op, s):
+        return complex(s.conj() @ op @ s if s.ndim == 1 else np.trace(op @ s)).real
+
+    rows = []
+    for t, state in zip(times, states):
+        row = [t]
+        for q in range(n_qubits):
+            x, y, z = (value(build_operator(f"{p}{q}", n_qubits), state) for p in "XYZ")
+            row += [x, y, z, (1.0 - z) / 2.0]
+        row += [value(op, state) for op in extra.values()]
+        rows.append(", ".join(f"{v + 0.0:.12g}" for v in row))
+    return rows
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["ket", "rho"])
+def test_trajectory_csv_digits_match_per_state_expectations(n_qubits, kind):
+    rng = np.random.default_rng(n_qubits)
+    dim = 1 << n_qubits
+    kets = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    states = list(kets)
+    if kind == "rho":
+        mixed = rng.uniform(0.0, 1.0, 12)
+        states = [w * np.outer(k, k.conj()) + (1 - w) * np.eye(dim) / dim
+                  for w, k in zip(mixed, kets)]
+    times = np.arange(12) * 0.1
+    label = "Z0*X1" if n_qubits > 1 else "X0"
+    extra = {label: build_operator(label, n_qubits)}
+    lines = trajectory_csv(times, states, n_qubits, extra).split("\n")
+    assert lines[1:-1] == per_state_rows(times, states, n_qubits, extra)
+
+
+def test_trajectory_csv_rejects_bad_observables_and_states():
+    psi = np.array([1.0, 1.0j]) / np.sqrt(2)
+    with pytest.raises(DynamicsError, match="Hermitian"):
+        trajectory_csv([0.0], [psi], 1, extra={"SM0": build_operator("SM0", 1)})
+    with pytest.raises(DynamicsError, match="imaginary residual"):
+        trajectory_csv([0.0], [np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)], 1)
+    with pytest.raises(DynamicsError, match="does not fit"):
+        trajectory_csv([0.0], [np.ones(4) / 2], 1)

@@ -146,10 +146,11 @@ def test_collapse_operators_need_not_be_hermitian():
 
 
 def test_lo_delta_must_reference_known_channel():
-    with pytest.raises(ModelError):
-        SystemModel(
-            n_qubits=1, dt=0.1, control=(("dx", "X0"),), lo_delta=(("dz", 0.01),)
-        )
+    # the field was never applied, so a document carrying it is rejected
+    # rather than silently ignored; --lo-delta is the way to detune
+    for lo_delta in ({"dz": 0.01}, {"dx": 0.01}):
+        with pytest.raises(ModelError, match="unknown model key"):
+            parse_model(dict(MODEL_DOC, lo_delta=lo_delta))
 
 
 def test_serialize_parse_round_trip_is_byte_identical():

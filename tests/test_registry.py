@@ -24,17 +24,23 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only GOAT needs scipy.optimize; importing it costs most of the start-up
+    # only GOAT needs scipy.optimize; importing it costs most of the start-up.
+    # The simulate path, T1 Lindblad evolution included, needs no scipy at all.
     src = pathlib.Path(optpulse.__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import optpulse; "
-        "print('scipy.optimize' in sys.modules)"
+        "print('scipy.optimize' in sys.modules)\n"
+        "model = optpulse.SystemModel(n_qubits=2, dt=0.1, "
+        "control=(('dx', 'X0'),), collapse=((0.05, 'SM0'), (0.05, 'SM1')))\n"
+        "signal = optpulse.ControlSignal.from_samples({'dx': [0.3] * 5}, 0.1)\n"
+        "times, rhos = optpulse.lindblad_evolve(model, signal, [1, 0, 0, 0])\n"
+        "print(len(rhos), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(src)],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "6 []"]
 
 
 def test_method_names():
