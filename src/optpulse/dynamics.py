@@ -177,7 +177,14 @@ def _stacked_hamiltonians(
 
 
 def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray:
-    """Stack of H(t_n) for each slice, shape (N, dim, dim)."""
+    """Stack of H(t_n) per slice, (N, dim, dim); checks the sampled signal."""
+    if not signal.is_sampled:
+        raise DynamicsError("this engine needs a sampled signal")
+    _check_signal_channels(model, signal)
+    if abs(signal.dt - model.dt) > 1e-12 * max(1.0, model.dt):
+        raise DynamicsError(
+            f"signal dt={signal.dt} does not match model dt={model.dt}"
+        )
     amps = np.zeros((len(model.channels), signal.n_samples))
     for ch in signal.channels:
         amps[model.channels.index(ch)] = _real_samples(signal, ch)
@@ -186,16 +193,9 @@ def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray
 
 def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Total unitary for a sampled signal: product of slice exponentials."""
-    if not signal.is_sampled:
-        raise DynamicsError("piecewise propagation needs a sampled signal")
     if model.has_dissipation:
         raise DynamicsError(
             "model has collapse operators; use lindblad_evolve for open systems"
-        )
-    _check_signal_channels(model, signal)
-    if abs(signal.dt - model.dt) > 1e-12 * max(1.0, model.dt):
-        raise DynamicsError(
-            f"signal dt={signal.dt} does not match model dt={model.dt}"
         )
     total = np.eye(model.dim, dtype=complex)
     for u in slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]:
@@ -207,11 +207,8 @@ def evolve_states(
     model: SystemModel, signal: ControlSignal, psi0: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """State-vector trajectory at each sample time under a sampled signal."""
-    if not signal.is_sampled:
-        raise DynamicsError("state trajectory needs a sampled signal")
     if model.has_dissipation:
         raise DynamicsError("closed-system trajectory, but model has dissipation")
-    _check_signal_channels(model, signal)
     psi = np.asarray(psi0, dtype=complex).ravel()
     if psi.size != model.dim:
         raise DynamicsError(f"state dim {psi.size} != model dim {model.dim}")
@@ -333,9 +330,6 @@ def lindblad_evolve(
     past the end of the signal. A slice that would need more than
     ``MAX_LINDBLAD_SUBSTEPS`` substeps raises ``DynamicsError``.
     """
-    if not signal.is_sampled:
-        raise DynamicsError("Lindblad evolution needs a sampled signal")
-    _check_signal_channels(model, signal)
     rho_init = np.asarray(rho0, dtype=complex)
     if rho_init.ndim == 1:  # pure state given as a vector
         rho_init = np.outer(rho_init, rho_init.conj())

@@ -264,6 +264,7 @@ def parse_model(document: str | dict) -> SystemModel:
     if not isinstance(doc["n_qubits"], int) or isinstance(doc["n_qubits"], bool):
         raise ModelError("n_qubits must be an integer")
     try:
+        dt = float(doc["dt"])
         drift = tuple(
             (float(entry["coef"]), str(entry["op"]))
             for entry in doc.get("drift", [])
@@ -276,11 +277,11 @@ def parse_model(document: str | dict) -> SystemModel:
             (float(entry["rate"]), str(entry["op"]))
             for entry in doc.get("collapse", [])
         )
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ModelError(f"malformed model entry: {exc!r}") from exc
     return SystemModel(
         n_qubits=doc["n_qubits"],
-        dt=float(doc["dt"]),
+        dt=dt,
         drift=drift,
         control=control,
         collapse=collapse,

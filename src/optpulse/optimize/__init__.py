@@ -1,12 +1,14 @@
 """Optimizer registry: name-dispatched GRAPE / GOAT / Krotov handles.
 
-A handle is configured from an options map (keys mirror the pulse-level
-options surface: method, dimension, target-U, control-params,
-control-funcs, control-H, max-time, initial-parameters, n-samples,
-amplitude-bound, seed, tol, max-iters, dt) and exposes optimize().
-Called without a problem it builds one from the options; the compiler
-pipeline instead passes a ready ControlProblem and only the
-method-specific options (GOAT's envelope spec) are consumed.
+One options map configures a handle, and it is parsed only here. Every
+method reads the problem keys (method, max-time, n-samples, seed, tol,
+max-iters); with no circuit, the standalone keys (dimension, target-U,
+control-H, dt) build the model and the target. GRAPE and krotov add
+amplitude-bound; GOAT adds control-funcs, control-params and
+initial-parameters. get_optimizer rejects any other key, and
+Optimizer.build_problem is the only code that turns options into a
+ControlProblem. A ready ControlProblem passed to optimize() takes only
+GOAT's envelope keys. No key is accepted and then ignored.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .goat import (
 )
 from .grape import grape_gradient, grape_optimize
 from .krotov import krotov_optimize
-from .problem import ControlProblem, OptimResult, infidelity
+from .problem import ControlProblem, OptimResult, _check_unitary, infidelity
 
 __all__ = [
     "ControlProblem",
@@ -48,21 +50,13 @@ __all__ = [
 
 _METHODS = {"grape": "GRAPE", "goat": "GOAT", "krotov": "krotov"}
 
-_ALLOWED_OPTIONS = {
-    "method",
-    "dimension",
-    "target-U",
-    "control-params",
-    "control-funcs",
-    "control-H",
-    "max-time",
-    "initial-parameters",
-    "n-samples",
-    "amplitude-bound",
-    "seed",
-    "tol",
-    "max-iters",
-    "dt",
+_PROBLEM_KEYS = frozenset({"max-time", "n-samples", "seed", "tol", "max-iters"})
+_STANDALONE_KEYS = frozenset({"dimension", "target-U", "control-H", "dt"})
+_ENVELOPE_KEYS = frozenset({"control-funcs", "control-params", "initial-parameters"})
+_METHOD_KEYS = {
+    "GRAPE": frozenset({"amplitude-bound"}),
+    "krotov": frozenset({"amplitude-bound"}),
+    "GOAT": _ENVELOPE_KEYS,
 }
 
 _GATE_TARGET_RE = re.compile(r"([A-Za-z]+?)(\d+)")
@@ -83,22 +77,14 @@ def parse_target_unitary(value, n_qubits: int) -> np.ndarray:
             gate = Gate(match.group(1), (int(match.group(2)),), ())
             circuit = Circuit(n_qubits=n_qubits, gates=(gate,))
             return circuit_unitary(circuit)
-        mat = build_operator(text, n_qubits)
-        eye = np.eye(mat.shape[0])
-        if np.max(np.abs(mat.conj().T @ mat - eye)) > 1e-8:
-            raise OptimizationError(
-                f"target-U expression {value!r} is not unitary"
-            )
-        return mat
+        return _check_unitary(build_operator(text, n_qubits), f"target-U {value!r}")
     arr = np.asarray(value)
     if arr.ndim == 3 and arr.shape[-1] == 2:  # [re, im] encoding
         arr = arr[..., 0] + 1j * arr[..., 1]
-    mat = np.asarray(arr, dtype=complex)
+    mat = _check_unitary(arr, "target-U matrix")
     dim = 2**n_qubits
     if mat.shape != (dim, dim):
         raise OptimizationError(f"target-U matrix shape {mat.shape} != ({dim}, {dim})")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > 1e-8:
-        raise OptimizationError("target-U matrix is not unitary")
     return mat
 
 
@@ -125,6 +111,8 @@ def _standalone_model(options: Mapping, method: str) -> SystemModel:
         dt = float(options["dt"])
     else:
         n = int(options.get("n-samples", _DEFAULT_SAMPLES[method]))
+        if n < 1:
+            raise OptimizationError(f"n-samples must be >= 1, got {n}")
         dt = max_time / n
     control = tuple((f"d{i}", op) for i, op in enumerate(ops))
     return SystemModel(
@@ -132,11 +120,38 @@ def _standalone_model(options: Mapping, method: str) -> SystemModel:
     )
 
 
-def _envelope_spec_from_options(
-    options: Mapping, channels: tuple[str, ...]
-) -> tuple[GoatEnvelopeSpec, np.ndarray] | None:
+def _goat_start(
+    options: Mapping, channels: tuple[str, ...], standalone: bool
+) -> tuple[GoatEnvelopeSpec | None, np.ndarray | None]:
+    """GOAT's envelope family and start point from the envelope keys.
+
+    Without control-funcs the family is goat_optimize's default Gaussian per
+    channel, started at initial-parameters when given; a standalone problem
+    has no default family and must name one.
+    """
+    inits = options.get("initial-parameters")
+    x0 = None
+    if inits is not None:
+        if isinstance(inits, Mapping):
+            raise OptimizationError(
+                "initial-parameters must be a list in control-params order, "
+                f"got a mapping {dict(inits)!r}"
+            )
+        try:
+            x0 = np.asarray([float(v) for v in _as_list(inits)], dtype=float)
+        except (TypeError, ValueError):
+            raise OptimizationError(
+                f"initial-parameters must be numbers, got {inits!r}"
+            ) from None
     if "control-funcs" not in options:
-        return None
+        if "control-params" in options:
+            raise OptimizationError("control-params needs control-funcs")
+        if standalone:
+            raise OptimizationError(
+                "GOAT needs an envelope spec: pass control-funcs with "
+                "control-params and initial-parameters"
+            )
+        return None, x0
     funcs = [str(f) for f in _as_list(options["control-funcs"])]
     if len(funcs) > len(channels):
         raise OptimizationError(
@@ -154,17 +169,10 @@ def _envelope_spec_from_options(
         for term in parse_control_func(func):
             terms.append((ch, term))
     spec = GoatEnvelopeSpec(terms=tuple(terms), param_names=tuple(names))
-    inits = options.get("initial-parameters")
-    if inits is None:
+    if x0 is None:
         raise OptimizationError(
             "control-funcs with trainable parameters needs initial-parameters"
         )
-    if isinstance(inits, Mapping):
-        raise OptimizationError(
-            "initial-parameters must be a list in control-params order, "
-            f"got a mapping {dict(inits)!r}"
-        )
-    x0 = np.asarray([float(v) for v in _as_list(inits)], dtype=float)
     return spec, x0
 
 
@@ -175,39 +183,67 @@ class Optimizer:
     method: str
     options: dict
 
-    def build_problem(self) -> ControlProblem:
+    def _reject(self, keys, reason: str) -> None:
+        clash = sorted(set(self.options) & set(keys))
+        if clash:
+            raise OptimizationError(f"option(s) {clash} not allowed: {reason}")
+
+    def build_problem(
+        self, model: SystemModel | None = None, target: np.ndarray | None = None
+    ) -> ControlProblem:
+        """The ControlProblem the options describe.
+
+        Without a model, the standalone keys build the model and the target.
+        With both (the compile path), the circuit and the model fix them,
+        so a standalone key raises.
+        """
         opts = self.options
-        model = _standalone_model(opts, self.method)
-        target = parse_target_unitary(_require(opts, "target-U"), model.n_qubits)
+        if (model is None) != (target is None):
+            raise OptimizationError("build_problem needs both a model and a target")
+        if model is None:
+            model = _standalone_model(opts, self.method)
+            target = parse_target_unitary(_require(opts, "target-U"), model.n_qubits)
+        else:
+            self._reject(_STANDALONE_KEYS, "the circuit and the model fix them")
         return ControlProblem(
             model=model,
             target_u=target,
-            max_time=float(_require(opts, "max-time")),
+            max_time=_require(opts, "max-time"),
             n_samples=opts.get("n-samples"),
-            amplitude_bound=float(opts.get("amplitude-bound", 0.0)),
-            seed=int(opts.get("seed", 0)),
+            amplitude_bound=opts.get("amplitude-bound", 0.0),
+            seed=opts.get("seed", 0),
             tol=opts.get("tol"),
             max_iters=opts.get("max-iters"),
         )
 
-    def optimize(self, problem: ControlProblem | None = None) -> OptimResult:
+    def optimize(
+        self,
+        problem: ControlProblem | None = None,
+        *,
+        model: SystemModel | None = None,
+        target: np.ndarray | None = None,
+    ) -> OptimResult:
+        """Run the method on a ready problem, or on build_problem(model, target).
+
+        A ready problem already fixes every key build_problem reads, so only
+        GOAT's envelope keys may come with it.
+        """
+        standalone = problem is None and model is None
         if problem is None:
-            problem = self.build_problem()
+            problem = self.build_problem(model, target)
+        elif model is not None or target is not None:
+            raise OptimizationError("pass a problem or a model and target, not both")
+        else:
+            self._reject(
+                set(self.options) - _ENVELOPE_KEYS - {"method"},
+                "the given problem already fixes them",
+            )
         if self.method == "GRAPE":
             return grape_optimize(problem)
         if self.method == "krotov":
             return krotov_optimize(problem)
-        built = _envelope_spec_from_options(self.options, problem.model.channels)
-        if built is not None:
-            spec, x0 = built
-            return goat_optimize(problem, spec, initial_parameters=x0)
-        if "dimension" in self.options:
-            # standalone GOAT must say what family it optimizes over
-            raise OptimizationError(
-                "GOAT needs an envelope spec: pass control-funcs with "
-                "control-params and initial-parameters"
-            )
-        return goat_optimize(problem)  # compiler path: default Gaussian family
+        spec, x0 = _goat_start(self.options, problem.model.channels, standalone)
+        return goat_optimize(problem, spec, initial_parameters=x0)
 
 
 def get_optimizer(method: str, options: Mapping | None = None) -> Optimizer:
@@ -219,11 +255,12 @@ def get_optimizer(method: str, options: Mapping | None = None) -> Optimizer:
             + ", ".join(method_names())
         )
     opts = dict(options or {})
-    unknown = set(opts) - _ALLOWED_OPTIONS
+    allowed = {"method"} | _PROBLEM_KEYS | _STANDALONE_KEYS | _METHOD_KEYS[canonical]
+    unknown = set(opts) - allowed
     if unknown:
         raise OptimizationError(
-            f"unknown option(s) {sorted(unknown)}; allowed: "
-            + ", ".join(sorted(_ALLOWED_OPTIONS))
+            f"unknown option(s) {sorted(unknown)} for {canonical}; allowed: "
+            + ", ".join(sorted(allowed))
         )
     declared = opts.get("method")
     if declared is not None and str(declared).lower() != canonical.lower():
@@ -241,16 +278,14 @@ def get_optimizer(method: str, options: Mapping | None = None) -> Optimizer:
         ("dt", float),
     ):
         if key in opts:
+            raw = opts[key]
             try:
-                opts[key] = kind(opts[key])
-            except (TypeError, ValueError):
+                opts[key] = kind(raw)
+            except (TypeError, ValueError, OverflowError):
+                opts[key] = None
+            # a float must survive the cast: 2.5 is no int, nan no float
+            if opts[key] is None or (isinstance(raw, float) and opts[key] != raw):
                 raise OptimizationError(
-                    f"option {key!r} must be {kind.__name__}, "
-                    f"got {opts[key]!r}"
-                ) from None
-            if kind is int and isinstance(options.get(key), float):
-                if float(options[key]) != opts[key]:
-                    raise OptimizationError(
-                        f"option {key!r} must be an integer, got {options[key]!r}"
-                    )
+                    f"option {key!r} must be {kind.__name__}, got {raw!r}"
+                )
     return Optimizer(method=canonical, options=opts)

@@ -46,10 +46,7 @@ def grape_gradient(problem: ControlProblem, amps: np.ndarray) -> np.ndarray:
     return grad.ravel() if flat else grad
 
 
-def grape_optimize(
-    problem: ControlProblem,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-) -> OptimResult:
+def grape_optimize(problem: ControlProblem) -> OptimResult:
     """Projected gradient descent with backtracking halving.
 
     Each iteration retries from the base learning rate and halves it until
@@ -77,7 +74,7 @@ def grape_optimize(
             grad = _gradient_from_state(state, ops, target, dt)
             if not np.all(np.isfinite(grad)):
                 raise OptimizationError("non-finite gradient encountered")
-            step = learning_rate
+            step = DEFAULT_LEARNING_RATE
             candidate = None
             while step >= MIN_STEP:
                 trial = clip_amplitudes(amps - step * grad, bound)

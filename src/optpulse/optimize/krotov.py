@@ -5,7 +5,7 @@ controls being updated, against costates back-propagated from the
 target-overlap boundary condition chi_k(T) = (g/d^2) |phi_k>,
 g = sum_k <phi_k|psi_k(T)>. Slice n of channel c is nudged by
 
-    dOmega = (S_n / lambda) * Im sum_k <chi_k(t_n)| Op_c |psi_k(t_n)>
+    dOmega = (1 / lambda) * Im sum_k <chi_k(t_n)| Op_c |psi_k(t_n)>
 
 before the sweep moves on, so later slices already see the update. This
 first-order scheme decreases the infidelity whenever lambda is large
@@ -33,21 +33,14 @@ DEFAULT_TOL = 1e-4
 DEFAULT_MAX_SWEEPS = 200
 MONOTONE_TOL = 1e-10
 MAX_LAMBDA_DOUBLINGS = 60
+INITIAL_LAMBDA = 1.0
 
 
-def krotov_optimize(
-    problem: ControlProblem,
-    step_lambda: float = 1.0,
-    update_shape: np.ndarray | None = None,
-) -> OptimResult:
+def krotov_optimize(problem: ControlProblem) -> OptimResult:
     """Sequential sweeps from a square-pulse start (default policy).
 
-    Stops at tol (default 1e-4) or after 200 sweeps. update_shape S(t)
-    defaults to flat ones; it only scales updates and is pinned to 0 at
-    entries where it is 0.
+    Stops at tol (default 1e-4) or after 200 sweeps.
     """
-    if step_lambda <= 0:
-        raise OptimizationError("lambda must be positive")
     tol = DEFAULT_TOL if problem.tol is None else problem.tol
     max_sweeps = DEFAULT_MAX_SWEEPS if problem.max_iters is None else problem.max_iters
     channels = problem.model.channels
@@ -56,9 +49,6 @@ def krotov_optimize(
     d = problem.dim
     target = problem.target_u
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
-    shape = np.ones(n) if update_shape is None else np.asarray(update_shape, float)
-    if shape.shape != (n,):
-        raise OptimizationError(f"update shape must have {n} entries")
 
     amps = clip_amplitudes(
         initial_amplitudes(problem, "square"), problem.amplitude_bound
@@ -72,7 +62,7 @@ def krotov_optimize(
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"
     sweeps = 0
-    lam = step_lambda
+    lam = INITIAL_LAMBDA
 
     if loss <= tol:
         status, message = "converged", "initial guess already below tolerance"
@@ -90,14 +80,10 @@ def krotov_optimize(
                     chi = costates[k]
                     for c in range(len(channels)):
                         overlap = np.trace(chi.conj().T @ ops[c] @ psi)
-                        new_amps[c, k] += (shape[k] / lam) * float(overlap.imag)
-                    if problem.amplitude_bound > 0:
-                        np.clip(
-                            new_amps[:, k],
-                            -problem.amplitude_bound,
-                            problem.amplitude_bound,
-                            out=new_amps[:, k],
-                        )
+                        new_amps[c, k] += float(overlap.imag) / lam
+                    new_amps[:, k] = clip_amplitudes(
+                        new_amps[:, k], problem.amplitude_bound
+                    )
                     ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])
                     psi = slice_propagators(ham[0], dt)[0] @ psi
                 _, new_loss = _trace_loss(psi, target)

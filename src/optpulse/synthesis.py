@@ -25,7 +25,7 @@ from .circuits import Circuit, circuit_unitary
 from .dynamics import ControlSignal
 from .errors import CircuitError, LibraryError, OptimizationError, TransformError
 from .model import SystemModel
-from .optimize import ControlProblem, get_optimizer
+from .optimize import get_optimizer
 
 DEFAULT_ACCEPT_THRESHOLD = 5e-2
 
@@ -98,12 +98,10 @@ class PulseProgram:
             metadata=self.metadata,
         )
 
-    def to_signal(self, n_samples: int | None = None) -> ControlSignal:
+    def to_signal(self) -> ControlSignal:
         """Materialize per-channel sample arrays (zeros where idle)."""
-        length = self.total_duration if n_samples is None else int(n_samples)
-        length = max(length, 1)
         arrays = {
-            ch: np.zeros(length, dtype=complex) for ch in self.channels
+            ch: np.zeros(self.total_duration, dtype=complex) for ch in self.channels
         }
         if not arrays:
             raise OptimizationError("cannot build a signal from an empty program")
@@ -161,33 +159,13 @@ def compile_circuit(
             "circuit has unbound parameters "
             f"{circuit.free_params}; bind them before compiling"
         )
-    if "max-time" not in opts:
-        raise OptimizationError("transform needs a max-time option")
     target = circuit_unitary(circuit)
     if circuit.n_qubits != model.n_qubits:
         raise OptimizationError(
             f"circuit acts on {circuit.n_qubits} qubit(s), model has "
             f"{model.n_qubits}"
         )
-    handle = get_optimizer(method, opts)
-    max_time = float(opts["max-time"])
-    n_samples = int(round(max_time / model.dt))
-    if "n-samples" in opts and int(opts["n-samples"]) != n_samples:
-        raise OptimizationError(
-            f"n-samples {opts['n-samples']} contradicts max-time/dt = "
-            f"{max_time}/{model.dt} (= {n_samples} samples)"
-        )
-    problem = ControlProblem(
-        model=model,
-        target_u=target,
-        max_time=max_time,
-        n_samples=n_samples,
-        amplitude_bound=float(opts.get("amplitude-bound", 0.0)),
-        seed=int(opts.get("seed", 0)),
-        tol=opts.get("tol"),
-        max_iters=opts.get("max-iters"),
-    )
-    result = handle.optimize(problem)
+    result = get_optimizer(method, opts).optimize(model=model, target=target)
     instructions = tuple(
         PulseInstruction(channel=ch, t0=0, samples=tuple(samples))
         for ch, samples in sorted(result.synthesized_samples.items())
@@ -300,22 +278,25 @@ def parse_program(document: str | Mapping) -> PulseProgram:
         raise OptimizationError(f"unknown pulse document key(s) {sorted(unknown)}")
     if "dt" not in doc or "instructions" not in doc:
         raise OptimizationError("pulse document needs 'dt' and 'instructions'")
-    instructions = []
-    for entry in doc["instructions"]:
-        extra = set(entry) - {"channel", "t0", "samples"}
-        if extra:
-            raise OptimizationError(f"unknown instruction key(s) {sorted(extra)}")
-        samples = tuple(complex(re, im) for re, im in entry["samples"])
-        instructions.append(
-            PulseInstruction(
-                channel=str(entry["channel"]), t0=int(entry["t0"]), samples=samples
+    try:
+        instructions = []
+        for entry in doc["instructions"]:
+            extra = set(entry) - {"channel", "t0", "samples"}
+            if extra:
+                raise OptimizationError(f"unknown instruction key(s) {sorted(extra)}")
+            samples = tuple(complex(re, im) for re, im in entry["samples"])
+            instructions.append(
+                PulseInstruction(
+                    channel=str(entry["channel"]), t0=int(entry["t0"]), samples=samples
+                )
             )
+        return PulseProgram(
+            dt=float(doc["dt"]),
+            instructions=tuple(instructions),
+            metadata=doc.get("metadata", {}),
         )
-    return PulseProgram(
-        dt=float(doc["dt"]),
-        instructions=tuple(instructions),
-        metadata=doc.get("metadata", {}),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise OptimizationError(f"malformed pulse document: {exc!r}") from None
 
 
 def load_program(path: str) -> PulseProgram:

@@ -177,6 +177,16 @@ def test_simulate_channel_mismatch_exits_2(h_pulse, fixtures, capsys):
     assert "dy" in stderr
 
 
+def test_simulate_malformed_pulse_exits_2(tmp_path, fixtures, capsys):
+    pulse = tmp_path / "bad.json"
+    pulse.write_text('{"dt": 0.2, "instructions": [{"t0": 0, "samples": [[0.1, 0]]}]}')
+    code, _, stderr = run(
+        capsys, "simulate", pulse, fixtures / "model_1q_x_nodrift.json"
+    )
+    assert code == 2
+    assert "channel" in stderr
+
+
 def test_simulate_empty_program_is_constant(tmp_path, fixtures, capsys):
     pulse = tmp_path / "empty.json"
     pulse.write_text('{"dt": 0.2, "instructions": [], "metadata": {}}\n')

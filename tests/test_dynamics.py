@@ -171,6 +171,18 @@ def test_signal_dt_must_match_model():
         piecewise_propagator(model, sig)
 
 
+def test_every_sampled_engine_checks_signal_dt():
+    closed = x_model(dt=0.2)
+    open_model = SystemModel(
+        n_qubits=1, dt=0.2, control=(("dx", "X0"),), collapse=((0.1, "SM0"),)
+    )
+    sig = ControlSignal.from_samples({"dx": [0.3] * 5}, 0.1)
+    with pytest.raises(DynamicsError, match="dt"):
+        evolve_states(closed, sig, np.array([1.0, 0.0]))
+    with pytest.raises(DynamicsError, match="dt"):
+        lindblad_evolve(open_model, sig, np.array([1.0, 0.0]))
+
+
 # -------------------------------------------------------------- open system
 
 

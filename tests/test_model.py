@@ -190,3 +190,13 @@ def test_apply_detuning_adds_z_drift():
 def test_bad_json_text_is_a_model_error():
     with pytest.raises(ModelError):
         parse_model("{not json")
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"dt": "x"}, {"dt": None}, {"drift": [{"coef": "big", "op": "Z0"}]}],
+    ids=["dt-text", "dt-null", "coef-text"],
+)
+def test_parse_model_raises_typed_error_on_malformed_fields(patch):
+    with pytest.raises(ModelError):
+        parse_model({**MODEL_DOC, **patch})

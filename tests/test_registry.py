@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import optpulse
+from optpulse.circuits import parse_circuit
 from optpulse.cli import main
+from optpulse.dynamics import ControlSignal, evolve_continuous
 from optpulse.errors import OptimizationError, UnknownMethodError
-from optpulse.model import SystemModel
+from optpulse.model import SystemModel, load_model
 from optpulse.optimize import (
     ControlProblem,
     get_optimizer,
@@ -18,6 +20,7 @@ from optpulse.optimize import (
     method_names,
     parse_target_unitary,
 )
+from optpulse.synthesis import compile_circuit
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -195,3 +198,102 @@ def test_options_are_copied_not_aliased():
     handle = get_optimizer("GRAPE", opts)
     opts["max-time"] = 999.0
     assert handle.options["max-time"] == 10.0
+
+
+# ------------------------------------------------- one key table per method
+
+X_PROBLEM_OPTIONS = {
+    "dimension": 2, "target-U": "X0", "control-H": ["X0"], "max-time": 10.0,
+}
+
+
+@pytest.mark.parametrize(
+    "method, key, value",
+    [
+        (method, key, value)
+        for method in ("GRAPE", "krotov")
+        for key, value in (
+            ("control-funcs", ["a*exp(-(t-5)^2/(2*s^2))"]),
+            ("control-params", ["a", "s"]),
+            ("initial-parameters", [0.2, 2.0]),
+        )
+    ]
+    + [("GOAT", "amplitude-bound", 0.5)],
+)
+def test_method_rejects_keys_of_other_methods(method, key, value):
+    with pytest.raises(OptimizationError, match=key):
+        get_optimizer(method, {**X_PROBLEM_OPTIONS, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dimension", 2), ("target-U", "Z0"), ("control-H", ["Z0"]), ("dt", 0.5)]
+)
+def test_compile_path_rejects_standalone_keys(fixtures, key, value):
+    model = load_model(fixtures / "model_1q_x_nodrift.json")
+    circuit = parse_circuit("X(q[0]);")
+    with pytest.raises(OptimizationError, match=key):
+        compile_circuit(circuit, model, "GRAPE", {"max-time": 10.0, key: value})
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        # every option but max-time used to be accepted and then ignored
+        {
+            "max-time": 10, "control-funcs": ["a*exp(-(t-5)^2/(2*s^2))"],
+            "control-params": ["a", "s"], "initial-parameters": [3.0, 1.0],
+            "dimension": 8, "target-U": "Z0", "control-H": ["Z0"], "dt": 0.5,
+        },
+        {
+            "max-time": 10, "control-funcs": ["exp(-(t-5)^2/(2*s^2))"],
+            "control-params": ["s"], "initial-parameters": [3.0],
+        },
+    ],
+)
+def test_grape_compile_rejects_ignored_options(fixtures, options):
+    model = load_model(fixtures / "model_1q_x_nodrift.json")
+    circuit = parse_circuit("X(q[0]);")
+    with pytest.raises(OptimizationError):
+        compile_circuit(circuit, model, "GRAPE", options)
+
+
+def test_ready_problem_rejects_problem_keys():
+    model = SystemModel(n_qubits=1, dt=0.2, control=(("dx", "X0"),))
+    problem = ControlProblem(model=model, target_u=X, max_time=10.0)
+    with pytest.raises(OptimizationError, match="tol"):
+        get_optimizer("GRAPE", {"tol": 1e-9}).optimize(problem)
+    with pytest.raises(OptimizationError, match="amplitude-bound"):
+        get_optimizer("krotov", {"amplitude-bound": 0.5}).optimize(problem)
+
+
+def test_goat_compile_starts_at_initial_parameters(fixtures):
+    model = load_model(fixtures / "model_1q_x_nodrift.json")
+    circuit = parse_circuit("X(q[0]);")
+    _, result = compile_circuit(
+        circuit, model, "GOAT", {"max-time": 10.0, "initial-parameters": [0.15, 2.0]}
+    )
+
+    def loss_at(a, s):  # the default family: one Gaussian centred at T/2
+        env = {"dx": lambda t: a * np.exp(-((t - 5.0) ** 2) / (2 * s * s))}
+        sig = ControlSignal.from_envelopes(env, duration=10.0, dt=model.dt)
+        return infidelity(evolve_continuous(model, sig), X)
+
+    assert abs(result.trace[0] - loss_at(0.15, 2.0)) <= 1e-6
+    assert abs(result.trace[0] - loss_at(0.1, 8 * model.dt)) > 1e-2
+
+
+def test_goat_control_params_need_control_funcs(fixtures):
+    model = load_model(fixtures / "model_1q_x_nodrift.json")
+    circuit = parse_circuit("X(q[0]);")
+    with pytest.raises(OptimizationError, match="control-params"):
+        compile_circuit(
+            circuit, model, "GOAT",
+            {"max-time": 10.0, "control-params": ["a_dx", "sigma_dx"]},
+        )
+
+
+def test_option_values_must_survive_the_cast():
+    with pytest.raises(OptimizationError, match="tol"):
+        get_optimizer("GRAPE", {"tol": float("nan")})
+    with pytest.raises(OptimizationError, match="n-samples"):
+        get_optimizer("GRAPE", {"n-samples": float("inf")})

@@ -152,6 +152,22 @@ def test_parse_rejects_malformed_documents():
         )
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dt": 0.1, "instructions": [{"t0": 0, "samples": [[0.1, 0.0]]}]},
+        {"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "samples": [0.1]}]},
+        {"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "samples": 0.1}]},
+        {"dt": 0.1, "instructions": 5},
+        {"dt": "x", "instructions": []},
+    ],
+    ids=["no-channel", "scalar-sample", "scalar-samples", "non-list", "dt-text"],
+)
+def test_parse_raises_typed_error_on_malformed_fields(doc):
+    with pytest.raises(OptimizationError):
+        parse_program(doc)
+
+
 # ---------------------------------------------------------------- library
 
 
