@@ -1,8 +1,9 @@
 """GOAT: analytic Gaussian envelopes trained by L-BFGS on the shared core.
 
 Controls are superpositions Omega(t) = sum_k a_k exp(-(t - c_k)^2 / (2 s_k^2))
-whose parameters (any subset of a_k, c_k, s_k) are trained by L-BFGS-B
-(Machnes et al., PRL 120, 150401 (2018)).
+whose parameters (any subset of a_k, c_k, s_k) are trained (Machnes et al.,
+PRL 120, 150401 (2018)) by ``problem.minimize``, the projected L-BFGS minimizer
+GRAPE uses too; width parameters are bounded below by the model's dt.
 
 Propagation uses the fourth-order commutator-free exponential CF4 (Blanes &
 Moan, Appl. Numer. Math. 56, 1519 (2006)). Each step of length
@@ -32,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import OptimizationError
-from .problem import ControlProblem, OptimResult, _gradient_from_state, _Propagation
+from .problem import (
+    ControlProblem, OptimResult, _gradient_from_state, _Propagation, minimize
+)
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 500
@@ -229,12 +232,6 @@ def default_envelope_spec(
     return spec, np.asarray(inits, dtype=float)
 
 
-class _Converged(Exception):
-    def __init__(self, x: np.ndarray, loss: float):
-        self.x = x
-        self.loss = loss
-
-
 class _CF4Objective:
     """Infidelity and its parameter gradient on n_samples * substeps CF4 steps."""
 
@@ -293,31 +290,25 @@ def goat_optimize(
     spec: GoatEnvelopeSpec | None = None,
     initial_parameters: np.ndarray | None = None,
 ) -> OptimResult:
-    """L-BFGS (memory 10, strong-Wolfe line search) over envelope parameters.
+    """Projected L-BFGS (``problem.minimize``) over envelope parameters.
 
     Stops when the infidelity reaches tol (default 1e-5) or after max_iters
     iterations (default 500). Width parameters are kept at or above the
-    model's dt by box bounds: a narrower Gaussian cannot be represented by
-    the emitted samples. A line-search failure returns the best point seen
-    with status 'line-search-failure'.
+    model's dt by lower bounds: a narrower Gaussian cannot be represented
+    by the emitted samples.
     """
-    from scipy.optimize import minimize  # deferred: slow to import
-
     if problem.amplitude_bound > 0:
         raise OptimizationError(
             "GOAT does not support amplitude-bound: its Gaussian amplitudes "
             "are unconstrained parameters"
         )
     if spec is None:
-        spec, default_x0 = default_envelope_spec(problem)
-        x0 = default_x0 if initial_parameters is None else None
-    else:
-        x0 = None
-    if x0 is None:
-        if initial_parameters is None:
-            raise OptimizationError(
-                "GOAT needs initial-parameters matching the envelope spec"
-            )
+        spec, x0 = default_envelope_spec(problem)
+    elif initial_parameters is None:
+        raise OptimizationError(
+            "GOAT needs initial-parameters matching the envelope spec"
+        )
+    if initial_parameters is not None:
         x0 = np.asarray(initial_parameters, dtype=float)
     if x0.shape != (len(spec.param_names),):
         raise OptimizationError(
@@ -331,89 +322,15 @@ def goat_optimize(
     floors = np.array(
         [problem.dt if name in width_names else -np.inf for name in spec.param_names]
     )
-    x0 = np.maximum(x0, floors)
-    bounds = [(lo if np.isfinite(lo) else None, None) for lo in floors]
-
-    def run_once(objective: _CF4Objective):
-        best = {"x": x0.copy(), "loss": np.inf}
-        cache: dict[bytes, float] = {}
-        trace: list[float] = []
-
-        def fun(x: np.ndarray):
-            loss, grad = objective.loss_and_grad(x)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise OptimizationError("non-finite GOAT objective or gradient")
-            cache[x.tobytes()] = loss
-            if loss < best["loss"]:
-                best["x"], best["loss"] = x.copy(), loss
-            if loss <= tol:
-                raise _Converged(x.copy(), loss)
-            return loss, grad
-
-        def record(xk: np.ndarray):
-            loss = cache.get(xk.tobytes())
-            trace.append(objective.loss(xk) if loss is None else loss)
-
-        loss0 = objective.loss(x0)
-        trace.append(loss0)
-        if loss0 <= tol:
-            return (
-                "converged",
-                "initial parameters already below tolerance",
-                x0,
-                loss0,
-                0,
-                trace,
-            )
-        try:
-            res = minimize(
-                fun,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                callback=record,
-                options={
-                    "maxcor": 10,
-                    "maxiter": max_iters,
-                    "ftol": 1e-15,
-                    "gtol": 1e-12,
-                },
-            )
-        except _Converged as hit:
-            iterations = len(trace)  # counting the iteration that hit tol
-            trace.append(hit.loss)
-            return (
-                "converged",
-                f"infidelity <= {tol:g}",
-                hit.x,
-                hit.loss,
-                iterations,
-                trace,
-            )
-        x_final, loss_final = best["x"], best["loss"]
-        iterations = int(res.nit)
-        if res.status == 1:
-            status, message = "max-iters", f"iteration cap {max_iters} reached"
-        elif res.status == 2:
-            status = "line-search-failure"
-            message = f"returning best point seen: {res.message}"
-        else:
-            status = "stalled"
-            message = f"stationary above tolerance: {res.message}"
-        if trace[-1] != loss_final:
-            trace.append(loss_final)
-        return status, message, x_final, loss_final, iterations, trace
 
     # The grid stays fixed during a run so the line search sees one smooth
     # objective; the result is then checked on a grid twice as fine.
     substeps = SUBSTEPS
     for _ in range(MAX_SUBSTEP_DOUBLINGS + 1):
-        status, message, x_final, loss_final, iterations, trace = run_once(
-            _CF4Objective(problem, spec, substeps)
-        )
+        objective = _CF4Objective(problem, spec, substeps)
+        found = minimize(objective.loss_and_grad, x0, floors, np.inf, tol, max_iters)
         substeps *= 2
-        gap = abs(_CF4Objective(problem, spec, substeps).loss(x_final) - loss_final)
+        gap = abs(_CF4Objective(problem, spec, substeps).loss(found.x) - found.loss)
         if gap <= INTEGRATION_TOL:
             break
     else:
@@ -422,7 +339,7 @@ def goat_optimize(
             f"when the CF4 grid is refined to {substeps} steps per dt"
         )
 
-    values = dict(zip(spec.param_names, x_final))
+    values = dict(zip(spec.param_names, found.x))
     tgrid = np.arange(problem.n_samples) * problem.dt
     samples = {
         ch: spec.channel_values(ch, tgrid, values).astype(complex)
@@ -433,13 +350,13 @@ def goat_optimize(
     }
     return OptimResult(
         method="GOAT",
-        status=status,
-        optimal_params=np.asarray(x_final, dtype=float),
-        final_infidelity=float(loss_final),
-        iterations=iterations,
-        trace=tuple(trace),
+        status=found.status,
+        optimal_params=found.x,
+        final_infidelity=float(found.loss),
+        iterations=found.iterations,
+        trace=tuple(found.trace),
         synthesized_samples=samples,
         dt=problem.dt,
-        message=message,
+        message=found.message,
         envelopes=envelopes,
     )

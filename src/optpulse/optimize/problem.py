@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from ..errors import OptimizationError
 from ..model import SystemModel
 
 UNITARITY_TOL = 1e-8
+EPS = np.finfo(float).eps
+LBFGS_MEMORY = 10
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+WOLFE = 0.9  # curvature constant: the slope must rise to WOLFE times its start
+MAX_LINE_EVALS = 30
 
 
 def _check_unitary(u: np.ndarray, label: str) -> np.ndarray:
@@ -106,12 +112,11 @@ class ControlProblem:
 class OptimResult:
     """Outcome of one optimize() run.
 
-    status is one of 'converged' (hit tol), 'max-iters', 'stalled'
-    (line search or update exhausted without reaching tol), or
-    'line-search-failure'. trace holds the per-iteration infidelity,
-    starting with the initial guess. synthesized_samples are ready for
-    pulse emission; GOAT results additionally carry the analytic
-    envelopes at the optimal parameters.
+    status is one of 'converged' (hit tol), 'max-iters', or 'stalled' (no
+    update lowers the loss any more above tol). trace holds the
+    per-iteration infidelity, starting with the initial guess.
+    synthesized_samples are ready for pulse emission; GOAT results
+    additionally carry the analytic envelopes at the optimal parameters.
     """
 
     method: str
@@ -155,7 +160,6 @@ class _Propagation:
         d = drift.shape[0]
         hams = _stacked_hamiltonians(drift, ops, amps)
         self.umats, self.evals, self.evecs = slice_propagators(hams, dt)
-        self.dt = dt
         fwd = np.empty((n + 1, d, d), dtype=complex)
         fwd[0] = np.eye(d)
         for k in range(n):
@@ -181,6 +185,10 @@ def _gradient_from_state(
         Phi_kl = exp(-i(a_k + a_l)/2) * sinc((a_k - a_l)/2),
 
     which is exact for any dt and degeneracy-safe (sinc handles a_k == a_l).
+    Phi is symmetric, so with C_n = fwd[n] target^+ bwd[n+1] the overlap
+    derivative Tr(C_n dU_n) equals sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with
+    Q_n = V ((V^+ C_n V) o Phi) V^+: one product per slice, then one
+    (C, d^2) x (d^2, N) product for all channels.
     """
     d = target.shape[0]
     a = state.evals * dt  # (N, d) real
@@ -189,14 +197,112 @@ def _gradient_from_state(
     phi = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
     v = state.evecs
     vh = v.conj().swapaxes(1, 2)
-    # W[n,c] = V^+ (-i dt Op_c) V
-    w = np.einsum("nki,ckl,nlj->ncij", v.conj(), (-1j * dt) * ops, v)
-    # C[n] = fwd[n] @ target^+ @ bwd[n+1]; dg_cn = Tr(C[n] dU_n)
-    c = np.einsum("nij,jk,nkl->nil", state.fwd[:-1], target.conj().T, state.bwd[1:])
-    t_mat = vh @ c @ v
-    p = t_mat.swapaxes(1, 2) * phi
-    dg = np.einsum("nij,ncij->cn", p, w)
+    c = state.fwd[:-1] @ target.conj().T @ state.bwd[1:]
+    q = v @ ((vh @ c @ v) * phi) @ vh
+    dg = (-1j * dt) * (
+        ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
+    )
     return (-2.0 / d**2) * np.real(np.conj(state.overlap) * dg)
+
+
+class Minimum(NamedTuple):
+    """Outcome of minimize(); trace holds the start loss and every accepted one."""
+
+    status: str
+    message: str
+    x: np.ndarray
+    loss: float
+    iterations: int
+    trace: list[float]
+
+
+def _lbfgs_direction(g: np.ndarray, pairs: list[tuple]) -> np.ndarray:
+    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    Without pairs H is 1 / max(1, |g|_inf): no variable moves by more than 1.
+    """
+    if not pairs:
+        return -g / max(1.0, float(np.max(np.abs(g))))
+    q, alphas = g.copy(), []
+    for s, y, sy in reversed(pairs):
+        alphas.append((s @ q) / sy)
+        q -= alphas[-1] * y
+    s, y, sy = pairs[-1]
+    r = (sy / (y @ y)) * q
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - (y @ r) / sy) * s
+    return -r
+
+
+def minimize(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    lower: float | np.ndarray,
+    upper: float | np.ndarray,
+    tol: float,
+    max_iters: int,
+) -> Minimum:
+    """Projected L-BFGS on the box lower <= x <= upper; fun(x) -> (loss, grad).
+
+    A variable at a bound whose gradient points out of the box is left out
+    of the step, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+    Comput. 16, 1190 (1995)); the LBFGS_MEMORY curvature pairs are cleared
+    whenever that active set changes. The line search on clip(x + step * d)
+    seeks the weak Wolfe conditions: a trial above the Armijo line becomes
+    hi, one whose slope is still under WOLFE times the start slope becomes
+    lo. The step doubles until hi is set, so a flat start still forms
+    curvature pairs, then bisects [lo, hi]; a cut from lo = 0 goes to the
+    quadratic's minimizer, within [0.1, 0.5] of the step. Status
+    'converged' at tol, 'max-iters' after max_iters steps, 'stalled' when
+    the projected gradient vanishes or no step lowers the loss.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    loss, grad = fun(x)
+    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+        raise OptimizationError("non-finite loss or gradient at the start point")
+    trace, pairs, free_before = [loss], [], None
+    status, message = "max-iters", f"iteration cap {max_iters} reached"
+    while loss > tol and len(trace) <= max_iters:
+        free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
+        if not np.array_equal(free, free_before):
+            pairs, free_before = [], free
+        g = np.where(free, grad, 0.0)
+        if not np.any(g):
+            status, message = "stalled", "projected gradient vanished above tol"
+            break
+        d = _lbfgs_direction(g, pairs)
+        lo, hi, step, found, last = 0.0, np.inf, 1.0, None, x
+        for _ in range(MAX_LINE_EVALS):
+            trial = np.clip(x + step * d, lower, upper)
+            decrease = grad @ (trial - x)
+            if np.array_equal(trial, last) or not -decrease > EPS * abs(loss):
+                break  # the path stopped moving, or the gain is below rounding
+            last, (trial_loss, trial_grad) = trial, fun(trial)
+            finite = np.isfinite(trial_loss) and np.all(np.isfinite(trial_grad))
+            if not (finite and trial_loss <= loss + ARMIJO * decrease):
+                hi = step
+            else:
+                lo, found = step, (trial, trial_loss, trial_grad)
+                if trial_grad @ (trial - x) >= WOLFE * decrease:
+                    break
+            if hi == np.inf:
+                step *= 2.0
+            elif lo == 0.0 and finite:
+                curve = 2.0 * (trial_loss - loss - decrease)
+                step *= min(max(-decrease / curve if curve > 0 else 0.5, 0.1), 0.5)
+            else:
+                step = 0.5 * (lo + hi)
+        if found is None or not found[1] < loss:
+            status, message = "stalled", "no step lowers the loss any more"
+            break
+        s, y = found[0] - x, np.where(free, found[2] - grad, 0.0)
+        if s @ y > EPS * (y @ y):
+            pairs = pairs[1 - LBFGS_MEMORY:] + [(s, y, s @ y)]
+        x, loss, grad = found
+        trace.append(loss)
+    if loss <= tol:
+        status, message = "converged", f"infidelity <= {tol:g}"
+    return Minimum(status, message, x, loss, len(trace) - 1, trace)
 
 
 def initial_amplitudes(

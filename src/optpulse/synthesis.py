@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -153,7 +154,13 @@ def compile_circuit(
 ):
     """Like transform, but also returns the underlying optimizer result."""
     opts = dict(options or {})
-    accept = float(opts.pop("accept-threshold", DEFAULT_ACCEPT_THRESHOLD))
+    raw = opts.pop("accept-threshold", DEFAULT_ACCEPT_THRESHOLD)
+    try:
+        accept = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        accept = float("nan")
+    if not accept >= 0:  # also rejects NaN, against which every loss passes
+        raise OptimizationError(f"accept-threshold must be a number >= 0, got {raw!r}")
     if not circuit.is_concrete:
         raise CircuitError(
             "circuit has unbound parameters "
@@ -285,11 +292,13 @@ def parse_program(document: str | Mapping) -> PulseProgram:
             if extra:
                 raise OptimizationError(f"unknown instruction key(s) {sorted(extra)}")
             samples = tuple(complex(re, im) for re, im in entry["samples"])
-            instructions.append(
-                PulseInstruction(
-                    channel=str(entry["channel"]), t0=int(entry["t0"]), samples=samples
-                )
+            t0 = entry["t0"]
+            whole = (isinstance(t0, Integral) and not isinstance(t0, bool)) or (
+                isinstance(t0, float) and t0.is_integer()
             )
+            if not whole:
+                raise OptimizationError(f"t0 must be a whole sample index, got {t0!r}")
+            instructions.append(PulseInstruction(str(entry["channel"]), int(t0), samples))
         return PulseProgram(
             dt=float(doc["dt"]),
             instructions=tuple(instructions),

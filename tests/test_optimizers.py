@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.dynamics import ControlSignal, evolve_continuous, piecewise_propagator
 from optpulse.errors import OptimizationError
-from optpulse.model import SystemModel
+from optpulse.model import SystemModel, load_model
 from optpulse.optimize import (
     ControlProblem,
     GaussianTerm,
@@ -22,7 +23,7 @@ from optpulse.optimize.goat import (
     default_envelope_spec,
     parse_control_func,
 )
-from optpulse.optimize.problem import initial_amplitudes
+from optpulse.optimize.problem import initial_amplitudes, minimize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -107,6 +108,63 @@ def test_explicit_initial_guess_wins():
     assert np.allclose(amps[0], guess["dx"])
     with pytest.raises(OptimizationError):
         initial_amplitudes(x_problem(initial_guess={"dx": np.zeros(3)}), "random")
+
+
+# ---------------------------------------------------------------- minimize
+
+
+def test_minimize_finds_box_minimizer_on_a_bound():
+    # f = g*.(x - x*) + (x - x*)^T A (x - x*) / 2 with g* = (-2, 0, 0): the
+    # KKT point x* sits on the upper bound x0 = 1, where -g* points out of
+    # the box, and the coupled A makes plain clipping of the steps miss it
+    a_mat = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    x_star = np.array([1.0, 0.25, -0.5])
+    g_star = np.array([-2.0, 0.0, 0.0])
+
+    def fun(x):
+        dx = x - x_star
+        return g_star @ dx + 0.5 * dx @ a_mat @ dx, g_star + a_mat @ dx
+
+    found = minimize(fun, np.zeros(3), -1.0, 1.0, tol=0.0, max_iters=100)
+    assert np.max(np.abs(found.x - x_star)) <= 1e-10
+    assert found.iterations < 100
+    assert np.all(np.diff(found.trace) < 0)
+
+
+def test_minimize_leaves_a_flat_non_convex_start():
+    # at x = 0 the slope is 5 exp(-12.5) ~ 2e-5 and the curvature negative:
+    # without step growth no curvature pair forms and every step stays ~2e-5
+    def fun(x):
+        bump = np.exp(-0.5 * (x[0] - 5.0) ** 2)
+        return 1.0 - bump, np.array([bump * (x[0] - 5.0)])
+
+    found = minimize(fun, np.zeros(1), -np.inf, np.inf, tol=1e-10, max_iters=50)
+    assert found.status == "converged"
+    assert found.iterations <= 15
+    assert abs(found.x[0] - 5.0) <= 1e-4
+
+
+def test_grape_amplitude_bound_reaches_the_bang_bang_floor(fixtures):
+    model = load_model(fixtures / "model_1q_xy.json")
+    problem = ControlProblem(
+        model=model, target_u=H, max_time=10.0, seed=11, tol=1e-3,
+        amplitude_bound=0.1,
+    )
+    res = grape_optimize(problem)
+    assert res.final_infidelity <= 6.2e-2
+    assert np.max(np.abs(res.optimal_params)) <= 0.1
+    assert res.iterations <= 50  # fixed-rate descent needed several hundred
+
+
+def test_grape_qft2_converges_in_few_iterations(fixtures):
+    model = load_model(fixtures / "model_2q_12ch.json")
+    target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
+    problem = ControlProblem(
+        model=model, target_u=target, max_time=10.0, seed=0, tol=1e-3
+    )
+    res = grape_optimize(problem)
+    assert res.status == "converged"
+    assert res.iterations <= 30
 
 
 # ------------------------------------------------------------------- GRAPE
@@ -249,6 +307,22 @@ def test_goat_drifted_two_channel_resimulates():
     sig = ControlSignal.from_envelopes(res.envelopes, duration=5.0, dt=p.dt)
     u = evolve_continuous(p.model, sig)
     assert abs(infidelity(u, H) - res.final_infidelity) <= 1e-6
+
+
+def test_goat_default_family_leaves_the_plateau_on_a_drifted_qubit(fixtures):
+    # The default start (a = 0.1, sigma = 8 dt) sits on a plateau at
+    # infidelity 1 - 5e-6 with a gradient of 7e-5. Descent leads to the
+    # first local minimum: a kick of area ~pi/2 at the width floor dt,
+    # where the drift acting during the kick leaves 0.163. Deeper minima
+    # sit at larger amplitudes (a = 9.35, 15.6, ... at sigma = dt) or at a
+    # near-constant drive (sigma >> T), off the descent path.
+    model = load_model(fixtures / "model_1q_x.json")
+    res = goat_optimize(ControlProblem(model=model, target_u=X, max_time=10.0))
+    amplitude, sigma = res.optimal_params
+    assert res.final_infidelity <= 0.17
+    assert res.iterations <= 30
+    assert sigma == pytest.approx(model.dt)
+    assert amplitude * sigma * np.sqrt(2 * np.pi) == pytest.approx(np.pi / 2, rel=0.02)
 
 
 def test_goat_width_floor():

@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -26,24 +27,46 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only GOAT needs scipy.optimize; importing it costs most of the start-up.
-    # The simulate path, T1 Lindblad evolution included, needs no scipy at all.
+def test_import_leaves_scipy_optimize_unloaded(fixtures):
+    # scipy is a test dependency only. With every scipy import refused, all
+    # three methods compile X and T1 Lindblad evolution runs.
     src = pathlib.Path(optpulse.__file__).resolve().parents[1]
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import optpulse; "
-        "print('scipy.optimize' in sys.modules)\n"
-        "model = optpulse.SystemModel(n_qubits=2, dt=0.1, "
-        "control=(('dx', 'X0'),), collapse=((0.05, 'SM0'), (0.05, 'SM1')))\n"
-        "signal = optpulse.ControlSignal.from_samples({'dx': [0.3] * 5}, 0.1)\n"
-        "times, rhos = optpulse.lindblad_evolve(model, signal, [1, 0, 0, 0])\n"
-        "print(len(rhos), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = textwrap.dedent(
+        """
+        import pathlib
+        import sys
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} is refused")
+
+        sys.meta_path.insert(0, RefuseScipy())
+        sys.path.insert(0, sys.argv[1])
+        import optpulse
+
+        fixtures = pathlib.Path(sys.argv[2])
+        circuit = optpulse.parse_circuit((fixtures / "x.xasm").read_text())
+        model = optpulse.load_model(fixtures / "model_1q_x_nodrift.json")
+        for method in ("GRAPE", "krotov", "GOAT"):
+            program, result = optpulse.compile_circuit(
+                circuit, model, method, {"max-time": 10.0, "tol": 1e-3}
+            )
+            print(method, result.final_infidelity <= 1e-3)
+        model = optpulse.SystemModel(n_qubits=2, dt=0.1,
+            control=(("dx", "X0"),), collapse=((0.05, "SM0"), (0.05, "SM1")))
+        signal = optpulse.ControlSignal.from_samples({"dx": [0.3] * 5}, 0.1)
+        times, rhos = optpulse.lindblad_evolve(model, signal, [1, 0, 0, 0])
+        print(len(rhos), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(src)],
+        [sys.executable, "-c", code, str(src), str(fixtures)],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split("\n")[:2] == ["False", "6 []"]
+    assert out.stdout.split("\n")[:4] == [
+        "GRAPE True", "krotov True", "GOAT True", "6 []"
+    ]
 
 
 def test_method_names():

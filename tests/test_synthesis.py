@@ -168,6 +168,18 @@ def test_parse_raises_typed_error_on_malformed_fields(doc):
         parse_program(doc)
 
 
+@pytest.mark.parametrize("t0", [1.7, "1", None, True, float("nan"), float("inf")])
+def test_parse_rejects_t0_that_is_no_whole_number(t0):
+    # int() would truncate 1.7 to 1 and shift the pulse by a fraction of dt
+    entry = {"channel": "a", "t0": t0, "samples": [[0.1, 0.0]]}
+    doc = {"dt": 0.1, "instructions": [entry]}
+    with pytest.raises(OptimizationError, match="t0"):
+        parse_program(doc)
+    for whole in (2.0, np.int64(2), 10**400):
+        entry["t0"] = whole
+        assert parse_program(doc).instructions[0].t0 == whole
+
+
 # ---------------------------------------------------------------- library
 
 
@@ -285,6 +297,18 @@ def test_transform_accept_threshold_is_adjustable():
         {"max-time": 10.0, "max-iters": 40, "accept-threshold": 0.9},
     )
     assert program.metadata["infidelity"] <= 0.9
+
+
+@pytest.mark.parametrize("value", ["x", None, float("nan"), "nan", -1.0, 10**400])
+def test_transform_rejects_bad_accept_threshold(value):
+    # NaN would pass every run (loss > nan is False); -1 would fail every run
+    with pytest.raises(OptimizationError, match="accept-threshold"):
+        transform(
+            parse_circuit("X(q[0]);"),
+            x_model(),
+            "GRAPE",
+            {"max-time": 10.0, "accept-threshold": value},
+        )
 
 
 def test_transform_rejects_unbound_circuit():
