@@ -249,7 +249,7 @@ def parse_model(document: str | dict) -> SystemModel:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ModelError(f"model document is not valid JSON: {exc}") from exc
     else:
         doc = document

@@ -21,7 +21,7 @@ envelope Jacobian, is the exact gradient of the discrete map.
 
 The discretization error is O(h^4). At the returned point the loss is
 re-evaluated with twice the substeps; if the two differ by more than
-INTEGRATION_TOL the substeps double and the run is repeated.
+INTEGRATION_TOL the substeps double and the run goes on from that point.
 """
 
 from __future__ import annotations
@@ -324,11 +324,17 @@ def goat_optimize(
     )
 
     # The grid stays fixed during a run so the line search sees one smooth
-    # objective; the result is then checked on a grid twice as fine.
-    substeps = SUBSTEPS
+    # objective; the result is then checked on a grid twice as fine, and a
+    # refinement run starts where the coarser one stopped.
+    substeps, iterations, trace = SUBSTEPS, 0, []
     for _ in range(MAX_SUBSTEP_DOUBLINGS + 1):
         objective = _CF4Objective(problem, spec, substeps)
-        found = minimize(objective.loss_and_grad, x0, floors, np.inf, tol, max_iters)
+        found = minimize(
+            objective.loss_and_grad, x0, floors, np.inf, tol, max_iters - iterations
+        )
+        iterations += found.iterations
+        trace += found.trace
+        x0 = found.x
         substeps *= 2
         gap = abs(_CF4Objective(problem, spec, substeps).loss(found.x) - found.loss)
         if gap <= INTEGRATION_TOL:
@@ -353,8 +359,8 @@ def goat_optimize(
         status=found.status,
         optimal_params=found.x,
         final_infidelity=float(found.loss),
-        iterations=found.iterations,
-        trace=tuple(found.trace),
+        iterations=iterations,
+        trace=tuple(trace),
         synthesized_samples=samples,
         dt=problem.dt,
         message=found.message,

@@ -12,6 +12,11 @@ first-order scheme decreases the infidelity whenever lambda is large
 enough; lambda starts at 1.0 and is doubled (and the sweep retried)
 whenever a sweep fails to decrease the loss, which keeps the accepted
 trace monotone without faking it.
+
+The sum over k is Tr(Op_c m) with m = psi chi^+, so one product per slice
+and one (C, d^2) x (d^2,) product give every channel's update. An accepted
+sweep keeps the slice propagators it built; the next costates are
+back-propagated through them, and the loss is the sweep's own.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
     OptimResult,
-    _Propagation,
     _trace_loss,
     clip_amplitudes,
     initial_amplitudes,
@@ -36,8 +40,19 @@ MAX_LAMBDA_DOUBLINGS = 60
 INITIAL_LAMBDA = 1.0
 
 
+def _costates(umats: np.ndarray, target: np.ndarray, overlap: complex) -> np.ndarray:
+    """chi_n^+ for every slice: chi_N = (g/d^2) target, chi_n = U_n^+ chi_{n+1}."""
+    d = target.shape[0]
+    chi_h = np.empty_like(umats)
+    back = (np.conj(overlap) / d**2) * target.conj().T
+    for k in range(len(umats) - 1, -1, -1):
+        back = back @ umats[k]
+        chi_h[k] = back
+    return chi_h
+
+
 def krotov_optimize(problem: ControlProblem) -> OptimResult:
-    """Sequential sweeps from a square-pulse start (default policy).
+    """Sequential sweeps from the seeded random start (default policy).
 
     Stops at tol (default 1e-4) or after 200 sweeps.
     """
@@ -49,16 +64,28 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
     d = problem.dim
     target = problem.target_u
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
+    # Tr(Op_c m) = sum_ab Op_c[a, b] m[b, a]: rows of the transposed operators
+    op_rows = ops.swapaxes(1, 2).reshape(len(ops), d * d)
+    bound = problem.amplitude_bound
 
-    amps = clip_amplitudes(
-        initial_amplitudes(problem, "square"), problem.amplitude_bound
-    )
+    def sweep(amps: np.ndarray, chi_h: np.ndarray, lam: float):
+        new_amps = amps.copy()
+        umats = np.empty((n, d, d), dtype=complex)
+        psi = np.eye(d, dtype=complex)
+        for k in range(n):
+            new_amps[:, k] += (op_rows @ (psi @ chi_h[k]).ravel()).imag / lam
+            new_amps[:, k] = clip_amplitudes(new_amps[:, k], bound)
+            ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])[0]
+            umats[k] = slice_propagators(ham, dt)[0]
+            psi = umats[k] @ psi
+        return new_amps, umats, psi
 
-    def propagation(a: np.ndarray) -> _Propagation:
-        return _Propagation(drift, ops, a, dt, target)
-
-    state = propagation(amps)
-    loss = state.loss
+    amps = clip_amplitudes(initial_amplitudes(problem, "random"), bound)
+    umats = slice_propagators(_stacked_hamiltonians(drift, ops, amps), dt)[0]
+    psi = np.eye(d, dtype=complex)
+    for u in umats:
+        psi = u @ psi
+    overlap, loss = _trace_loss(psi, target)
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"
     sweeps = 0
@@ -68,43 +95,25 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         status, message = "converged", "initial guess already below tolerance"
     else:
         while sweeps < max_sweeps:
-            # costates at every slice boundary from the previous sweep
-            boundary = (state.overlap / d**2) * target
-            costates = state.bwd.conj().swapaxes(1, 2) @ boundary
-
-            accepted = False
+            chi_h = _costates(umats, target, overlap)
             for _ in range(MAX_LAMBDA_DOUBLINGS):
-                new_amps = amps.copy()
-                psi = np.eye(d, dtype=complex)
-                for k in range(n):
-                    chi = costates[k]
-                    for c in range(len(channels)):
-                        overlap = np.trace(chi.conj().T @ ops[c] @ psi)
-                        new_amps[c, k] += float(overlap.imag) / lam
-                    new_amps[:, k] = clip_amplitudes(
-                        new_amps[:, k], problem.amplitude_bound
-                    )
-                    ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])
-                    psi = slice_propagators(ham[0], dt)[0] @ psi
-                _, new_loss = _trace_loss(psi, target)
+                new_amps, new_umats, psi = sweep(amps, chi_h, lam)
+                new_overlap, new_loss = _trace_loss(psi, target)
                 if new_loss <= loss + MONOTONE_TOL:
-                    accepted = True
                     break
                 lam *= 2.0  # too aggressive; retry the sweep more gently
-            if not accepted:
+            else:
                 raise OptimizationError(
                     "Krotov sweep failed to decrease the infidelity even at "
                     f"lambda={lam:g}; monotonicity is broken"
                 )
-            amps = new_amps
-            state = propagation(amps)
-            loss = state.loss
+            amps, umats, overlap, loss = new_amps, new_umats, new_overlap, new_loss
             sweeps += 1
             trace.append(loss)
             if loss <= tol:
                 status, message = "converged", f"infidelity <= {tol:g}"
                 break
-            if len(trace) > 1 and trace[-2] - trace[-1] < 1e-15:
+            if trace[-2] - trace[-1] < 1e-15:
                 status, message = "stalled", "sweep update vanished above tolerance"
                 break
 

@@ -310,8 +310,9 @@ def initial_amplitudes(
 ) -> np.ndarray:
     """(channels, N) start amplitudes for the sampled methods.
 
-    'random': uniform in [-0.1, 0.1] from the problem seed (GRAPE default).
-    'square': constant 0.1*bound, or 0.1 when unbounded (Krotov default).
+    'random': uniform in [-0.1, 0.1] from the problem seed (GRAPE and
+    Krotov default).
+    'square': constant 0.1*bound, or 0.1 when unbounded.
     'zero': all zeros.
     Explicit per-channel arrays in problem.initial_guess win over policy.
     """

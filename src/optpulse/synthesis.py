@@ -101,9 +101,15 @@ class PulseProgram:
 
     def to_signal(self) -> ControlSignal:
         """Materialize per-channel sample arrays (zeros where idle)."""
-        arrays = {
-            ch: np.zeros(self.total_duration, dtype=complex) for ch in self.channels
-        }
+        try:
+            arrays = {
+                ch: np.zeros(self.total_duration, dtype=complex)
+                for ch in self.channels
+            }
+        except ValueError as exc:  # numpy refuses the size before allocating
+            raise OptimizationError(
+                f"program has too many samples for an array: {exc}"
+            ) from None
         if not arrays:
             raise OptimizationError("cannot build a signal from an empty program")
         for instr in self.instructions:
@@ -251,22 +257,45 @@ def library_lower(circuit: Circuit, library: PulseLibrary) -> PulseProgram:
     return PulseProgram(dt=library.dt, instructions=tuple(placed))
 
 
+def _indented(value: object, level: int) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as written at that depth."""
+    # the encoder escapes newlines inside strings, so every raw one is layout
+    text = json.dumps(value, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + "  " * level)
+
+
 def emit_program(program: PulseProgram) -> str:
-    """Canonical JSON: instructions sorted by (t0, channel), sorted keys."""
+    """Canonical JSON: instructions sorted by (t0, channel), sorted keys.
+
+    The bytes are those of json.dumps(doc, sort_keys=True, indent=2) with
+    samples as [re, im] pairs. That indenting encoder is pure Python, so the
+    samples go through the compact C encoder, which formats floats (NaN and
+    Infinity too) the same way, and are laid out here.
+    """
     ordered = sorted(program.instructions, key=lambda i: (i.t0, i.channel))
-    doc = {
-        "dt": program.dt,
-        "instructions": [
-            {
-                "channel": instr.channel,
-                "t0": instr.t0,
-                "samples": [[s.real, s.imag] for s in instr.samples],
-            }
-            for instr in ordered
-        ],
-        "metadata": dict(program.metadata),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    entries = []
+    for instr in ordered:
+        # "[[a, b], [c, d]]": float text never holds ", " or brackets
+        pairs = (
+            json.dumps([[s.real, s.imag] for s in instr.samples])[2:-2]
+            .replace(", ", ",\n          ")
+            .replace("],\n          [", "\n        ],\n        [\n          ")
+        )
+        entries.append(
+            "{\n"
+            f'      "channel": {_indented(instr.channel, 3)},\n'
+            f'      "samples": [\n        [\n          {pairs}\n        ]\n      ],\n'
+            f'      "t0": {_indented(instr.t0, 3)}\n'
+            "    }"
+        )
+    instructions = "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
+    return (
+        "{\n"
+        f'  "dt": {_indented(program.dt, 1)},\n'
+        f'  "instructions": {instructions},\n'
+        f'  "metadata": {_indented(dict(program.metadata), 1)}\n'
+        "}\n"
+    )
 
 
 def parse_program(document: str | Mapping) -> PulseProgram:
@@ -274,7 +303,7 @@ def parse_program(document: str | Mapping) -> PulseProgram:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise OptimizationError(f"pulse document is not valid JSON: {exc}")
     else:
         doc = dict(document)

@@ -187,6 +187,19 @@ def test_simulate_malformed_pulse_exits_2(tmp_path, fixtures, capsys):
     assert "channel" in stderr
 
 
+def test_simulate_huge_t0_exits_2(tmp_path, fixtures, capsys):
+    pulse = tmp_path / "late.json"
+    pulse.write_text(
+        '{"dt": 0.2, "instructions": [{"channel": "dx", "t0": %d, '
+        '"samples": [[0.1, 0]]}]}' % 10**400
+    )
+    code, _, stderr = run(
+        capsys, "simulate", pulse, fixtures / "model_1q_x_nodrift.json"
+    )
+    assert code == 2
+    assert "samples" in stderr
+
+
 def test_simulate_empty_program_is_constant(tmp_path, fixtures, capsys):
     pulse = tmp_path / "empty.json"
     pulse.write_text('{"dt": 0.2, "instructions": [], "metadata": {}}\n')
@@ -302,6 +315,18 @@ def test_sweep_requires_exactly_one_free_param(fixtures, capsys):
 
 
 # ------------------------------------------------------------- determinism
+
+
+def test_krotov_seed_changes_the_pulse(tmp_path, fixtures, capsys):
+    args = [
+        "compile", str(fixtures / "h.xasm"), str(fixtures / "model_1q_x.json"),
+        "--method", "krotov", "--max-time", "10",
+    ]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["--seed", "0", "-o", str(a)]) == 0
+    assert main(args + ["--seed", "5", "-o", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() != b.read_bytes()
 
 
 def test_identical_invocations_reproduce_bytes(tmp_path, fixtures, capsys):

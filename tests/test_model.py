@@ -108,6 +108,11 @@ def test_parse_model_rejects_unknown_keys():
         parse_model(doc)
 
 
+def test_parse_model_rejects_an_int_over_the_digit_limit():
+    with pytest.raises(ModelError, match="JSON"):
+        parse_model('{"n_qubits": %s, "dt": 0.1}' % ("9" * 5000))
+
+
 def test_parse_model_requires_nqubits_and_dt():
     with pytest.raises(ModelError):
         parse_model({"dt": 0.1})

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from optpulse.circuits import circuit_unitary, parse_circuit
-from optpulse.dynamics import ControlSignal, evolve_continuous, piecewise_propagator
+from optpulse.dynamics import (
+    ControlSignal,
+    _stacked_hamiltonians,
+    evolve_continuous,
+    piecewise_propagator,
+    slice_propagators,
+)
 from optpulse.errors import OptimizationError
 from optpulse.model import SystemModel, load_model
 from optpulse.optimize import (
@@ -23,7 +29,12 @@ from optpulse.optimize.goat import (
     default_envelope_spec,
     parse_control_func,
 )
-from optpulse.optimize.problem import initial_amplitudes, minimize
+from optpulse.optimize.problem import (
+    _Propagation,
+    clip_amplitudes,
+    initial_amplitudes,
+    minimize,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -372,17 +383,73 @@ def test_krotov_reaches_x_gate():
     assert infidelity(u, X) == pytest.approx(res.final_infidelity, abs=1e-12)
 
 
-def test_krotov_square_start_by_default():
-    res = krotov_optimize(x_problem(max_iters=1))
-    assert res.trace[0] == pytest.approx(
-        infidelity(
-            piecewise_propagator(
-                x_problem().model,
-                ControlSignal.from_samples({"dx": np.full(50, 0.1)}, 0.2),
-            ),
-            X,
+def test_krotov_starts_from_the_seeded_random_guess():
+    for seed in (0, 5):
+        res = krotov_optimize(x_problem(seed=seed, max_iters=1))
+        start = initial_amplitudes(x_problem(seed=seed), "random")
+        sig = ControlSignal.from_samples({"dx": start[0]}, 0.2)
+        u = piecewise_propagator(x_problem().model, sig)
+        assert res.trace[0] == pytest.approx(infidelity(u, X), abs=1e-12)
+
+
+def _reference_krotov(problem):
+    """The per-channel sweep: one trace per channel and slice, and a full
+    re-propagation after every accepted sweep."""
+    tol = 1e-4 if problem.tol is None else problem.tol
+    max_sweeps = 200 if problem.max_iters is None else problem.max_iters
+    n, dt, d, target = problem.n_samples, problem.dt, problem.dim, problem.target_u
+    drift, ops = problem.model.drift_matrix(), problem.model.control_stack
+    amps = clip_amplitudes(initial_amplitudes(problem, "square"), problem.amplitude_bound)
+    state = _Propagation(drift, ops, amps, dt, target)
+    loss, trace, status, sweeps, lam = state.loss, [state.loss], "max-iters", 0, 1.0
+    if loss <= tol:
+        return amps, 0, "converged"
+    while sweeps < max_sweeps:
+        costates = state.bwd.conj().swapaxes(1, 2) @ ((state.overlap / d**2) * target)
+        for _ in range(60):
+            new_amps = amps.copy()
+            psi = np.eye(d, dtype=complex)
+            for k in range(n):
+                for c in range(len(ops)):
+                    overlap = np.trace(costates[k].conj().T @ ops[c] @ psi)
+                    new_amps[c, k] += float(overlap.imag) / lam
+                new_amps[:, k] = clip_amplitudes(new_amps[:, k], problem.amplitude_bound)
+                ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])
+                psi = slice_propagators(ham[0], dt)[0] @ psi
+            if 1.0 - abs(np.trace(target.conj().T @ psi)) ** 2 / d**2 <= loss + 1e-10:
+                break
+            lam *= 2.0
+        amps = new_amps
+        state = _Propagation(drift, ops, amps, dt, target)
+        loss = state.loss
+        sweeps += 1
+        trace.append(loss)
+        if loss <= tol:
+            status = "converged"
+            break
+        if trace[-2] - trace[-1] < 1e-15:
+            status = "stalled"
+            break
+    return amps, sweeps, status
+
+
+@pytest.mark.parametrize("guess", ["square", "random"])
+@pytest.mark.parametrize("case", ["H", "X", "QFT2"])
+def test_krotov_sweep_matches_the_per_channel_reference(fixtures, case, guess):
+    if case == "QFT2":
+        model = load_model(fixtures / "model_2q_12ch.json")
+        target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
+        problem = ControlProblem(
+            model=model, target_u=target, max_time=10.0, initial_guess=guess, seed=3
         )
-    )
+    else:
+        build = h_problem if case == "H" else x_problem
+        problem = build(initial_guess=guess, seed=3, tol=1e-6)
+    res = krotov_optimize(problem)
+    amps, sweeps, status = _reference_krotov(problem)
+    assert res.iterations == sweeps and res.status == status
+    scale = np.max(np.abs(amps))
+    assert np.max(np.abs(res.optimal_params - amps.ravel())) <= 1e-10 * scale
 
 
 def test_krotov_respects_amplitude_bound():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.dynamics import evolve_continuous, piecewise_propagator
@@ -119,6 +121,68 @@ def test_emit_orders_instructions_canonically():
     assert order == [(0, "a"), (0, "b"), (5, "a")]
 
 
+def _indent_encoder_document(program):
+    """emit_program's bytes as the indenting json encoder writes them."""
+    ordered = sorted(program.instructions, key=lambda i: (i.t0, i.channel))
+    doc = {
+        "dt": program.dt,
+        "instructions": [
+            {
+                "channel": instr.channel,
+                "t0": instr.t0,
+                "samples": [[s.real, s.imag] for s in instr.samples],
+            }
+            for instr in ordered
+        ],
+        "metadata": dict(program.metadata),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e300, 0.1]),
+)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=12)
+)
+_metadata = st.dictionaries(
+    st.one_of(st.sampled_from(["samples", "channel", "t0", "dt"]), st.text(max_size=8)),
+    st.recursive(
+        _json_leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(
+                st.one_of(st.just("samples"), st.text(max_size=6)), inner, max_size=3
+            ),
+        ),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+_channels = st.one_of(
+    st.sampled_from(['"samples": null', "d0", "é\n", '{"t0": 1}']),
+    st.text(min_size=1, max_size=10),
+)
+
+
+@st.composite
+def _programs(draw):
+    instructions = []
+    for i, channel in enumerate(draw(st.lists(_channels, max_size=4, unique=True))):
+        pairs = draw(st.lists(st.tuples(_floats, _floats), min_size=1, max_size=6))
+        samples = tuple(complex(re, im) for re, im in pairs)
+        instructions.append(PulseInstruction(channel, draw(st.integers(0, 50)), samples))
+    dt = draw(st.one_of(st.floats(1e-6, 10.0), st.integers(1, 5)))
+    return PulseProgram(dt=dt, instructions=instructions, metadata=draw(_metadata))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_emit_matches_the_indenting_json_encoder(program):
+    assert emit_program(program) == _indent_encoder_document(program)
+
+
 def test_round_trip_is_byte_identical_on_random_programs():
     rng = np.random.default_rng(6)
     for _ in range(25):
@@ -178,6 +242,20 @@ def test_parse_rejects_t0_that_is_no_whole_number(t0):
     for whole in (2.0, np.int64(2), 10**400):
         entry["t0"] = whole
         assert parse_program(doc).instructions[0].t0 == whole
+
+
+@pytest.mark.parametrize("t0", [10**400, 2**62])
+def test_signal_of_a_program_too_long_for_numpy_raises_typed_error(t0):
+    # numpy refuses both sizes before it allocates anything
+    doc = {"dt": 0.1, "instructions": [{"channel": "a", "t0": t0, "samples": [[0.1, 0.0]]}]}
+    with pytest.raises(OptimizationError, match="samples"):
+        parse_program(doc).to_signal()
+
+
+def test_parse_rejects_a_t0_over_the_int_digit_limit():
+    text = '{"dt": 0.1, "instructions": [{"channel": "a", "t0": %s, "samples": [[0.1, 0.0]]}]}'
+    with pytest.raises(OptimizationError, match="JSON"):
+        parse_program(text % ("9" * 5000))
 
 
 # ---------------------------------------------------------------- library
