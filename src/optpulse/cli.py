@@ -152,7 +152,8 @@ def cmd_compile(args) -> int:
     )
     print(
         f"final infidelity {result.final_infidelity:.12g} "
-        f"after {result.iterations} iteration(s) [{result.status}]"
+        f"after {result.iterations} iteration(s), "
+        f"{result.evaluations} evaluation(s) [{result.status}]"
     )
     print(f"wrote {output}")
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE

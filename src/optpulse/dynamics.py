@@ -6,7 +6,9 @@ sum_c s_c(t) * Op_c:
 * ``piecewise_propagator`` / ``evolve_states`` -- exact products of slice
   exponentials for sampled (piecewise-constant) signals, closed systems
   only. The slice exponentials come from ``slice_propagators``, one stacked
-  eigendecomposition that the GRAPE, GOAT and Krotov optimizers share.
+  eigendecomposition that the GRAPE, GOAT and Krotov optimizers share;
+  ``ordered_products`` forms every partial product of such a stack in
+  about 2 sqrt(N) stacked matmuls.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
   unitarity defect meets tolerance. It shares no exponential with the other
@@ -158,6 +160,31 @@ def slice_propagators(
     return umats, evals, evecs
 
 
+def ordered_products(umats: np.ndarray) -> np.ndarray:
+    """prods[k] = U_k ... U_0 for an (N, d, d) stack of slice propagators.
+
+    The stack is cut into about sqrt(N) blocks of about sqrt(N) slices,
+    the last padded with identities. One loop forms the running product
+    inside every block at once; a second carries each block's total into
+    the next, as one (width d, d) x (d, d) product per block. That is about
+    2 sqrt(N) stacked products in place of N single ones, for twice the
+    flops of the sequential loop.
+    """
+    n, d = umats.shape[0], umats.shape[-1]
+    width = max(1, int(np.ceil(np.sqrt(n))))
+    blocks = -(-n // width)
+    prods = np.empty((blocks * width, d, d), dtype=complex)
+    prods[:n] = umats
+    prods[n:] = np.eye(d)
+    grid = prods.reshape(blocks, width, d, d)
+    for j in range(1, width):
+        grid[:, j] = grid[:, j] @ grid[:, j - 1]
+    rows = prods.reshape(blocks, width * d, d)
+    for b in range(1, blocks):
+        rows[b] = rows[b] @ grid[b - 1, -1]
+    return prods[:n]
+
+
 def matrix_exp_hermitian_skew(hamiltonian: np.ndarray, time: float) -> np.ndarray:
     """exp(-i * H * time) for Hermitian H, via eigendecomposition."""
     h = np.asarray(hamiltonian, dtype=complex)
@@ -191,16 +218,26 @@ def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray
     return _stacked_hamiltonians(model.drift_matrix(), model.control_stack, amps)
 
 
+def _padded_hamiltonians(
+    model: SystemModel, signal: ControlSignal, n_slices: int
+) -> np.ndarray:
+    """The first n_slices slice Hamiltonians, drift only past the signal's end."""
+    hams = _slice_hamiltonians(model, signal)[:n_slices]
+    if n_slices > len(hams):
+        d = model.dim
+        idle = np.broadcast_to(model.drift_matrix(), (n_slices - len(hams), d, d))
+        hams = np.concatenate([hams, idle])
+    return hams
+
+
 def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Total unitary for a sampled signal: product of slice exponentials."""
     if model.has_dissipation:
         raise DynamicsError(
             "model has collapse operators; use lindblad_evolve for open systems"
         )
-    total = np.eye(model.dim, dtype=complex)
-    for u in slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]:
-        total = u @ total
-    return total
+    umats = slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]
+    return ordered_products(umats)[-1]
 
 
 def evolve_states(
@@ -243,7 +280,7 @@ def evolve_continuous(
     defect of the result is within ``unitarity_tol``; running out of
     halvings raises. Sampled signals are integrated slice by slice with the
     Hamiltonian frozen inside each slice, so RK stages never straddle a
-    sample discontinuity.
+    sample discontinuity; past the end of their samples the drive is off.
     """
     if model.has_dissipation:
         raise DynamicsError(
@@ -292,7 +329,7 @@ def evolve_continuous(
         per_slice = max(1, int(np.ceil(signal.dt / h_trial - 1e-12)))
         h = signal.dt / per_slice
         u = eye.copy()
-        for n, h_slice in enumerate(_slice_hamiltonians(model, signal)[:n_slices]):
+        for n, h_slice in enumerate(_padded_hamiltonians(model, signal, n_slices)):
             def rhs(t: float, v: np.ndarray, hs=h_slice) -> np.ndarray:
                 return -1j * (hs @ v)
 
@@ -348,10 +385,7 @@ def lindblad_evolve(
     if n_samples < 1 or abs(n_samples * signal.dt - tau) > 1e-9 * max(1.0, tau):
         raise DynamicsError(f"duration {tau} is not a multiple of dt={signal.dt}")
     d = model.dim
-    hams = _slice_hamiltonians(model, signal)[:n_samples]
-    if n_samples > len(hams):
-        idle = np.broadcast_to(model.drift_matrix(), (n_samples - len(hams), d, d))
-        hams = np.concatenate([hams, idle])
+    hams = _padded_hamiltonians(model, signal, n_samples)
     jumps = np.array(
         [np.sqrt(rate) * op for rate, op in model.collapse_terms()], dtype=complex
     ).reshape(-1, d, d)

@@ -326,13 +326,14 @@ def goat_optimize(
     # The grid stays fixed during a run so the line search sees one smooth
     # objective; the result is then checked on a grid twice as fine, and a
     # refinement run starts where the coarser one stopped.
-    substeps, iterations, trace = SUBSTEPS, 0, []
+    substeps, iterations, evaluations, trace = SUBSTEPS, 0, 0, []
     for _ in range(MAX_SUBSTEP_DOUBLINGS + 1):
         objective = _CF4Objective(problem, spec, substeps)
         found = minimize(
             objective.loss_and_grad, x0, floors, np.inf, tol, max_iters - iterations
         )
         iterations += found.iterations
+        evaluations += found.evaluations + 1  # the finer-grid check below
         trace += found.trace
         x0 = found.x
         substeps *= 2
@@ -360,6 +361,7 @@ def goat_optimize(
         optimal_params=found.x,
         final_infidelity=float(found.loss),
         iterations=iterations,
+        evaluations=evaluations,
         trace=tuple(trace),
         synthesized_samples=samples,
         dt=problem.dt,

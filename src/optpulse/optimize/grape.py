@@ -2,8 +2,10 @@
 
 The gradient is the exact eigenbasis derivative of each slice exponential
 (``problem._gradient_from_state``, shared with GOAT) rather than the
-first-order commutator approximation; forward/backward partial products
-turn it into the full gradient in a single O(N) sweep. The amplitudes go to
+first-order commutator approximation. The forward partial products, about
+2 sqrt(N) stacked matmuls (``dynamics.ordered_products``), give every
+slice's backward product by unitarity, so the full gradient costs a few
+stacked products over the N slices. The amplitudes go to
 ``problem.minimize``, the numpy L-BFGS minimizer GOAT uses too, with the box
 +-amplitude-bound.
 """
@@ -71,6 +73,7 @@ def grape_optimize(problem: ControlProblem) -> OptimResult:
         optimal_params=found.x,
         final_infidelity=found.loss,
         iterations=found.iterations,
+        evaluations=found.evaluations,
         trace=tuple(found.trace),
         synthesized_samples=samples,
         dt=problem.dt,

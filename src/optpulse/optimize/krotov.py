@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import _stacked_hamiltonians, slice_propagators
+from ..dynamics import _stacked_hamiltonians, ordered_products, slice_propagators
 from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
@@ -82,13 +82,10 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
 
     amps = clip_amplitudes(initial_amplitudes(problem, "random"), bound)
     umats = slice_propagators(_stacked_hamiltonians(drift, ops, amps), dt)[0]
-    psi = np.eye(d, dtype=complex)
-    for u in umats:
-        psi = u @ psi
-    overlap, loss = _trace_loss(psi, target)
+    overlap, loss = _trace_loss(ordered_products(umats)[-1], target)
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"
-    sweeps = 0
+    sweeps = attempts = 0
     lam = INITIAL_LAMBDA
 
     if loss <= tol:
@@ -98,6 +95,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
             chi_h = _costates(umats, target, overlap)
             for _ in range(MAX_LAMBDA_DOUBLINGS):
                 new_amps, new_umats, psi = sweep(amps, chi_h, lam)
+                attempts += 1
                 new_overlap, new_loss = _trace_loss(psi, target)
                 if new_loss <= loss + MONOTONE_TOL:
                     break
@@ -124,6 +122,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         optimal_params=amps.ravel().copy(),
         final_infidelity=loss,
         iterations=sweeps,
+        evaluations=attempts,
         trace=tuple(trace),
         synthesized_samples=samples,
         dt=dt,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import _stacked_hamiltonians, slice_propagators
+from ..dynamics import _stacked_hamiltonians, ordered_products, slice_propagators
 from ..errors import OptimizationError
 from ..model import SystemModel
 
@@ -114,7 +114,9 @@ class OptimResult:
 
     status is one of 'converged' (hit tol), 'max-iters', or 'stalled' (no
     update lowers the loss any more above tol). trace holds the
-    per-iteration infidelity, starting with the initial guess.
+    per-iteration infidelity, starting with the initial guess. evaluations
+    counts objective evaluations: every line-search trial, GOAT's checks on
+    the finer grid and Krotov's rejected sweeps included.
     synthesized_samples are ready for pulse emission; GOAT results
     additionally carry the analytic envelopes at the optimal parameters.
     """
@@ -124,6 +126,7 @@ class OptimResult:
     optimal_params: np.ndarray
     final_infidelity: float
     iterations: int
+    evaluations: int
     trace: tuple[float, ...]
     synthesized_samples: dict[str, np.ndarray]
     dt: float
@@ -138,14 +141,16 @@ class OptimResult:
 
 
 class _Propagation:
-    """Slice propagators plus forward/backward partial products.
+    """Slice propagators and their forward partial products.
 
-    Shared by all three optimizers. Slice exponentials come from one
-    stacked ``slice_propagators`` call; fields:
+    Shared by GRAPE and GOAT. Slice exponentials come from one stacked
+    ``slice_propagators`` call and the products from ``ordered_products``;
+    fields:
       umats (N,d,d), evals (N,d), evecs (N,d,d),
-      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0,
-      bwd (N+1,d,d) with bwd[n] = U_{N-1}...U_n,
-      overlap g = Tr(target^+ total), loss.
+      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
+      total = fwd[N], overlap g = Tr(target^+ total), loss.
+    The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
+    so they are never formed (see ``_gradient_from_state``).
     """
 
     def __init__(
@@ -156,21 +161,11 @@ class _Propagation:
         dt: float,
         target: np.ndarray,
     ):
-        n = amps.shape[1]
-        d = drift.shape[0]
         hams = _stacked_hamiltonians(drift, ops, amps)
         self.umats, self.evals, self.evecs = slice_propagators(hams, dt)
-        fwd = np.empty((n + 1, d, d), dtype=complex)
-        fwd[0] = np.eye(d)
-        for k in range(n):
-            fwd[k + 1] = self.umats[k] @ fwd[k]
-        bwd = np.empty((n + 1, d, d), dtype=complex)
-        bwd[n] = np.eye(d)
-        for k in range(n - 1, -1, -1):
-            bwd[k] = bwd[k + 1] @ self.umats[k]
-        self.fwd = fwd
-        self.bwd = bwd
-        self.total = fwd[n]
+        eye = np.eye(drift.shape[0], dtype=complex)
+        self.fwd = np.concatenate([eye[None], ordered_products(self.umats)])
+        self.total = self.fwd[-1]
         self.overlap, self.loss = _trace_loss(self.total, target)
 
 
@@ -185,10 +180,15 @@ def _gradient_from_state(
         Phi_kl = exp(-i(a_k + a_l)/2) * sinc((a_k - a_l)/2),
 
     which is exact for any dt and degeneracy-safe (sinc handles a_k == a_l).
-    Phi is symmetric, so with C_n = fwd[n] target^+ bwd[n+1] the overlap
-    derivative Tr(C_n dU_n) equals sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with
-    Q_n = V ((V^+ C_n V) o Phi) V^+: one product per slice, then one
-    (C, d^2) x (d^2, N) product for all channels.
+    The products after slice n are U_{N-1}...U_{n+1} = total F^-1 with
+    F = fwd[n+1], so C_n = fwd[n] (target^+ total) F^-1. F is unitary only
+    up to a round-off drift that grows with n (1.6e-12 after 4,000 slices
+    that share their eigenvectors), so F^-1 is one Newton step from the
+    adjoint, F^+ (2 - F F^+), exact to the square of that drift.
+    Phi is symmetric, so the overlap derivative Tr(C_n dU_n) equals
+    sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with Q_n = V ((V^+ C_n V) o Phi) V^+:
+    one product per slice, then one (C, d^2) x (d^2, N) product for all
+    channels.
     """
     d = target.shape[0]
     a = state.evals * dt  # (N, d) real
@@ -197,7 +197,11 @@ def _gradient_from_state(
     phi = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
     v = state.evecs
     vh = v.conj().swapaxes(1, 2)
-    c = state.fwd[:-1] @ target.conj().T @ state.bwd[1:]
+    before, f = state.fwd[:-1], state.fwd[1:]
+    fh = f.conj().swapaxes(1, 2)
+    # fwd[n] (target^+ total) for every n as one (N d, d) x (d, d) product
+    c = (before.reshape(-1, d) @ (target.conj().T @ state.total)).reshape(f.shape)
+    c = c @ fh @ (2.0 * np.eye(d) - f @ fh)
     q = v @ ((vh @ c @ v) * phi) @ vh
     dg = (-1j * dt) * (
         ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
@@ -206,13 +210,15 @@ def _gradient_from_state(
 
 
 class Minimum(NamedTuple):
-    """Outcome of minimize(); trace holds the start loss and every accepted one."""
+    """Outcome of minimize(); trace holds the start loss and every accepted
+    one, evaluations the number of fun calls."""
 
     status: str
     message: str
     x: np.ndarray
     loss: float
     iterations: int
+    evaluations: int
     trace: list[float]
 
 
@@ -257,6 +263,7 @@ def minimize(
     the projected gradient vanishes or no step lowers the loss.
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    evaluations = 1
     loss, grad = fun(x)
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise OptimizationError("non-finite loss or gradient at the start point")
@@ -277,6 +284,7 @@ def minimize(
             decrease = grad @ (trial - x)
             if np.array_equal(trial, last) or not -decrease > EPS * abs(loss):
                 break  # the path stopped moving, or the gain is below rounding
+            evaluations += 1
             last, (trial_loss, trial_grad) = trial, fun(trial)
             finite = np.isfinite(trial_loss) and np.all(np.isfinite(trial_grad))
             if not (finite and trial_loss <= loss + ARMIJO * decrease):
@@ -302,7 +310,7 @@ def minimize(
         trace.append(loss)
     if loss <= tol:
         status, message = "converged", f"infidelity <= {tol:g}"
-    return Minimum(status, message, x, loss, len(trace) - 1, trace)
+    return Minimum(status, message, x, loss, len(trace) - 1, evaluations, trace)
 
 
 def initial_amplitudes(

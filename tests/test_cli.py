@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and artifacts."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -34,8 +35,13 @@ def test_compile_writes_pulse_and_manifest(tmp_path, fixtures, capsys):
         "--tol", "1e-5", "-o", out,
     )
     assert code == 0
-    assert "final infidelity" in stdout and "iteration" in stdout
+    assert "final infidelity" in stdout
+    iterations, evaluations = map(int, re.search(
+        r"after (\d+) iteration\(s\), (\d+) evaluation\(s\)", stdout
+    ).groups())
+    assert evaluations > iterations
     doc = json.loads(out.read_text())
+    assert sorted(doc["metadata"]) == ["infidelity", "method"]
     assert doc["metadata"]["method"] == "GRAPE"
     assert doc["metadata"]["infidelity"] <= 1e-3
     manifest = json.loads((tmp_path / "h.pulse.json.manifest.json").read_text())

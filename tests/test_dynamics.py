@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -15,6 +15,7 @@ from optpulse.dynamics import (
     expectation,
     lindblad_evolve,
     matrix_exp_hermitian_skew,
+    ordered_products,
     piecewise_propagator,
     slice_propagators,
     trajectory_csv,
@@ -95,6 +96,36 @@ def test_slice_propagators_unitary_and_exact(dim, n_slices, seed, scale, dt):
     assert np.array_equal(slice_propagators(hams[0], dt)[0], umats[0])
 
 
+def _sequential_products(umats):
+    prods, acc = [], np.eye(umats.shape[-1], dtype=complex)
+    for u in umats:
+        acc = u @ acc
+        prods.append(acc)
+    return np.array(prods)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    dim=st.sampled_from([2, 4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, dim=2, seed=0)
+@example(n=2, dim=4, seed=1)
+@example(n=97, dim=8, seed=2)  # prime: the last block is mostly padding
+@example(n=256, dim=2, seed=3)  # perfect square: every block is full
+def test_ordered_products_match_the_sequential_loop(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    umats = slice_propagators((a + a.conj().swapaxes(1, 2)) / 2, 0.7)[0]
+    before = umats.copy()
+    prods = ordered_products(umats)
+    assert prods.shape == umats.shape and np.array_equal(umats, before)
+    assert np.max(np.abs(prods - _sequential_products(umats))) <= 1e-12
+    defect = prods.conj().swapaxes(1, 2) @ prods - np.eye(dim)
+    assert np.max(np.abs(defect)) <= 1e-12
+
+
 # ------------------------------------------------------------ closed system
 
 
@@ -123,6 +154,15 @@ def test_rk3_engine_agrees_with_piecewise_on_sampled_input():
         u_exact = piecewise_propagator(model, sig)
         u_rk3 = evolve_continuous(model, sig)
         assert np.max(np.abs(u_exact - u_rk3)) <= 1e-7
+
+
+def test_continuous_engine_past_a_sampled_signal_leaves_the_drive_off():
+    model = x_model(dt=0.2, drift=0.7)
+    sig = ControlSignal.from_samples({"dx": np.linspace(0.2, 0.6, 5)}, model.dt)
+    driven = evolve_continuous(model, sig)
+    longer = evolve_continuous(model, sig, duration=2.0)
+    idle = expm(-1j * 1.0 * model.drift_matrix())
+    assert np.max(np.abs(longer - idle @ driven)) <= 1e-8
 
 
 def test_continuous_engine_matches_pulse_area_on_commuting_drive():

@@ -17,12 +17,16 @@ from optpulse.optimize import (
     ControlProblem,
     GaussianTerm,
     GoatEnvelopeSpec,
+    get_optimizer,
     goat_optimize,
     grape_gradient,
     grape_optimize,
     infidelity,
     krotov_optimize,
 )
+from optpulse.optimize import goat as goat_module
+from optpulse.optimize import grape as grape_module
+from optpulse.optimize import krotov as krotov_module
 from optpulse.optimize.goat import (
     SUBSTEPS,
     _CF4Objective,
@@ -30,6 +34,7 @@ from optpulse.optimize.goat import (
     parse_control_func,
 )
 from optpulse.optimize.problem import (
+    _gradient_from_state,
     _Propagation,
     clip_amplitudes,
     initial_amplitudes,
@@ -145,7 +150,10 @@ def test_minimize_finds_box_minimizer_on_a_bound():
 def test_minimize_leaves_a_flat_non_convex_start():
     # at x = 0 the slope is 5 exp(-12.5) ~ 2e-5 and the curvature negative:
     # without step growth no curvature pair forms and every step stays ~2e-5
+    calls = []
+
     def fun(x):
+        calls.append(x)
         bump = np.exp(-0.5 * (x[0] - 5.0) ** 2)
         return 1.0 - bump, np.array([bump * (x[0] - 5.0)])
 
@@ -153,6 +161,44 @@ def test_minimize_leaves_a_flat_non_convex_start():
     assert found.status == "converged"
     assert found.iterations <= 15
     assert abs(found.x[0] - 5.0) <= 1e-4
+    # every fun call is counted, the doubling line-search trials too
+    assert found.evaluations == len(calls) > found.iterations + 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [(grape_module, grape_optimize), (goat_module, goat_optimize)],
+    ids=["GRAPE", "GOAT"],
+)
+def test_evaluations_count_every_propagation(monkeypatch, module, run):
+    calls = _counting(monkeypatch, module, "_Propagation")
+    res = run(h_problem(seed=3, tol=1e-6))
+    assert res.evaluations == len(calls) > res.iterations
+
+
+def test_krotov_evaluations_count_lambda_retries(monkeypatch):
+    model = SystemModel(
+        n_qubits=1, dt=1.0, drift=((1.0, "Z0"),),
+        control=(("dx", "X0"), ("dy", "Y0")),
+    )
+    problem = ControlProblem(model=model, target_u=X, max_time=4.0, tol=1e-6)
+    calls = _counting(monkeypatch, krotov_module, "slice_propagators")
+    res = krotov_optimize(problem)
+    # one stacked call for the start, then one call per slice and sweep attempt
+    assert res.evaluations == (len(calls) - 1) / problem.n_samples
+    assert res.evaluations > res.iterations
 
 
 def test_grape_amplitude_bound_reaches_the_bang_bang_floor(fixtures):
@@ -205,6 +251,65 @@ def test_grape_gradient_matches_finite_differences():
                 fd[i, k] = (loss(up) - loss(dn)) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(grad - fd)) / denom <= 1e-5
+
+
+def _loop_gradient(state, ops, target, dt):
+    """d(loss)/d(amps) from explicit forward and backward product loops, one
+    slice derivative V ((V^+ (-i dt Op_c) V) o Phi) V^+ per slice and channel."""
+    n, d = state.umats.shape[0], target.shape[0]
+    fwd = [np.eye(d, dtype=complex)]
+    for u in state.umats:
+        fwd.append(u @ fwd[-1])
+    bwd = [np.eye(d, dtype=complex)]
+    for u in state.umats[::-1]:
+        bwd.append(bwd[-1] @ u)
+    bwd.reverse()  # bwd[k] = U_{N-1}...U_k
+    overlap = np.trace(target.conj().T @ fwd[n])
+    grad = np.zeros((len(ops), n))
+    for k in range(n):
+        a, v = state.evals[k] * dt, state.evecs[k]
+        phi = np.exp(-0.5j * (a[:, None] + a[None, :])) * np.sinc(
+            (a[:, None] - a[None, :]) / (2 * np.pi)
+        )
+        for c, op in enumerate(ops):
+            du = v @ ((v.conj().T @ (-1j * dt * op) @ v) * phi) @ v.conj().T
+            dg = np.trace(target.conj().T @ bwd[k + 1] @ du @ fwd[k])
+            grad[c, k] = -2.0 / d**2 * np.real(np.conj(overlap) * dg)
+    return grad
+
+
+def _goat_pi_state():
+    """Criterion 1's problem at sigma = 8: the 4,000-slice CF4 grid."""
+    handle = get_optimizer("GOAT", {
+        "method": "GOAT", "dimension": 2, "target-U": "X0", "control-H": ["X0"],
+        "max-time": 100.0,
+    })
+    problem = handle.build_problem()
+    spec = GoatEnvelopeSpec(
+        terms=((problem.model.channels[0], GaussianTerm(1.0, 0.0, "sigma")),),
+        param_names=("sigma",),
+    )
+    objective = _CF4Objective(problem, spec, SUBSTEPS)
+    return objective._propagate(np.array([8.0]))[1], objective
+
+
+def test_gradient_matches_the_forward_backward_loop_reference(fixtures):
+    model = load_model(fixtures / "model_2q_12ch.json")
+    target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
+    qft2 = ControlProblem(model=model, target_u=target, max_time=10.0, seed=5)
+    ops = model.control_stack
+    amps = initial_amplitudes(qft2, "random")
+    state = _Propagation(model.drift_matrix(), ops, amps, qft2.dt, target)
+    goat_state, objective = _goat_pi_state()
+    assert goat_state.umats.shape[0] == 4000
+    cases = [
+        (state, ops, target, qft2.dt),
+        (goat_state, objective.ops, objective.target, objective.dt),
+    ]
+    for case in cases:
+        reference = _loop_gradient(*case)
+        error = np.max(np.abs(_gradient_from_state(*case) - reference))
+        assert error <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_grape_reaches_x_gate():
@@ -405,7 +510,8 @@ def _reference_krotov(problem):
     if loss <= tol:
         return amps, 0, "converged"
     while sweeps < max_sweeps:
-        costates = state.bwd.conj().swapaxes(1, 2) @ ((state.overlap / d**2) * target)
+        # chi_k = (U_{N-1}...U_k)^+ (g/d^2) target, with U_{N-1}...U_k = total fwd[k]^+
+        costates = state.fwd @ state.total.conj().T @ ((state.overlap / d**2) * target)
         for _ in range(60):
             new_amps = amps.copy()
             psi = np.eye(d, dtype=complex)
