@@ -8,7 +8,10 @@ sum_c s_c(t) * Op_c:
   only. The slice exponentials come from ``slice_propagators``, one stacked
   eigendecomposition that the GRAPE, GOAT and Krotov optimizers share;
   ``ordered_products`` forms every partial product of such a stack in
-  about 2 sqrt(N) stacked matmuls.
+  about 2 sqrt(N) stacked matmuls. Qubit stacks (d = 2) take a path of
+  plain elementwise arithmetic: the eigendecomposition in closed form and
+  every stacked 2x2 product written out (``_matmul``), since numpy spends
+  one BLAS call per matrix on a stacked matmul.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
   unitarity defect meets tolerance. It shares no exponential with the other
@@ -148,16 +151,55 @@ def _real_samples(signal: ControlSignal, channel: str) -> np.ndarray:
 def slice_propagators(
     hams: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(-i H dt) for one Hermitian H or a stack of them, by one eigh.
+    """exp(-i H dt) for one Hermitian H or a stack of them.
 
     Returns (umats, evals, evecs) with H = evecs diag(evals) evecs^+ per
-    slice. Only the lower triangle of H is read; Hermiticity is the
+    slice and evals ascending. Qubit stacks (d = 2) take their
+    eigendecomposition in closed form (``_eigh2``), larger ones from one
+    stacked eigh. Only the lower triangle of H is read; Hermiticity is the
     caller's guarantee.
     """
-    evals, evecs = np.linalg.eigh(hams)
+    evals, evecs = (_eigh2 if hams.shape[-1] == 2 else np.linalg.eigh)(hams)
     phases = np.exp(-1j * evals * dt)
-    umats = (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    umats = _matmul(evecs * phases[..., None, :], evecs.conj().swapaxes(-1, -2))
     return umats, evals, evecs
+
+
+def _eigh2(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of Hermitian 2x2 matrices in closed form, from the lower triangle.
+
+    With H = [[a, b*], [b, c]], mean m = (a + c)/2, half-difference
+    h = (a - c)/2, r = hypot(h, |b|) and t = arctan2(|b|, h)/2, the
+    eigenvalues are m - r <= m + r, with eigenvectors (-sin t, e^{i arg b}
+    cos t) and (cos t, e^{i arg b} sin t). The phase comes from arg b, not
+    b/|b|, which overflows when |b| is subnormal; b = 0 gives phase 1.
+    """
+    a, c, b = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
+    mean, half, mod = 0.5 * (a + c), 0.5 * (a - c), np.abs(b)
+    radius = np.hypot(half, mod)
+    t = 0.5 * np.arctan2(mod, half)
+    cos, sin, phase = np.cos(t), np.sin(t), np.exp(1j * np.angle(b))
+    evals = np.empty(hams.shape[:-1])
+    evals[..., 0], evals[..., 1] = mean - radius, mean + radius
+    evecs = np.empty(hams.shape, dtype=complex)
+    evecs[..., 0, 0], evecs[..., 0, 1] = -sin, cos
+    evecs[..., 1, 0], evecs[..., 1, 1] = phase * cos, phase * sin
+    return evals, evecs
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks; 2x2 stacks as two broadcast multiply-adds.
+
+    numpy runs a stacked matmul as one BLAS call per matrix, which for
+    d = 2 costs several times the arithmetic written out; from d = 4 on the
+    BLAS calls are the faster form.
+    """
+    if a.shape[-1] != 2:
+        return a @ b
+    return (
+        a[..., :, 0, None] * b[..., None, 0, :]
+        + a[..., :, 1, None] * b[..., None, 1, :]
+    )
 
 
 def ordered_products(umats: np.ndarray) -> np.ndarray:
@@ -178,7 +220,7 @@ def ordered_products(umats: np.ndarray) -> np.ndarray:
     prods[n:] = np.eye(d)
     grid = prods.reshape(blocks, width, d, d)
     for j in range(1, width):
-        grid[:, j] = grid[:, j] @ grid[:, j - 1]
+        grid[:, j] = _matmul(grid[:, j], grid[:, j - 1])
     rows = prods.reshape(blocks, width * d, d)
     for b in range(1, blocks):
         rows[b] = rows[b] @ grid[b - 1, -1]

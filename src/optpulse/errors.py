@@ -36,6 +36,10 @@ class UnknownMethodError(OptimizationError):
     """Requested optimal-control method is not registered."""
 
 
+class PulseError(OptPulseError):
+    """Malformed pulse instruction, program or pulse document."""
+
+
 class LibraryError(OptPulseError):
     """Pulse-library lowering failed (missing gate entry or bad fragment)."""
 

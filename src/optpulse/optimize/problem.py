@@ -18,7 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import _stacked_hamiltonians, ordered_products, slice_propagators
+from ..dynamics import (
+    _matmul,
+    _stacked_hamiltonians,
+    ordered_products,
+    slice_propagators,
+)
 from ..errors import OptimizationError
 from ..model import SystemModel
 
@@ -201,8 +206,8 @@ def _gradient_from_state(
     fh = f.conj().swapaxes(1, 2)
     # fwd[n] (target^+ total) for every n as one (N d, d) x (d, d) product
     c = (before.reshape(-1, d) @ (target.conj().T @ state.total)).reshape(f.shape)
-    c = c @ fh @ (2.0 * np.eye(d) - f @ fh)
-    q = v @ ((vh @ c @ v) * phi) @ vh
+    c = _matmul(_matmul(c, fh), 2.0 * np.eye(d) - _matmul(f, fh))
+    q = _matmul(_matmul(v, _matmul(_matmul(vh, c), v) * phi), vh)
     dg = (-1j * dt) * (
         ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
     )

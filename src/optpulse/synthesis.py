@@ -24,7 +24,13 @@ import numpy as np
 
 from .circuits import Circuit, circuit_unitary
 from .dynamics import ControlSignal
-from .errors import CircuitError, LibraryError, OptimizationError, TransformError
+from .errors import (
+    CircuitError,
+    LibraryError,
+    OptimizationError,
+    PulseError,
+    TransformError,
+)
 from .model import SystemModel
 from .optimize import get_optimizer
 
@@ -41,9 +47,9 @@ class PulseInstruction:
 
     def __post_init__(self):
         if self.t0 < 0:
-            raise OptimizationError(f"start time must be >= 0, got {self.t0}")
+            raise PulseError(f"start time must be >= 0, got {self.t0}")
         if not self.samples:
-            raise OptimizationError(f"empty pulse on channel {self.channel!r}")
+            raise PulseError(f"empty pulse on channel {self.channel!r}")
         object.__setattr__(
             self, "samples", tuple(complex(s) for s in self.samples)
         )
@@ -67,7 +73,7 @@ class PulseProgram:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise OptimizationError(f"dt must be positive, got {self.dt}")
+            raise PulseError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "metadata", dict(self.metadata))
         windows: dict[str, list[tuple[int, int]]] = {}
@@ -75,7 +81,7 @@ class PulseProgram:
             spans = windows.setdefault(instr.channel, [])
             for start, end in spans:
                 if instr.t0 < end and start < instr.end:
-                    raise OptimizationError(
+                    raise PulseError(
                         f"overlapping instructions on channel {instr.channel!r}"
                         f": [{start}, {end}) and [{instr.t0}, {instr.end})"
                     )
@@ -107,11 +113,11 @@ class PulseProgram:
                 for ch in self.channels
             }
         except ValueError as exc:  # numpy refuses the size before allocating
-            raise OptimizationError(
+            raise PulseError(
                 f"program has too many samples for an array: {exc}"
             ) from None
         if not arrays:
-            raise OptimizationError("cannot build a signal from an empty program")
+            raise PulseError("cannot build a signal from an empty program")
         for instr in self.instructions:
             arrays[instr.channel][instr.t0 : instr.end] = instr.samples
         return ControlSignal.from_samples(arrays, self.dt)
@@ -304,29 +310,29 @@ def parse_program(document: str | Mapping) -> PulseProgram:
         try:
             doc = json.loads(document)
         except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-            raise OptimizationError(f"pulse document is not valid JSON: {exc}")
+            raise PulseError(f"pulse document is not valid JSON: {exc}")
     else:
         doc = dict(document)
     if not isinstance(doc, dict):
-        raise OptimizationError("pulse document must be a JSON object")
+        raise PulseError("pulse document must be a JSON object")
     unknown = set(doc) - {"dt", "instructions", "metadata"}
     if unknown:
-        raise OptimizationError(f"unknown pulse document key(s) {sorted(unknown)}")
+        raise PulseError(f"unknown pulse document key(s) {sorted(unknown)}")
     if "dt" not in doc or "instructions" not in doc:
-        raise OptimizationError("pulse document needs 'dt' and 'instructions'")
+        raise PulseError("pulse document needs 'dt' and 'instructions'")
     try:
         instructions = []
         for entry in doc["instructions"]:
             extra = set(entry) - {"channel", "t0", "samples"}
             if extra:
-                raise OptimizationError(f"unknown instruction key(s) {sorted(extra)}")
+                raise PulseError(f"unknown instruction key(s) {sorted(extra)}")
             samples = tuple(complex(re, im) for re, im in entry["samples"])
             t0 = entry["t0"]
             whole = (isinstance(t0, Integral) and not isinstance(t0, bool)) or (
                 isinstance(t0, float) and t0.is_integer()
             )
             if not whole:
-                raise OptimizationError(f"t0 must be a whole sample index, got {t0!r}")
+                raise PulseError(f"t0 must be a whole sample index, got {t0!r}")
             instructions.append(PulseInstruction(str(entry["channel"]), int(t0), samples))
         return PulseProgram(
             dt=float(doc["dt"]),
@@ -334,7 +340,7 @@ def parse_program(document: str | Mapping) -> PulseProgram:
             metadata=doc.get("metadata", {}),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise OptimizationError(f"malformed pulse document: {exc!r}") from None
+        raise PulseError(f"malformed pulse document: {exc!r}") from None
 
 
 def load_program(path: str) -> PulseProgram:

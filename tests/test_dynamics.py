@@ -96,6 +96,54 @@ def test_slice_propagators_unitary_and_exact(dim, n_slices, seed, scale, dt):
     assert np.array_equal(slice_propagators(hams[0], dt)[0], umats[0])
 
 
+def _random_hermitian(seed, scale):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return scale * (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        0.7 * np.eye(2),
+        np.diag([0.3, -1.2]),
+        np.diag([-1.2, 0.3]),
+        np.array([[0.5, 3e-310 - 2e-310j], [3e-310 + 2e-310j, -0.25]]),
+        np.array([[0.5, 2e-323j], [-2e-323j, 0.5]]),
+        _random_hermitian(5, 1e6),
+    ],
+    ids=[
+        "scalar",
+        "diagonal",
+        "diagonal-ascending",
+        "subnormal-coupling",
+        "subnormal-degenerate",
+        "scale-1e6",
+    ],
+)
+def test_qubit_closed_form_matches_eigh_and_expm(ham):
+    h = np.asarray(ham, dtype=complex)
+    scale = max(1.0, np.max(np.abs(h)))
+    dt = 0.7 / scale
+    umats, evals, evecs = slice_propagators(h[None], dt)
+    u, w, v = umats[0], evals[0], evecs[0]
+    eye = np.eye(2)
+    assert np.max(np.abs(w - np.linalg.eigh(h)[0])) <= 1e-10 * scale
+    assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10 * scale
+    assert np.max(np.abs(v.conj().T @ v - eye)) <= 1e-12
+    assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
+    assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
+    # like eigh, only the lower triangle is read
+    junk = h.copy()
+    junk[0, 1] = 5.0 - 3.0j
+    junk[[0, 1], [0, 1]] += [2.0j, -1.0j]
+    for a, b in zip(slice_propagators(junk[None], dt), (umats, evals, evecs)):
+        assert np.array_equal(a, b)
+    # a single matrix takes the same path as a stack of one
+    for a, b in zip(slice_propagators(h, dt), (umats, evals, evecs)):
+        assert np.array_equal(a, b[0])
+
+
 def _sequential_products(umats):
     prods, acc = [], np.eye(umats.shape[-1], dtype=complex)
     for u in umats:

@@ -302,9 +302,20 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures):
     state = _Propagation(model.drift_matrix(), ops, amps, qft2.dt, target)
     goat_state, objective = _goat_pi_state()
     assert goat_state.umats.shape[0] == 4000
+    # d = 2 with drift and two non-commuting drives: unlike the pi grid, whose
+    # matrices are all symmetric and commute, this case catches a 2x2 product
+    # path that is right only on such matrices
+    qubit = load_model(fixtures / "model_1q_xy.json")
+    hadamard = ControlProblem(model=qubit, target_u=H, max_time=10.0, seed=7)
+    qubit_ops = qubit.control_stack
+    qubit_amps = initial_amplitudes(hadamard, "random")
+    qubit_state = _Propagation(
+        qubit.drift_matrix(), qubit_ops, qubit_amps, hadamard.dt, H
+    )
     cases = [
         (state, ops, target, qft2.dt),
         (goat_state, objective.ops, objective.target, objective.dt),
+        (qubit_state, qubit_ops, H, hadamard.dt),
     ]
     for case in cases:
         reference = _loop_gradient(*case)

@@ -13,6 +13,7 @@ from optpulse.errors import (
     CircuitError,
     LibraryError,
     OptimizationError,
+    PulseError,
     TransformError,
 )
 from optpulse.model import SystemModel, parse_model
@@ -38,9 +39,9 @@ def x_model():
 
 
 def test_instruction_validation():
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError):
         PulseInstruction("d0", -1, (0.1,))
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError):
         PulseInstruction("d0", 0, ())
     instr = PulseInstruction("d0", 2, (0.1, 0.2))
     assert instr.end == 4
@@ -49,7 +50,7 @@ def test_instruction_validation():
 def test_program_rejects_overlap_on_same_channel():
     a = PulseInstruction("d0", 0, (1.0,) * 10)
     b = PulseInstruction("d0", 9, (1.0,) * 5)
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError):
         PulseProgram(dt=0.1, instructions=(a, b))
 
 
@@ -204,13 +205,15 @@ def test_round_trip_is_byte_identical_on_random_programs():
 
 
 def test_parse_rejects_malformed_documents():
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError) as err:
         parse_program("{not json")
-    with pytest.raises(OptimizationError):
+    # a bad pulse file is no optimizer failure
+    assert not isinstance(err.value, OptimizationError)
+    with pytest.raises(PulseError):
         parse_program({"dt": 0.1})
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError):
         parse_program({"dt": 0.1, "instructions": [], "extras": 1})
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError):
         parse_program(
             {"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "amps": []}]}
         )
@@ -228,7 +231,7 @@ def test_parse_rejects_malformed_documents():
     ids=["no-channel", "scalar-sample", "scalar-samples", "non-list", "dt-text"],
 )
 def test_parse_raises_typed_error_on_malformed_fields(doc):
-    with pytest.raises(OptimizationError):
+    with pytest.raises(PulseError):
         parse_program(doc)
 
 
@@ -237,7 +240,7 @@ def test_parse_rejects_t0_that_is_no_whole_number(t0):
     # int() would truncate 1.7 to 1 and shift the pulse by a fraction of dt
     entry = {"channel": "a", "t0": t0, "samples": [[0.1, 0.0]]}
     doc = {"dt": 0.1, "instructions": [entry]}
-    with pytest.raises(OptimizationError, match="t0"):
+    with pytest.raises(PulseError, match="t0"):
         parse_program(doc)
     for whole in (2.0, np.int64(2), 10**400):
         entry["t0"] = whole
@@ -248,13 +251,13 @@ def test_parse_rejects_t0_that_is_no_whole_number(t0):
 def test_signal_of_a_program_too_long_for_numpy_raises_typed_error(t0):
     # numpy refuses both sizes before it allocates anything
     doc = {"dt": 0.1, "instructions": [{"channel": "a", "t0": t0, "samples": [[0.1, 0.0]]}]}
-    with pytest.raises(OptimizationError, match="samples"):
+    with pytest.raises(PulseError, match="samples"):
         parse_program(doc).to_signal()
 
 
 def test_parse_rejects_a_t0_over_the_int_digit_limit():
     text = '{"dt": 0.1, "instructions": [{"channel": "a", "t0": %s, "samples": [[0.1, 0.0]]}]}'
-    with pytest.raises(OptimizationError, match="JSON"):
+    with pytest.raises(PulseError, match="JSON"):
         parse_program(text % ("9" * 5000))
 
 
