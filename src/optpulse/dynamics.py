@@ -1,14 +1,15 @@
 """Time-domain propagation engines.
 
 Three solvers over a shared bilinear control system H(t) = H_drift +
-sum_c s_c(t) * Op_c:
+sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
 
 * ``piecewise_propagator`` / ``evolve_states`` -- exact products of slice
   exponentials for sampled (piecewise-constant) signals, closed systems
   only. The slice exponentials come from ``slice_propagators``, one stacked
   eigendecomposition that the GRAPE, GOAT and Krotov optimizers share;
   ``ordered_products`` forms every partial product of such a stack in
-  about 2 sqrt(N) stacked matmuls. Qubit stacks (d = 2) take a path of
+  about 2 sqrt(N) stacked matmuls, which gives both the total propagator
+  and the state trajectory. Qubit stacks (d = 2) take a path of
   plain elementwise arithmetic: the eigendecomposition in closed form and
   every stacked 2x2 product written out (``_matmul``), since numpy spends
   one BLAS call per matrix on a stacked matmul.
@@ -117,16 +118,6 @@ class ControlSignal:
     def channels(self) -> tuple[str, ...]:
         source = self.samples if self.is_sampled else self.envelopes
         return tuple(source.keys())
-
-    def value(self, channel: str, t: float) -> complex:
-        """Drive value at time t (left-constant rule for sampled signals)."""
-        if self.is_sampled:
-            arr = self.samples[channel]
-            idx = int(np.floor(t / self.dt + 1e-12))
-            if idx < 0 or idx >= arr.size:
-                return 0.0
-            return complex(arr[idx])
-        return complex(self.envelopes[channel](t))
 
 
 def _check_signal_channels(model: SystemModel, signal: ControlSignal) -> None:
@@ -260,18 +251,6 @@ def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray
     return _stacked_hamiltonians(model.drift_matrix(), model.control_stack, amps)
 
 
-def _padded_hamiltonians(
-    model: SystemModel, signal: ControlSignal, n_slices: int
-) -> np.ndarray:
-    """The first n_slices slice Hamiltonians, drift only past the signal's end."""
-    hams = _slice_hamiltonians(model, signal)[:n_slices]
-    if n_slices > len(hams):
-        d = model.dim
-        idle = np.broadcast_to(model.drift_matrix(), (n_slices - len(hams), d, d))
-        hams = np.concatenate([hams, idle])
-    return hams
-
-
 def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Total unitary for a sampled signal: product of slice exponentials."""
     if model.has_dissipation:
@@ -285,7 +264,11 @@ def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarra
 def evolve_states(
     model: SystemModel, signal: ControlSignal, psi0: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """State-vector trajectory at each sample time under a sampled signal."""
+    """State-vector trajectory at each sample time under a sampled signal.
+
+    psi(t_{n+1}) = (U_n ... U_0) psi0, every partial product from one
+    ``ordered_products`` call.
+    """
     if model.has_dissipation:
         raise DynamicsError("closed-system trajectory, but model has dissipation")
     psi = np.asarray(psi0, dtype=complex).ravel()
@@ -293,10 +276,8 @@ def evolve_states(
         raise DynamicsError(f"state dim {psi.size} != model dim {model.dim}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise DynamicsError("initial state is not normalized")
-    states = [psi.copy()]
-    for u in slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]:
-        psi = u @ psi
-        states.append(psi)
+    umats = slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]
+    states = [psi.copy(), *(ordered_products(umats) @ psi)]
     times = np.arange(signal.n_samples + 1) * signal.dt
     return times, states
 
@@ -309,39 +290,31 @@ def _rk3_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 4.0 * k2 + k3)
 
 
-def evolve_continuous(
-    model: SystemModel,
-    signal: ControlSignal,
-    duration: float | None = None,
-    step: float | None = None,
-    unitarity_tol: float = UNITARITY_TOL,
-) -> np.ndarray:
-    """Integrate dU/dt = -i H(t) U with fixed-step RK3 over [0, duration].
+def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
+    """Integrate dU/dt = -i H(t) U with fixed-step RK3 over the signal.
 
-    The step starts at dt/10 (or ``step``) and is halved until the unitarity
-    defect of the result is within ``unitarity_tol``; running out of
-    halvings raises. Sampled signals are integrated slice by slice with the
-    Hamiltonian frozen inside each slice, so RK stages never straddle a
-    sample discontinuity; past the end of their samples the drive is off.
+    The step starts at dt/10 and is halved until the unitarity defect of
+    the result is within ``UNITARITY_TOL``; running out of halvings raises.
+    Sampled signals are integrated slice by slice with the Hamiltonian
+    frozen inside each slice, so RK stages never straddle a sample
+    discontinuity.
     """
     if model.has_dissipation:
         raise DynamicsError(
             "model has collapse operators; use lindblad_evolve for open systems"
         )
     _check_signal_channels(model, signal)
-    tau = signal.duration if duration is None else float(duration)
-    if tau <= 0:
-        raise DynamicsError(f"duration must be positive, got {tau}")
+    tau = signal.duration
     drift = model.drift_matrix()
     controls = model.control_matrices()
     chans = signal.channels
     eye = np.eye(model.dim, dtype=complex)
-    h0 = signal.dt / 10.0 if step is None else float(step)
+    h0 = signal.dt / 10.0
 
     def hamiltonian(t: float) -> np.ndarray:
         h = drift.copy()
         for ch in chans:
-            value = signal.value(ch, t)
+            value = complex(signal.envelopes[ch](t))
             if abs(value.imag) > IMAG_SAMPLE_TOL * max(1.0, abs(value)):
                 raise DynamicsError(
                     f"channel {ch!r} envelope is complex at t={t}; no "
@@ -362,16 +335,10 @@ def evolve_continuous(
         return u
 
     def integrate_sliced(h_trial: float) -> np.ndarray:
-        n_slices = int(round(tau / signal.dt))
-        if abs(n_slices * signal.dt - tau) > 1e-9 * max(1.0, tau):
-            raise DynamicsError(
-                f"duration {tau} is not a multiple of dt={signal.dt} for a "
-                "sampled signal"
-            )
         per_slice = max(1, int(np.ceil(signal.dt / h_trial - 1e-12)))
         h = signal.dt / per_slice
         u = eye.copy()
-        for n, h_slice in enumerate(_padded_hamiltonians(model, signal, n_slices)):
+        for n, h_slice in enumerate(_slice_hamiltonians(model, signal)):
             def rhs(t: float, v: np.ndarray, hs=h_slice) -> np.ndarray:
                 return -1j * (hs @ v)
 
@@ -384,19 +351,16 @@ def evolve_continuous(
     for _ in range(MAX_STEP_HALVINGS + 1):
         u = integrate(h0)
         defect = np.max(np.abs(u.conj().T @ u - eye))
-        if defect <= unitarity_tol:
+        if defect <= UNITARITY_TOL:
             return u
         h0 /= 2.0
     raise DynamicsError(
-        f"step floor reached; unitarity defect {defect:.3e} > {unitarity_tol:.1e}"
+        f"step floor reached; unitarity defect {defect:.3e} > {UNITARITY_TOL:.1e}"
     )
 
 
 def lindblad_evolve(
-    model: SystemModel,
-    signal: ControlSignal,
-    rho0: np.ndarray,
-    duration: float | None = None,
+    model: SystemModel, signal: ControlSignal, rho0: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Exact Lindblad propagation of a sampled signal; rho at sample times.
 
@@ -405,9 +369,9 @@ def lindblad_evolve(
     rho_{n+1} = exp(L_n dt) rho_n. The exponential is applied to rho, never
     formed: each slice splits into substeps whose a-priori generator norm
     is at most 1/2, and each substep sums the Taylor series of
-    exp(h L_n) rho until a term drops below round-off. The drive is off
-    past the end of the signal. A slice that would need more than
-    ``MAX_LINDBLAD_SUBSTEPS`` substeps raises ``DynamicsError``.
+    exp(h L_n) rho until a term drops below round-off. A slice that would
+    need more than ``MAX_LINDBLAD_SUBSTEPS`` substeps raises
+    ``DynamicsError``.
     """
     rho_init = np.asarray(rho0, dtype=complex)
     if rho_init.ndim == 1:  # pure state given as a vector
@@ -422,12 +386,8 @@ def lindblad_evolve(
     if np.max(np.abs(rho_init - rho_init.conj().T)) > 1e-9:
         raise DynamicsError("rho0 must be Hermitian")
 
-    tau = signal.duration if duration is None else float(duration)
-    n_samples = int(round(tau / signal.dt))
-    if n_samples < 1 or abs(n_samples * signal.dt - tau) > 1e-9 * max(1.0, tau):
-        raise DynamicsError(f"duration {tau} is not a multiple of dt={signal.dt}")
     d = model.dim
-    hams = _padded_hamiltonians(model, signal, n_samples)
+    hams = _slice_hamiltonians(model, signal)
     jumps = np.array(
         [np.sqrt(rate) * op for rate, op in model.collapse_terms()], dtype=complex
     ).reshape(-1, d, d)
@@ -452,7 +412,7 @@ def lindblad_evolve(
             rho = _lindblad_substep(lefts, rights, rho, h)
         rho = 0.5 * (rho + rho.conj().T)  # clip Hermiticity round-off
         traj.append(rho)
-    times = np.arange(n_samples + 1) * signal.dt
+    times = np.arange(signal.n_samples + 1) * signal.dt
     return times, traj
 
 

@@ -179,17 +179,21 @@ class SystemModel:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ModelError("n_qubits must be positive")
-        if not self.dt > 0:
-            raise ModelError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ModelError(f"dt must be positive and finite, got {self.dt}")
         channels = [ch for ch, _ in self.control]
         if len(set(channels)) != len(channels):
             dupes = sorted({c for c in channels if channels.count(c) > 1})
             raise ModelError(f"duplicate channel id(s): {dupes}")
-        for rate, _ in self.collapse:
-            if rate < 0:
-                raise ModelError(f"collapse rate must be >= 0, got {rate}")
+        for rate, expr in self.collapse:
+            if not 0 <= rate < np.inf:
+                raise ModelError(
+                    f"collapse rate of {expr!r} must be finite and >= 0, got {rate}"
+                )
         drift = np.zeros((self.dim, self.dim), dtype=complex)
         for coef, expr in self.drift:
+            if not np.isfinite(coef):
+                raise ModelError(f"drift coefficient of {expr!r} is {coef}")
             op = build_operator(expr, self.n_qubits)
             if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
                 raise ModelError(f"drift operator {expr!r} is not Hermitian")

@@ -14,20 +14,23 @@ whenever a sweep fails to decrease the loss, which keeps the accepted
 trace monotone without faking it.
 
 The sum over k is Tr(Op_c m) with m = psi chi^+, so one product per slice
-and one (C, d^2) x (d^2,) product give every channel's update. An accepted
-sweep keeps the slice propagators it built; the next costates are
-back-propagated through them, and the loss is the sweep's own.
+and one (C, d^2) x (d^2,) product give every channel's update. The first
+sweep starts from ``_Propagation``; an accepted sweep keeps the forward
+products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
+costates come from them by unitarity (``_costates``), with no backward loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import _stacked_hamiltonians, ordered_products, slice_propagators
+from ..dynamics import _stacked_hamiltonians, slice_propagators
 from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
     OptimResult,
+    _Propagation,
+    _times_inverse,
     _trace_loss,
     clip_amplitudes,
     initial_amplitudes,
@@ -40,15 +43,14 @@ MAX_LAMBDA_DOUBLINGS = 60
 INITIAL_LAMBDA = 1.0
 
 
-def _costates(umats: np.ndarray, target: np.ndarray, overlap: complex) -> np.ndarray:
-    """chi_n^+ for every slice: chi_N = (g/d^2) target, chi_n = U_n^+ chi_{n+1}."""
+def _costates(
+    fwd: np.ndarray, total: np.ndarray, target: np.ndarray, overlap: complex
+) -> np.ndarray:
+    """chi_k^+ = (g*/d^2) target^+ U_{N-1}...U_k, with U_{N-1}...U_k equal
+    to total fwd[k]^-1 by unitarity."""
     d = target.shape[0]
-    chi_h = np.empty_like(umats)
-    back = (np.conj(overlap) / d**2) * target.conj().T
-    for k in range(len(umats) - 1, -1, -1):
-        back = back @ umats[k]
-        chi_h[k] = back
-    return chi_h
+    boundary = (np.conj(overlap) / d**2) * (target.conj().T @ total)
+    return _times_inverse(boundary, fwd)
 
 
 def krotov_optimize(problem: ControlProblem) -> OptimResult:
@@ -70,19 +72,19 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
 
     def sweep(amps: np.ndarray, chi_h: np.ndarray, lam: float):
         new_amps = amps.copy()
-        umats = np.empty((n, d, d), dtype=complex)
+        fwd = np.empty((n, d, d), dtype=complex)
         psi = np.eye(d, dtype=complex)
         for k in range(n):
+            fwd[k] = psi
             new_amps[:, k] += (op_rows @ (psi @ chi_h[k]).ravel()).imag / lam
             new_amps[:, k] = clip_amplitudes(new_amps[:, k], bound)
             ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])[0]
-            umats[k] = slice_propagators(ham, dt)[0]
-            psi = umats[k] @ psi
-        return new_amps, umats, psi
+            psi = slice_propagators(ham, dt)[0] @ psi
+        return new_amps, fwd, psi
 
     amps = clip_amplitudes(initial_amplitudes(problem, "random"), bound)
-    umats = slice_propagators(_stacked_hamiltonians(drift, ops, amps), dt)[0]
-    overlap, loss = _trace_loss(ordered_products(umats)[-1], target)
+    start = _Propagation(drift, ops, amps, dt, target)
+    fwd, total, overlap, loss = start.fwd[:-1], start.total, start.overlap, start.loss
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"
     sweeps = attempts = 0
@@ -92,9 +94,9 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         status, message = "converged", "initial guess already below tolerance"
     else:
         while sweeps < max_sweeps:
-            chi_h = _costates(umats, target, overlap)
+            chi_h = _costates(fwd, total, target, overlap)
             for _ in range(MAX_LAMBDA_DOUBLINGS):
-                new_amps, new_umats, psi = sweep(amps, chi_h, lam)
+                new_amps, new_fwd, psi = sweep(amps, chi_h, lam)
                 attempts += 1
                 new_overlap, new_loss = _trace_loss(psi, target)
                 if new_loss <= loss + MONOTONE_TOL:
@@ -105,7 +107,8 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
                     "Krotov sweep failed to decrease the infidelity even at "
                     f"lambda={lam:g}; monotonicity is broken"
                 )
-            amps, umats, overlap, loss = new_amps, new_umats, new_overlap, new_loss
+            amps, fwd, total = new_amps, new_fwd, psi
+            overlap, loss = new_overlap, new_loss
             sweeps += 1
             trace.append(loss)
             if loss <= tol:

@@ -89,10 +89,16 @@ class ControlProblem:
                 f"{self.model.dim}"
             )
         object.__setattr__(self, "target_u", target)
-        if not self.max_time > 0:
-            raise OptimizationError(f"max-time must be positive, got {self.max_time}")
+        if not 0 < self.max_time < np.inf:
+            raise OptimizationError(
+                f"max-time must be positive and finite, got {self.max_time}"
+            )
         if self.amplitude_bound < 0:
             raise OptimizationError("amplitude-bound must be >= 0")
+        if self.seed < 0:
+            raise OptimizationError(f"seed must be >= 0, got {self.seed}")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise OptimizationError(f"max-iters must be >= 0, got {self.max_iters}")
         dt = self.model.dt
         n = self.n_samples
         if n is None:
@@ -148,14 +154,14 @@ class OptimResult:
 class _Propagation:
     """Slice propagators and their forward partial products.
 
-    Shared by GRAPE and GOAT. Slice exponentials come from one stacked
-    ``slice_propagators`` call and the products from ``ordered_products``;
-    fields:
+    Shared by GRAPE, GOAT and Krotov's first sweep. Slice exponentials come
+    from one stacked ``slice_propagators`` call and the products from
+    ``ordered_products``; fields:
       umats (N,d,d), evals (N,d), evecs (N,d,d),
       fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
       total = fwd[N], overlap g = Tr(target^+ total), loss.
     The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
-    so they are never formed (see ``_gradient_from_state``).
+    so they are never formed (see ``_times_inverse``).
     """
 
     def __init__(
@@ -174,6 +180,16 @@ class _Propagation:
         self.overlap, self.loss = _trace_loss(self.total, target)
 
 
+def _times_inverse(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """c F^-1 for a stack F unitary up to round-off, as (c F^+)(2 - F F^+).
+
+    That is one Newton step from the adjoint towards the inverse, exact to
+    the square of F's unitarity defect; c may be one matrix or a stack.
+    """
+    fh = f.conj().swapaxes(-1, -2)
+    return _matmul(_matmul(c, fh), 2.0 * np.eye(f.shape[-1]) - _matmul(f, fh))
+
+
 def _gradient_from_state(
     state: _Propagation, ops: np.ndarray, target: np.ndarray, dt: float
 ) -> np.ndarray:
@@ -189,7 +205,7 @@ def _gradient_from_state(
     F = fwd[n+1], so C_n = fwd[n] (target^+ total) F^-1. F is unitary only
     up to a round-off drift that grows with n (1.6e-12 after 4,000 slices
     that share their eigenvectors), so F^-1 is one Newton step from the
-    adjoint, F^+ (2 - F F^+), exact to the square of that drift.
+    adjoint (``_times_inverse``), exact to the square of that drift.
     Phi is symmetric, so the overlap derivative Tr(C_n dU_n) equals
     sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with Q_n = V ((V^+ C_n V) o Phi) V^+:
     one product per slice, then one (C, d^2) x (d^2, N) product for all
@@ -203,10 +219,9 @@ def _gradient_from_state(
     v = state.evecs
     vh = v.conj().swapaxes(1, 2)
     before, f = state.fwd[:-1], state.fwd[1:]
-    fh = f.conj().swapaxes(1, 2)
     # fwd[n] (target^+ total) for every n as one (N d, d) x (d, d) product
     c = (before.reshape(-1, d) @ (target.conj().T @ state.total)).reshape(f.shape)
-    c = _matmul(_matmul(c, fh), 2.0 * np.eye(d) - _matmul(f, fh))
+    c = _times_inverse(c, f)
     q = _matmul(_matmul(v, _matmul(_matmul(vh, c), v) * phi), vh)
     dg = (-1j * dt) * (
         ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T

@@ -99,6 +99,38 @@ def test_compile_non_convergence_exits_3_with_best_effort(tmp_path, fixtures, ca
     assert out.exists()  # best-effort program still written
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-time", "inf"], "max-time"),
+        (["--max-time", "10", "--seed", "-1"], "seed"),
+        (["--max-time", "10", "--seed", "-1", "--method", "krotov"], "seed"),
+        (["--max-time", "10", "--max-iters", "-1"], "max-iters"),
+    ],
+    ids=["max-time-inf", "seed-negative-grape", "seed-negative-krotov",
+         "max-iters-negative"],
+)
+def test_compile_bad_problem_value_exits_2(tmp_path, fixtures, capsys, flags, message):
+    out = tmp_path / "x.pulse.json"
+    code, _, stderr = run(
+        capsys, "compile", fixtures / "x.xasm", fixtures / "model_1q_x.json",
+        *flags, "-o", out,
+    )
+    assert code == 2
+    assert message in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_compile_zero_max_iters_stays_valid(tmp_path, fixtures, capsys):
+    out = tmp_path / "x.pulse.json"
+    code, stdout, _ = run(
+        capsys, "compile", fixtures / "x.xasm", fixtures / "model_1q_x.json",
+        "--max-time", "10", "--max-iters", "0", "-o", out,
+    )
+    assert code == 3  # the start guess is emitted, far above the threshold
+    assert "after 0 iteration(s)" in stdout and out.exists()
+
+
 def test_compile_malformed_circuit_exits_2(tmp_path, fixtures, capsys):
     bad = tmp_path / "bad.xasm"
     bad.write_text("X(q[0;\n")
@@ -181,6 +213,16 @@ def test_simulate_channel_mismatch_exits_2(h_pulse, fixtures, capsys):
     )
     assert code == 2
     assert "dy" in stderr
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_lo_delta_exits_2(h_pulse, fixtures, capsys, delta):
+    code, stdout, stderr = run(
+        capsys, "simulate", h_pulse, fixtures / "model_1q_xy.json",
+        f"--lo-delta={delta}",
+    )
+    assert code == 2
+    assert stdout == "" and "drift coefficient" in stderr
 
 
 def test_simulate_malformed_pulse_exits_2(tmp_path, fixtures, capsys):

@@ -142,6 +142,29 @@ def test_negative_collapse_rate_rejected():
         SystemModel(n_qubits=1, dt=0.1, collapse=((-0.5, "SM0"),))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "template",
+    [
+        '{"n_qubits": 1, "dt": %s}',
+        '{"n_qubits": 1, "dt": 0.2, "drift": [{"coef": %s, "op": "Z0"}]}',
+        '{"n_qubits": 1, "dt": 0.2, "collapse": [{"rate": %s, "op": "SM0"}]}',
+    ],
+    ids=["dt", "drift-coef", "collapse-rate"],
+)
+def test_parse_model_rejects_non_finite_numbers(template, literal):
+    # json.loads reads these literals as floats; a NaN rate would otherwise
+    # read as no dissipation and be dropped
+    with pytest.raises(ModelError):
+        parse_model(template % literal)
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_apply_detuning_rejects_a_non_finite_delta(delta):
+    with pytest.raises(ModelError, match="drift coefficient"):
+        apply_detuning(parse_model(dict(MODEL_DOC)), delta)
+
+
 def test_collapse_operators_need_not_be_hermitian():
     m = SystemModel(n_qubits=1, dt=0.1, collapse=((0.5, "SM0"),))
     assert m.has_dissipation

@@ -196,8 +196,9 @@ def test_krotov_evaluations_count_lambda_retries(monkeypatch):
     problem = ControlProblem(model=model, target_u=X, max_time=4.0, tol=1e-6)
     calls = _counting(monkeypatch, krotov_module, "slice_propagators")
     res = krotov_optimize(problem)
-    # one stacked call for the start, then one call per slice and sweep attempt
-    assert res.evaluations == (len(calls) - 1) / problem.n_samples
+    # the start propagates in problem._Propagation; each sweep attempt then
+    # makes one call per slice here
+    assert res.evaluations == len(calls) / problem.n_samples
     assert res.evaluations > res.iterations
 
 
@@ -506,6 +507,48 @@ def test_krotov_starts_from_the_seeded_random_guess():
         sig = ControlSignal.from_samples({"dx": start[0]}, 0.2)
         u = piecewise_propagator(x_problem().model, sig)
         assert res.trace[0] == pytest.approx(infidelity(u, X), abs=1e-12)
+
+
+def _loop_costates(umats, target, overlap):
+    """chi_n^+ back-propagated one slice at a time: chi_N = (g/d^2) target,
+    chi_n = U_n^+ chi_{n+1}."""
+    d = target.shape[0]
+    chi_h = np.empty_like(umats)
+    back = (np.conj(overlap) / d**2) * target.conj().T
+    for k in range(len(umats) - 1, -1, -1):
+        back = back @ umats[k]
+        chi_h[k] = back
+    return chi_h
+
+
+def test_krotov_costates_match_the_back_propagation_loop(fixtures):
+    model = load_model(fixtures / "model_2q_12ch.json")
+    target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
+    qft2 = ControlProblem(model=model, target_u=target, max_time=10.0, seed=5)
+    # a long drifted qubit grid: 4,000 non-commuting slices
+    drifted = ControlProblem(
+        model=SystemModel(
+            n_qubits=1, dt=0.025, drift=((1.0, "Z0"),),
+            control=(("dx", "X0"), ("dy", "Y0")),
+        ),
+        target_u=H, max_time=100.0, seed=9,
+    )
+    assert drifted.n_samples == 4000
+    for problem in (qft2, drifted):
+        drift, ops = problem.model.drift_matrix(), problem.model.control_stack
+        amps = initial_amplitudes(problem, "random")
+        state = _Propagation(drift, ops, amps, problem.dt, problem.target_u)
+        reference = _loop_costates(state.umats, problem.target_u, state.overlap)
+        # forward products as the start builds them, and as a sweep does
+        sequential = [np.eye(problem.dim, dtype=complex)]
+        for u in state.umats[:-1]:
+            sequential.append(u @ sequential[-1])
+        for fwd in (state.fwd[:-1], np.array(sequential)):
+            chi_h = krotov_module._costates(
+                fwd, state.total, problem.target_u, state.overlap
+            )
+            error = np.max(np.abs(chi_h - reference))
+            assert error <= 1e-12 * np.max(np.abs(reference))
 
 
 def _reference_krotov(problem):
