@@ -62,8 +62,8 @@ class ControlSignal:
     envelopes: Mapping[str, Callable[[float], complex]] | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise DynamicsError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise DynamicsError(f"dt must be positive and finite, got {self.dt}")
         if self.n_samples < 1:
             raise DynamicsError("signal must cover at least one sample")
         if (self.samples is None) == (self.envelopes is None):
@@ -99,6 +99,11 @@ class ControlSignal:
     ) -> "ControlSignal":
         if not envelopes:
             raise DynamicsError("analytic signal needs at least one envelope")
+        if not (0 < duration < np.inf and 0 < dt < np.inf):
+            raise DynamicsError(
+                f"duration and dt must be positive and finite, got {duration} "
+                f"and {dt}"
+            )
         n = int(round(duration / dt))
         if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
             raise DynamicsError(

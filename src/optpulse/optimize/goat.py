@@ -1,4 +1,4 @@
-"""GOAT: analytic Gaussian envelopes trained by L-BFGS on the shared core.
+"""GOAT: analytic Gaussian envelopes as a parametrization of the shared objective.
 
 Controls are superpositions Omega(t) = sum_k a_k exp(-(t - c_k)^2 / (2 s_k^2))
 whose parameters (any subset of a_k, c_k, s_k) are trained (Machnes et al.,
@@ -14,10 +14,14 @@ applies
 
 with w+- = 1/2 +- sqrt(3)/3 and H[u] = H_drift + sum_c u_c Op_c. H is affine
 in u and w+ + w- = 1, so each factor is an ordinary piecewise-constant
-slice of length h/2. The slices go through the same stacked-eigh
-propagation as GRAPE: every evaluation is exactly unitary, and GRAPE's
-exact amplitude gradient, pulled back through the linear mix and the
-envelope Jacobian, is the exact gradient of the discrete map.
+slice of length h/2. GOAT is therefore GRAPE's objective
+(``problem.sampled_objective``) under another parametrization: x -> the
+envelopes at the nodes (``GoatEnvelopeSpec.evaluator``, every term at once)
+-> the CF4 mix -> the slice amplitudes. Every evaluation is exactly
+unitary, and its vjp, the transposed mix and the envelope Jacobian applied
+to GRAPE's exact amplitude gradient, is the exact gradient of the discrete
+map. The emitted samples and ``OptimResult.envelopes`` come from the same
+evaluator.
 
 The discretization error is O(h^4). At the returned point the loss is
 re-evaluated with twice the substeps; if the two differ by more than
@@ -27,15 +31,13 @@ INTEGRATION_TOL the substeps double and the run goes on from that point.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import OptimizationError
-from .problem import (
-    ControlProblem, OptimResult, _gradient_from_state, _Propagation, minimize
-)
+from .problem import ControlProblem, OptimResult, minimize, sampled_objective
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 500
@@ -103,54 +105,46 @@ class GoatEnvelopeSpec:
                 seen.append(ch)
         return tuple(seen)
 
-    def width_param_names(self) -> set[str]:
-        return {
-            term.width for _, term in self.terms if isinstance(term.width, str)
-        }
+    def evaluator(self) -> Callable[[np.ndarray, np.ndarray], tuple]:
+        """evaluate(x, t) -> (values, vjp) with the slot layout resolved once.
 
-    def _resolve(self, term: GaussianTerm, values: Mapping[str, float]):
-        def slot(v):
-            return values[v] if isinstance(v, str) else float(v)
+        values[i, k] is the envelope of channels[i] at t[k] under the
+        parameter vector x, and vjp maps a cotangent of that shape to
+        d/dx. Every term is evaluated at once as a (terms, len(t)) array:
+        slot kind k (amplitude, center, width) of term j reads entry
+        index[k, j] of x extended by the fixed slot values, and a
+        (channels, terms) 0/1 matrix sums the terms into their channels.
+        The pullback contracts once per slot kind and sums into x with
+        bincount; the fixed slots land past x and are dropped.
+        """
+        slots = [(term.amplitude, term.center, term.width) for _, term in self.terms]
+        fixed = np.array([v for row in slots for v in row if not isinstance(v, str)])
+        n = len(self.param_names)
+        position = dict(zip(self.param_names, range(n)))
+        after = iter(range(n, n + fixed.size))
+        index = np.array(
+            [[position[v] if isinstance(v, str) else next(after) for v in row]
+             for row in slots]
+        ).T
+        member = np.array(
+            [[float(ch == c) for c, _ in self.terms] for ch in self.channels]
+        )
 
-        return slot(term.amplitude), slot(term.center), slot(term.width)
+        def evaluate(x: np.ndarray, t: np.ndarray):
+            # amplitudes, centers and widths of all terms, each (terms, 1)
+            a, c, s = np.concatenate([x, fixed])[index][..., None]
+            dev = t - c
+            gauss = np.exp(-(dev**2) / (2.0 * s * s))
+            scaled = a * gauss
 
-    def channel_values(
-        self, channel: str, t: np.ndarray, values: Mapping[str, float]
-    ) -> np.ndarray:
-        out = np.zeros_like(t, dtype=float)
-        for ch, term in self.terms:
-            if ch != channel:
-                continue
-            a, c, s = self._resolve(term, values)
-            out += a * np.exp(-((t - c) ** 2) / (2.0 * s * s))
-        return out
+            def vjp(g: np.ndarray) -> np.ndarray:
+                jac = np.stack([gauss, scaled * dev / (s * s), scaled * dev**2 / s**3])
+                per_slot = np.einsum("ktn,tn->kt", jac, member.T @ g)
+                return np.bincount(index.ravel(), per_slot.ravel(), n + fixed.size)[:n]
 
-    def channel_param_grads(
-        self, channel: str, t: np.ndarray, values: Mapping[str, float]
-    ) -> dict[str, np.ndarray]:
-        grads = {name: np.zeros_like(t, dtype=float) for name in self.param_names}
-        for ch, term in self.terms:
-            if ch != channel:
-                continue
-            a, c, s = self._resolve(term, values)
-            gauss = np.exp(-((t - c) ** 2) / (2.0 * s * s))
-            if isinstance(term.amplitude, str):
-                grads[term.amplitude] += gauss
-            if isinstance(term.center, str):
-                grads[term.center] += a * gauss * (t - c) / (s * s)
-            if isinstance(term.width, str):
-                grads[term.width] += a * gauss * (t - c) ** 2 / (s**3)
-        return grads
+            return member @ scaled, vjp
 
-    def envelope_callable(
-        self, channel: str, values: Mapping[str, float]
-    ) -> Callable[[float], float]:
-        frozen = dict(values)
-
-        def env(t: float) -> float:
-            return float(self.channel_values(channel, np.asarray([t]), frozen)[0])
-
-        return env
+        return evaluate
 
 
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
@@ -232,57 +226,33 @@ def default_envelope_spec(
     return spec, np.asarray(inits, dtype=float)
 
 
-class _CF4Objective:
-    """Infidelity and its parameter gradient on n_samples * substeps CF4 steps."""
+def _cf4_objective(
+    problem: ControlProblem, evaluate: Callable, ops: np.ndarray, substeps: int
+):
+    """The sampled objective on n_samples * substeps CF4 steps.
 
-    def __init__(
-        self, problem: ControlProblem, spec: GoatEnvelopeSpec, substeps: int
-    ):
-        channels = problem.model.channels
-        unknown = set(spec.channels) - set(channels)
-        if unknown:
-            raise OptimizationError(
-                f"envelope channel(s) {sorted(unknown)} not in the model"
-            )
-        self.spec = spec
-        self.target = problem.target_u
-        self.drift = problem.model.drift_matrix()
-        index = [channels.index(ch) for ch in spec.channels]
-        self.ops = problem.model.control_stack[index]
-        n_steps = problem.n_samples * substeps
-        h = problem.max_time / n_steps
-        self.dt = 0.5 * h
-        self.nodes = ((np.arange(n_steps)[:, None] + _GAUSS_NODES) * h).ravel()
+    The parametrization samples the envelopes at each step's two Gauss
+    nodes and mixes them into the step's two half-step amplitudes; its vjp
+    applies the transposed mix and the envelopes' pullback.
+    """
+    n_steps = problem.n_samples * substeps
+    h = problem.max_time / n_steps
+    nodes = ((np.arange(n_steps)[:, None] + _GAUSS_NODES) * h).ravel()
 
-    def _propagate(self, x: np.ndarray) -> tuple[dict, _Propagation]:
-        spec = self.spec
-        values = dict(zip(spec.param_names, x))
-        samples = np.stack(
-            [spec.channel_values(ch, self.nodes, values) for ch in spec.channels]
-        )
+    def parametrize(x: np.ndarray):
+        samples, vjp = evaluate(x, nodes)
         if not np.all(np.isfinite(samples)):
             raise OptimizationError("non-finite GOAT envelope samples")
         # per channel and step: two node samples -> two half-step amplitudes
         amps = samples.reshape(len(samples), -1, 2) @ _CF4_MIX.T
-        state = _Propagation(
-            self.drift, self.ops, amps.reshape(samples.shape), self.dt, self.target
-        )
-        return values, state
 
-    def loss(self, x: np.ndarray) -> float:
-        return self._propagate(x)[1].loss
+        def pullback(g: np.ndarray) -> np.ndarray:
+            return vjp((g.reshape(len(g), -1, 2) @ _CF4_MIX).reshape(g.shape))
 
-    def loss_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        values, state = self._propagate(x)
-        g_amps = _gradient_from_state(state, self.ops, self.target, self.dt)
-        # chain rule back through the linear mix to the node samples
-        g_nodes = g_amps.reshape(len(g_amps), -1, 2) @ _CF4_MIX
-        names = self.spec.param_names
-        grad = np.zeros(len(names))
-        for g, ch in zip(g_nodes.reshape(g_amps.shape), self.spec.channels):
-            jac = self.spec.channel_param_grads(ch, self.nodes, values)
-            grad += np.array([g @ jac[name] for name in names])
-        return state.loss, grad
+        return amps.reshape(samples.shape), pullback
+
+    drift = problem.model.drift_matrix()
+    return sampled_objective(drift, ops, problem.target_u, 0.5 * h, parametrize)
 
 
 def goat_optimize(
@@ -318,26 +288,32 @@ def goat_optimize(
     tol = DEFAULT_TOL if problem.tol is None else problem.tol
     max_iters = DEFAULT_MAX_ITERS if problem.max_iters is None else problem.max_iters
 
-    width_names = spec.width_param_names()
-    floors = np.array(
-        [problem.dt if name in width_names else -np.inf for name in spec.param_names]
-    )
+    channels = problem.model.channels
+    unknown = set(spec.channels) - set(channels)
+    if unknown:
+        raise OptimizationError(
+            f"envelope channel(s) {sorted(unknown)} not in the model"
+        )
+    ops = problem.model.control_stack[[channels.index(ch) for ch in spec.channels]]
+    evaluate = spec.evaluator()
+    floors = np.full(len(spec.param_names), -np.inf)
+    widths = [term.width for _, term in spec.terms if isinstance(term.width, str)]
+    floors[[spec.param_names.index(name) for name in widths]] = problem.dt
 
     # The grid stays fixed during a run so the line search sees one smooth
     # objective; the result is then checked on a grid twice as fine, and a
     # refinement run starts where the coarser one stopped.
     substeps, iterations, evaluations, trace = SUBSTEPS, 0, 0, []
     for _ in range(MAX_SUBSTEP_DOUBLINGS + 1):
-        objective = _CF4Objective(problem, spec, substeps)
-        found = minimize(
-            objective.loss_and_grad, x0, floors, np.inf, tol, max_iters - iterations
-        )
+        objective = _cf4_objective(problem, evaluate, ops, substeps)
+        found = minimize(objective, x0, floors, np.inf, tol, max_iters - iterations)
         iterations += found.iterations
         evaluations += found.evaluations + 1  # the finer-grid check below
         trace += found.trace
         x0 = found.x
         substeps *= 2
-        gap = abs(_CF4Objective(problem, spec, substeps).loss(found.x) - found.loss)
+        finer = _cf4_objective(problem, evaluate, ops, substeps)
+        gap = abs(finer(found.x, grad=False)[0] - found.loss)
         if gap <= INTEGRATION_TOL:
             break
     else:
@@ -346,15 +322,16 @@ def goat_optimize(
             f"when the CF4 grid is refined to {substeps} steps per dt"
         )
 
-    values = dict(zip(spec.param_names, found.x))
-    tgrid = np.arange(problem.n_samples) * problem.dt
-    samples = {
-        ch: spec.channel_values(ch, tgrid, values).astype(complex)
-        for ch in spec.channels
-    }
-    envelopes = {
-        ch: spec.envelope_callable(ch, values) for ch in spec.channels
-    }
+    # the emitted samples and the envelopes come from the same evaluator, at
+    # a copy of the parameters that later edits of optimal_params cannot reach
+    best = found.x.copy()
+    values, _ = evaluate(best, np.arange(problem.n_samples) * problem.dt)
+    samples = {ch: row.astype(complex) for ch, row in zip(spec.channels, values)}
+
+    def envelope(row: int) -> Callable[[float], float]:
+        return lambda t: float(evaluate(best, np.array([t], dtype=float))[0][row, 0])
+
+    envelopes = {ch: envelope(i) for i, ch in enumerate(spec.channels)}
     return OptimResult(
         method="GOAT",
         status=found.status,

@@ -1,13 +1,12 @@
 """GRAPE: one amplitude per channel per time slice, trained by projected L-BFGS.
 
-The gradient is the exact eigenbasis derivative of each slice exponential
-(``problem._gradient_from_state``, shared with GOAT) rather than the
-first-order commutator approximation. The forward partial products, about
-2 sqrt(N) stacked matmuls (``dynamics.ordered_products``), give every
-slice's backward product by unitarity, so the full gradient costs a few
-stacked products over the N slices. The amplitudes go to
-``problem.minimize``, the numpy L-BFGS minimizer GOAT uses too, with the box
-+-amplitude-bound.
+GRAPE is ``problem.sampled_objective`` with the slice amplitudes as the
+parameters: its parametrization is a reshape of the flat channel-major
+vector, and its vjp a ravel. The gradient is the exact eigenbasis
+derivative of each slice exponential rather than the first-order
+commutator approximation, and the backward products follow from the
+forward ones by unitarity. The amplitudes go to ``problem.minimize``, the
+numpy L-BFGS minimizer GOAT uses too, with the box +-amplitude-bound.
 """
 
 from __future__ import annotations
@@ -18,27 +17,25 @@ from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
     OptimResult,
-    _gradient_from_state,
-    _Propagation,
     initial_amplitudes,
     minimize,
+    sampled_objective,
 )
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITERS = 1000
 
 
-def _loss_and_grad(problem: ControlProblem):
-    """fun(x) -> (loss, gradient) over flat channel-major amplitudes."""
-    drift, ops = problem.model.drift_matrix(), problem.model.control_stack
-    target, dt = problem.target_u, problem.dt
-    shape = (len(ops), problem.n_samples)
-
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        state = _Propagation(drift, ops, x.reshape(shape), dt, target)
-        return state.loss, _gradient_from_state(state, ops, target, dt).ravel()
-
-    return fun
+def _objective(problem: ControlProblem):
+    """The sampled objective over flat channel-major amplitudes."""
+    shape = (len(problem.model.channels), problem.n_samples)
+    return sampled_objective(
+        problem.model.drift_matrix(),
+        problem.model.control_stack,
+        problem.target_u,
+        problem.dt,
+        lambda x: (x.reshape(shape), np.ravel),
+    )
 
 
 def grape_gradient(problem: ControlProblem, amps: np.ndarray) -> np.ndarray:
@@ -47,7 +44,7 @@ def grape_gradient(problem: ControlProblem, amps: np.ndarray) -> np.ndarray:
     shape = (len(problem.model.channels), problem.n_samples)
     if arr.shape not in (shape, (shape[0] * shape[1],)):
         raise OptimizationError(f"amplitudes shape {arr.shape} != {shape}")
-    return _loss_and_grad(problem)(arr.ravel())[1].reshape(arr.shape)
+    return _objective(problem)(arr.ravel())[1].reshape(arr.shape)
 
 
 def grape_optimize(problem: ControlProblem) -> OptimResult:
@@ -60,8 +57,8 @@ def grape_optimize(problem: ControlProblem) -> OptimResult:
     tol = DEFAULT_TOL if problem.tol is None else problem.tol
     max_iters = DEFAULT_MAX_ITERS if problem.max_iters is None else problem.max_iters
     bound = problem.amplitude_bound if problem.amplitude_bound > 0 else np.inf
-    x0 = initial_amplitudes(problem, "random").ravel()
-    found = minimize(_loss_and_grad(problem), x0, -bound, bound, tol, max_iters)
+    x0 = initial_amplitudes(problem).ravel()
+    found = minimize(_objective(problem), x0, -bound, bound, tol, max_iters)
     amps = found.x.reshape(-1, problem.n_samples)
     samples = {
         ch: amps[i].astype(complex)

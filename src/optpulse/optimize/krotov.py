@@ -54,7 +54,7 @@ def _costates(
 
 
 def krotov_optimize(problem: ControlProblem) -> OptimResult:
-    """Sequential sweeps from the seeded random start (default policy).
+    """Sequential sweeps from the seeded random start or problem.initial_guess.
 
     Stops at tol (default 1e-4) or after 200 sweeps.
     """
@@ -82,7 +82,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
             psi = slice_propagators(ham, dt)[0] @ psi
         return new_amps, fwd, psi
 
-    amps = clip_amplitudes(initial_amplitudes(problem, "random"), bound)
+    amps = clip_amplitudes(initial_amplitudes(problem), bound)
     start = _Propagation(drift, ops, amps, dt, target)
     fwd, total, overlap, loss = start.fwd[:-1], start.total, start.overlap, start.loss
     trace = [loss]

@@ -1,5 +1,5 @@
 """Shared optimizer plumbing: the loss, the problem container, results,
-and the slice propagation with its exact amplitude gradient.
+the sampled objective with its exact gradient, and the minimizer.
 
 All methods minimize the trace infidelity
 
@@ -8,6 +8,12 @@ All methods minimize the trace infidelity
 over controls of a bilinear system H(t) = H_drift + sum_c u_c(t) Op_c.
 The d^2 normalization makes L(U, U) = 0 and keeps the range [0, 1];
 global phase drops out through the modulus.
+
+GRAPE and GOAT share one objective, ``sampled_objective``: piecewise-constant
+slice amplitudes propagated by ``_Propagation``, with the exact amplitude
+gradient of ``_gradient_from_state``. They differ only in the
+parametrization x -> (amps, vjp) that feeds it: GRAPE's is a reshape,
+GOAT's samples its Gaussian envelopes on the CF4 grid.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class ControlProblem:
     max_time: float
     n_samples: int | None = None
     amplitude_bound: float = 0.0
-    initial_guess: str | Mapping[str, np.ndarray] | None = None
+    initial_guess: Mapping[str, np.ndarray] | None = None
     seed: int = 0
     tol: float | None = None
     max_iters: int | None = None
@@ -99,6 +105,11 @@ class ControlProblem:
             raise OptimizationError(f"seed must be >= 0, got {self.seed}")
         if self.max_iters is not None and self.max_iters < 0:
             raise OptimizationError(f"max-iters must be >= 0, got {self.max_iters}")
+        if not (self.initial_guess is None or isinstance(self.initial_guess, Mapping)):
+            raise OptimizationError(
+                "initial-guess must map channels to sample arrays, got "
+                f"{self.initial_guess!r}"
+            )
         dt = self.model.dt
         n = self.n_samples
         if n is None:
@@ -154,7 +165,7 @@ class OptimResult:
 class _Propagation:
     """Slice propagators and their forward partial products.
 
-    Shared by GRAPE, GOAT and Krotov's first sweep. Slice exponentials come
+    Built by ``sampled_objective`` and Krotov's start. Slice exponentials come
     from one stacked ``slice_propagators`` call and the products from
     ``ordered_products``; fields:
       umats (N,d,d), evals (N,d), evecs (N,d,d),
@@ -227,6 +238,30 @@ def _gradient_from_state(
         ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
     )
     return (-2.0 / d**2) * np.real(np.conj(state.overlap) * dg)
+
+
+def sampled_objective(
+    drift: np.ndarray,
+    ops: np.ndarray,
+    target: np.ndarray,
+    dt: float,
+    parametrize: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
+) -> Callable[..., tuple[float, np.ndarray | None]]:
+    """fun(x) -> (loss, d(loss)/dx) for controls given by a parametrization.
+
+    parametrize(x) -> (amps, vjp): amps (C, N) drive ops on N slices of
+    length dt, and vjp pulls d(loss)/d(amps), shape (C, N), back to x.
+    fun(x, grad=False) returns (loss, None) without forming the gradient.
+    """
+
+    def fun(x: np.ndarray, grad: bool = True) -> tuple[float, np.ndarray | None]:
+        amps, vjp = parametrize(x)
+        state = _Propagation(drift, ops, amps, dt, target)
+        if not grad:
+            return state.loss, None
+        return state.loss, vjp(_gradient_from_state(state, ops, target, dt))
+
+    return fun
 
 
 class Minimum(NamedTuple):
@@ -333,44 +368,30 @@ def minimize(
     return Minimum(status, message, x, loss, len(trace) - 1, evaluations, trace)
 
 
-def initial_amplitudes(
-    problem: ControlProblem, policy: str
-) -> np.ndarray:
+def initial_amplitudes(problem: ControlProblem) -> np.ndarray:
     """(channels, N) start amplitudes for the sampled methods.
 
-    'random': uniform in [-0.1, 0.1] from the problem seed (GRAPE and
-    Krotov default).
-    'square': constant 0.1*bound, or 0.1 when unbounded.
-    'zero': all zeros.
-    Explicit per-channel arrays in problem.initial_guess win over policy.
+    The per-channel arrays of problem.initial_guess when it is set, else
+    uniform in [-0.1, 0.1] from the problem seed.
     """
     channels = problem.model.channels
     n = problem.n_samples
     guess = problem.initial_guess
-    if isinstance(guess, Mapping):
-        amps = np.zeros((len(channels), n))
-        for i, ch in enumerate(channels):
-            if ch not in guess:
-                raise OptimizationError(f"initial guess missing channel {ch!r}")
-            arr = np.asarray(guess[ch], dtype=float)
-            if arr.shape != (n,):
-                raise OptimizationError(
-                    f"initial guess for {ch!r} has shape {arr.shape}, "
-                    f"expected ({n},)"
-                )
-            amps[i] = arr
-        return amps
-    if isinstance(guess, str):
-        policy = guess
-    if policy == "random":
+    if guess is None:
         rng = np.random.default_rng(problem.seed)
         return rng.uniform(-0.1, 0.1, size=(len(channels), n))
-    if policy == "square":
-        level = 0.1 * problem.amplitude_bound if problem.amplitude_bound > 0 else 0.1
-        return np.full((len(channels), n), level)
-    if policy == "zero":
-        return np.zeros((len(channels), n))
-    raise OptimizationError(f"unknown initial-guess policy {policy!r}")
+    amps = np.zeros((len(channels), n))
+    for i, ch in enumerate(channels):
+        if ch not in guess:
+            raise OptimizationError(f"initial guess missing channel {ch!r}")
+        arr = np.asarray(guess[ch], dtype=float)
+        if arr.shape != (n,):
+            raise OptimizationError(
+                f"initial guess for {ch!r} has shape {arr.shape}, "
+                f"expected ({n},)"
+            )
+        amps[i] = arr
+    return amps
 
 
 def clip_amplitudes(amps: np.ndarray, bound: float) -> np.ndarray:

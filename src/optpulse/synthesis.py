@@ -346,8 +346,3 @@ def parse_program(document: str | Mapping) -> PulseProgram:
 def load_program(path: str) -> PulseProgram:
     with open(path, encoding="utf-8") as fh:
         return parse_program(fh.read())
-
-
-def save_program(program: PulseProgram, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_program(program))

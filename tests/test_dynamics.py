@@ -54,6 +54,24 @@ def test_signal_rejects_ragged_channels():
         ControlSignal.from_samples({"a": [1.0, 2.0], "b": [1.0]}, 0.1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ControlSignal.from_envelopes(
+            {"dx": lambda t: 0.1}, duration=float("inf"), dt=0.1
+        ),
+        lambda: ControlSignal.from_envelopes(
+            {"dx": lambda t: 0.1}, duration=float("nan"), dt=0.1
+        ),
+        lambda: ControlSignal(dt=float("inf"), n_samples=1, samples={"dx": [0.1]}),
+    ],
+    ids=["infinite-duration", "nan-duration", "infinite-dt"],
+)
+def test_signal_rejects_non_finite_time_scales(build):
+    with pytest.raises(DynamicsError, match="finite"):
+        build()
+
+
 def test_matrix_exp_matches_scipy():
     rng = np.random.default_rng(0)
     for _ in range(10):

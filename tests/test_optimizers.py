@@ -1,5 +1,7 @@
 """GRAPE, GOAT, and Krotov against finite differences and each other."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,11 @@ from optpulse.optimize import (
     infidelity,
     krotov_optimize,
 )
-from optpulse.optimize import goat as goat_module
-from optpulse.optimize import grape as grape_module
 from optpulse.optimize import krotov as krotov_module
+from optpulse.optimize import problem as problem_module
 from optpulse.optimize.goat import (
     SUBSTEPS,
-    _CF4Objective,
+    _cf4_objective,
     default_envelope_spec,
     parse_control_func,
 )
@@ -107,23 +108,27 @@ def test_problem_deduces_sample_count():
 
 def test_initial_amplitude_policies():
     p = x_problem(seed=42)
-    r1 = initial_amplitudes(p, "random")
-    r2 = initial_amplitudes(p, "random")
+    r1 = initial_amplitudes(p)
+    r2 = initial_amplitudes(p)
     assert np.array_equal(r1, r2)
     assert r1.shape == (1, 50)
     assert np.max(np.abs(r1)) <= 0.1
-    sq = initial_amplitudes(x_problem(amplitude_bound=2.0), "square")
-    assert np.all(sq == 0.2)  # 0.1 * bound
-    assert np.all(initial_amplitudes(p, "zero") == 0.0)
 
 
 def test_explicit_initial_guess_wins():
     guess = {"dx": np.linspace(-0.1, 0.1, 50)}
     p = x_problem(initial_guess=guess)
-    amps = initial_amplitudes(p, "random")
+    amps = initial_amplitudes(p)
     assert np.allclose(amps[0], guess["dx"])
     with pytest.raises(OptimizationError):
-        initial_amplitudes(x_problem(initial_guess={"dx": np.zeros(3)}), "random")
+        initial_amplitudes(x_problem(initial_guess={"dx": np.zeros(3)}))
+
+
+@pytest.mark.parametrize("guess", ["random", "square", 0.1, [0.1] * 50])
+def test_problem_rejects_an_initial_guess_that_is_not_a_mapping(guess):
+    # a guess that is not used must not be accepted silently
+    with pytest.raises(OptimizationError, match="initial-guess"):
+        x_problem(initial_guess=guess)
 
 
 # ---------------------------------------------------------------- minimize
@@ -177,13 +182,9 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize(
-    "module, run",
-    [(grape_module, grape_optimize), (goat_module, goat_optimize)],
-    ids=["GRAPE", "GOAT"],
-)
-def test_evaluations_count_every_propagation(monkeypatch, module, run):
-    calls = _counting(monkeypatch, module, "_Propagation")
+@pytest.mark.parametrize("run", [grape_optimize, goat_optimize], ids=["GRAPE", "GOAT"])
+def test_evaluations_count_every_propagation(monkeypatch, run):
+    calls = _counting(monkeypatch, problem_module, "_Propagation")
     res = run(h_problem(seed=3, tol=1e-6))
     assert res.evaluations == len(calls) > res.iterations
 
@@ -279,8 +280,9 @@ def _loop_gradient(state, ops, target, dt):
     return grad
 
 
-def _goat_pi_state():
-    """Criterion 1's problem at sigma = 8: the 4,000-slice CF4 grid."""
+def _goat_pi_case(monkeypatch):
+    """Criterion 1's problem at sigma = 8: the 4,000-slice CF4 grid, as the
+    (state, ops, target, dt) that GOAT's objective propagates."""
     handle = get_optimizer("GOAT", {
         "method": "GOAT", "dimension": 2, "target-U": "X0", "control-H": ["X0"],
         "max-time": 100.0,
@@ -290,32 +292,43 @@ def _goat_pi_state():
         terms=((problem.model.channels[0], GaussianTerm(1.0, 0.0, "sigma")),),
         param_names=("sigma",),
     )
-    objective = _CF4Objective(problem, spec, SUBSTEPS)
-    return objective._propagate(np.array([8.0]))[1], objective
+    built = []
+
+    def recording(drift, ops, amps, dt, target):
+        built.append((_Propagation(drift, ops, amps, dt, target), ops, target, dt))
+        return built[-1][0]
+
+    monkeypatch.setattr(problem_module, "_Propagation", recording)
+    objective = _cf4_objective(
+        problem, spec.evaluator(), problem.model.control_stack, SUBSTEPS
+    )
+    objective(np.array([8.0]), grad=False)
+    monkeypatch.undo()
+    return built[0]
 
 
-def test_gradient_matches_the_forward_backward_loop_reference(fixtures):
+def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypatch):
     model = load_model(fixtures / "model_2q_12ch.json")
     target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
     qft2 = ControlProblem(model=model, target_u=target, max_time=10.0, seed=5)
     ops = model.control_stack
-    amps = initial_amplitudes(qft2, "random")
+    amps = initial_amplitudes(qft2)
     state = _Propagation(model.drift_matrix(), ops, amps, qft2.dt, target)
-    goat_state, objective = _goat_pi_state()
-    assert goat_state.umats.shape[0] == 4000
+    goat_case = _goat_pi_case(monkeypatch)
+    assert goat_case[0].umats.shape[0] == 4000
     # d = 2 with drift and two non-commuting drives: unlike the pi grid, whose
     # matrices are all symmetric and commute, this case catches a 2x2 product
     # path that is right only on such matrices
     qubit = load_model(fixtures / "model_1q_xy.json")
     hadamard = ControlProblem(model=qubit, target_u=H, max_time=10.0, seed=7)
     qubit_ops = qubit.control_stack
-    qubit_amps = initial_amplitudes(hadamard, "random")
+    qubit_amps = initial_amplitudes(hadamard)
     qubit_state = _Propagation(
         qubit.drift_matrix(), qubit_ops, qubit_amps, hadamard.dt, H
     )
     cases = [
         (state, ops, target, qft2.dt),
-        (goat_state, objective.ops, objective.target, objective.dt),
+        goat_case,
         (qubit_state, qubit_ops, H, hadamard.dt),
     ]
     for case in cases:
@@ -390,24 +403,63 @@ def test_parse_control_func_rejects_garbage():
         parse_control_func("sin(t)")
 
 
-def test_goat_gradient_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    p = random_problem(rng, n_channels=1, n_samples=10)
-    spec, x0 = default_envelope_spec(p)
-    objective = _CF4Objective(p, spec, SUBSTEPS)
-    x = x0 + rng.uniform(-0.02, 0.02, x0.shape)
-    _, grad = objective.loss_and_grad(x)
-    h = 1e-6
+def _central_differences(objective, x, h=1e-6):
     fd = np.zeros_like(x)
     for i in range(x.size):
         up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (
-            objective.loss_and_grad(up)[0] - objective.loss_and_grad(dn)[0]
-        ) / (2 * h)
+        fd[i] = (objective(up, grad=False)[0] - objective(dn, grad=False)[0]) / (2 * h)
+    return fd
+
+
+def test_goat_gradient_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    p = random_problem(rng, n_channels=1, n_samples=10)
+    spec, x0 = default_envelope_spec(p)
+    objective = _cf4_objective(p, spec.evaluator(), p.model.control_stack, SUBSTEPS)
+    x = x0 + rng.uniform(-0.02, 0.02, x0.shape)
+    _, grad = objective(x)
+    fd = _central_differences(objective, x)
     denom = max(np.max(np.abs(fd)), 1e-12)
     assert np.max(np.abs(grad - fd)) / denom <= 1e-5
+
+
+def test_goat_multi_term_spec_gradient_values_and_envelopes():
+    # two terms on dx and one on dy; amplitude, center and width slots are
+    # trainable, "c" and "s" are shared by both channels, and the second
+    # dx term has a fixed center
+    p = h_problem(max_time=4.0, max_iters=3)
+    spec = GoatEnvelopeSpec(
+        terms=(
+            ("dx", GaussianTerm("a", "c", "s")),
+            ("dx", GaussianTerm("b", 3.0, "w")),
+            ("dy", GaussianTerm("e", "c", "s")),
+        ),
+        param_names=("a", "c", "s", "b", "w", "e"),
+    )
+    x = np.array([0.4, 1.7, 0.9, -0.3, 0.6, 0.25])
+    evaluate = spec.evaluator()
+    objective = _cf4_objective(p, evaluate, p.model.control_stack, SUBSTEPS)
+    _, grad = objective(x)
+    fd = _central_differences(objective, x)
+    assert np.all(grad != 0.0)
+    assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-5
+
+    t = np.linspace(0.0, 4.0, 41)
+    a, c, s, b, w, e = x
+
+    def gauss(amp, center, width):
+        return amp * np.exp(-((t - center) ** 2) / (2.0 * width**2))
+
+    direct = np.stack([gauss(a, c, s) + gauss(b, 3.0, w), gauss(e, c, s)])
+    values, _ = evaluate(x, t)
+    assert np.max(np.abs(values - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    res = goat_optimize(p, spec=spec, initial_parameters=x)
+    for ch, samples in res.synthesized_samples.items():
+        emitted = [res.envelopes[ch](k * p.dt) for k in range(p.n_samples)]
+        assert np.max(np.abs(np.asarray(emitted) - samples)) <= 1e-12
 
 
 def test_goat_reaches_x_gate_and_resimulates():
@@ -485,7 +537,7 @@ def test_goat_custom_spec_needs_initial_parameters():
 
 def test_krotov_monotone_trace_over_seeds():
     for seed in range(8):
-        p = h_problem(seed=seed, initial_guess="random", tol=1e-5)
+        p = h_problem(seed=seed, tol=1e-5)
         res = krotov_optimize(p)
         trace = np.asarray(res.trace)
         assert np.all(np.diff(trace) <= 1e-10), f"seed {seed}"
@@ -503,7 +555,7 @@ def test_krotov_reaches_x_gate():
 def test_krotov_starts_from_the_seeded_random_guess():
     for seed in (0, 5):
         res = krotov_optimize(x_problem(seed=seed, max_iters=1))
-        start = initial_amplitudes(x_problem(seed=seed), "random")
+        start = initial_amplitudes(x_problem(seed=seed))
         sig = ControlSignal.from_samples({"dx": start[0]}, 0.2)
         u = piecewise_propagator(x_problem().model, sig)
         assert res.trace[0] == pytest.approx(infidelity(u, X), abs=1e-12)
@@ -536,7 +588,7 @@ def test_krotov_costates_match_the_back_propagation_loop(fixtures):
     assert drifted.n_samples == 4000
     for problem in (qft2, drifted):
         drift, ops = problem.model.drift_matrix(), problem.model.control_stack
-        amps = initial_amplitudes(problem, "random")
+        amps = initial_amplitudes(problem)
         state = _Propagation(drift, ops, amps, problem.dt, problem.target_u)
         reference = _loop_costates(state.umats, problem.target_u, state.overlap)
         # forward products as the start builds them, and as a sweep does
@@ -558,7 +610,7 @@ def _reference_krotov(problem):
     max_sweeps = 200 if problem.max_iters is None else problem.max_iters
     n, dt, d, target = problem.n_samples, problem.dt, problem.dim, problem.target_u
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
-    amps = clip_amplitudes(initial_amplitudes(problem, "square"), problem.amplitude_bound)
+    amps = clip_amplitudes(initial_amplitudes(problem), problem.amplitude_bound)
     state = _Propagation(drift, ops, amps, dt, target)
     loss, trace, status, sweeps, lam = state.loss, [state.loss], "max-iters", 0, 1.0
     if loss <= tol:
@@ -599,12 +651,15 @@ def test_krotov_sweep_matches_the_per_channel_reference(fixtures, case, guess):
     if case == "QFT2":
         model = load_model(fixtures / "model_2q_12ch.json")
         target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
-        problem = ControlProblem(
-            model=model, target_u=target, max_time=10.0, initial_guess=guess, seed=3
-        )
+        problem = ControlProblem(model=model, target_u=target, max_time=10.0, seed=3)
     else:
         build = h_problem if case == "H" else x_problem
-        problem = build(initial_guess=guess, seed=3, tol=1e-6)
+        problem = build(seed=3, tol=1e-6)
+    if guess == "square":  # a constant 0.1 on every channel
+        square = np.full(problem.n_samples, 0.1)
+        problem = replace(
+            problem, initial_guess={ch: square for ch in problem.model.channels}
+        )
     res = krotov_optimize(problem)
     amps, sweeps, status = _reference_krotov(problem)
     assert res.iterations == sweeps and res.status == status
