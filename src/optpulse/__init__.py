@@ -12,7 +12,6 @@ from .dynamics import (
     evolve_states,
     expectation,
     lindblad_evolve,
-    matrix_exp_hermitian_skew,
     piecewise_propagator,
     trajectory_csv,
 )
@@ -55,7 +54,6 @@ from .synthesis import (
     PulseLibrary,
     PulseProgram,
     compile_circuit,
-    discretize_envelope,
     emit_program,
     library_lower,
     load_program,
@@ -93,7 +91,6 @@ __all__ = [
     "build_operator",
     "circuit_unitary",
     "compile_circuit",
-    "discretize_envelope",
     "emit_program",
     "eval_parametric",
     "evolve_continuous",
@@ -110,7 +107,6 @@ __all__ = [
     "lindblad_evolve",
     "load_model",
     "load_program",
-    "matrix_exp_hermitian_skew",
     "method_names",
     "parse_circuit",
     "parse_model",

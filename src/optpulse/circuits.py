@@ -3,7 +3,13 @@
 The accepted dialect is a small quantum-assembly subset: one statement per
 line or ``;``-separated, ``//`` comments, statements of the form
 ``Name(q[i], args...)``. Angle arguments are arithmetic expressions over
-numbers and ``pi``; a bare identifier declares a free (symbolic) parameter.
+numbers and ``pi``; a bare identifier declares a free (symbolic) parameter,
+which must stand alone.
+
+Angles and the operator expressions of :mod:`optpulse.model` share one
+tokenizer and one grammar: ``+ - * /`` with the usual precedence, a sign
+before any factor (``2*-pi``), and parentheses. Comments belong to circuit
+source only, so ``parse_angle("pi//2")`` is an error.
 
 Qubit 0 is the least-significant bit of the computational-basis index.
 """
@@ -11,7 +17,10 @@ Qubit 0 is the least-significant bit of the computational-basis index.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
+from operator import add, mul, sub, truediv
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,10 +91,10 @@ class Circuit:
                     f"{self.n_qubits} qubit(s)"
                 )
         symbolic = _collect_free_params(self.gates)
-        if tuple(symbolic) != tuple(self.free_params):
+        if symbolic != tuple(self.free_params):
             raise CircuitError(
                 f"free_params {self.free_params} do not match symbols used "
-                f"by the gates {tuple(symbolic)}"
+                f"by the gates {symbolic}"
             )
 
     @property
@@ -93,235 +102,192 @@ class Circuit:
         return not self.free_params
 
 
-def _collect_free_params(gates) -> list[str]:
-    seen: list[str] = []
-    for g in gates:
-        for p in g.params:
-            if isinstance(p, str) and p not in seen:
-                seen.append(p)
-    return seen
+def _collect_free_params(gates) -> tuple[str, ...]:
+    """Symbolic parameter names in order of first use."""
+    names = (p for g in gates for p in g.params if isinstance(p, str))
+    return tuple(dict.fromkeys(names))
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing: one tokenizer and one arithmetic grammar, shared with model.py
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = set("()[],;+-*/")
 
-
-@dataclass
-class _Token:
-    kind: str  # 'name' | 'number' | 'symbol'
+class _Token(NamedTuple):
+    kind: str  # 'number' | 'name' | 'symbol'
     text: str
     line: int
     col: int
 
+    def error(self, message: str) -> CircuitSyntaxError:
+        return CircuitSyntaxError(message, self.line, self.col)
 
-def _tokenize(source: str) -> list[_Token]:
+
+_TOKENS = (
+    r"(?P<newline>\n)|(?P<space>{})|(?P<number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[^\W\d]\w*)|(?P<symbol>[-+*/()\[\],;])|(?P<bad>.)"
+)
+# Only circuit source has // comments. Circuit text and angles are spaced by
+# blanks, tabs and line breaks; operator expressions by any Unicode whitespace.
+_CIRCUIT_LEXER = re.compile(r"(?P<comment>//[^\n]*)|" + _TOKENS.format(r"[ \t\r]+"))
+_ANGLE_LEXER = re.compile(_TOKENS.format(r"[ \t\r]+"))
+_OPERATOR_LEXER = re.compile(_TOKENS.format(r"[^\S\n]+"))
+_new_token = tuple.__new__  # skips the NamedTuple constructor's Python frame
+
+
+def _tokenize(text: str, lexer: re.Pattern) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise CircuitSyntaxError(f"bad number literal {text!r}", line, start_col)
-            tokens.append(_Token("number", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("symbol", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise CircuitSyntaxError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for m in lexer.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "space" and kind != "comment":
+            tok = _new_token(_Token, (kind, m[0], line, m.start() - line_start + 1))
+            if kind == "bad":
+                raise tok.error(f"unexpected character {tok.text!r}")
+            # [\d.]* is greedy: 1.2.3 is one bad literal, reported at its start
+            if kind == "number" and tok.text.count(".") > 1:
+                raise tok.error(f"bad number literal {tok.text!r}")
+            tokens.append(tok)
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser for the assembly dialect."""
+class _Arithmetic:
+    """Token cursor and the one arithmetic grammar of angles and operators::
+
+        expression := term (('+' | '-') term)*
+        term       := unary (('*' | '/') unary)*
+        unary      := ('+' | '-') unary | primary
+        primary    := number | name | '(' expression ')'
+
+    A subclass says what a number or name means (``atom``), what each binary
+    operator does (``apply``) and what a sign does (``negate``); a product
+    operator it leaves out of ``products`` ends the term. Errors are
+    :class:`CircuitSyntaxError` at the offending token.
+    """
+
+    products = "*/"
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def _peek(self) -> _Token | None:
+    def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _next(self, expect: str | None = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
+    def next(self, expect: str | None = None) -> _Token:
+        if self.pos >= len(self.tokens):
             last = self.tokens[-1] if self.tokens else _Token("symbol", "", 1, 1)
-            raise CircuitSyntaxError("unexpected end of input", last.line, last.col)
+            raise last.error("unexpected end of input")
+        tok = self.tokens[self.pos]
         if expect is not None and tok.text != expect:
-            raise CircuitSyntaxError(
-                f"expected {expect!r}, found {tok.text!r}", tok.line, tok.col
-            )
+            raise tok.error(f"expected {expect!r}, found {tok.text!r}")
         self.pos += 1
         return tok
 
-    def parse_statements(self) -> list[tuple[str, list, _Token]]:
-        stmts = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return stmts
-            if tok.text == ";":  # empty statement / trailing separator
-                self._next()
-                continue
-            stmts.append(self._statement())
+    def accept(self, text: str) -> bool:
+        if self.pos < len(self.tokens) and self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
 
-    def _statement(self):
-        name_tok = self._next()
-        if name_tok.kind != "name":
-            raise CircuitSyntaxError(
-                f"expected gate name, found {name_tok.text!r}",
-                name_tok.line,
-                name_tok.col,
-            )
-        self._next("(")
-        args = []
-        if self._peek() is not None and self._peek().text != ")":
-            args.append(self._argument())
-            while self._peek() is not None and self._peek().text == ",":
-                self._next(",")
-                args.append(self._argument())
-        self._next(")")
-        tok = self._peek()
-        if tok is not None and tok.text == ";":
-            self._next()
-        return name_tok.text, args, name_tok
-
-    def _argument(self):
-        tok = self._peek()
-        if tok is not None and tok.kind == "name" and tok.text == "q":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is not None and nxt.text == "[":
-                self._next()  # q
-                self._next("[")
-                idx_tok = self._next()
-                if idx_tok.kind != "number" or not idx_tok.text.isdigit():
-                    raise CircuitSyntaxError(
-                        f"qubit index must be an integer, found {idx_tok.text!r}",
-                        idx_tok.line,
-                        idx_tok.col,
-                    )
-                self._next("]")
-                return ("qubit", int(idx_tok.text), idx_tok)
-        return ("angle", self._expression(), tok)
-
-    # expression := term (('+'|'-') term)*
-    def _expression(self):
-        value = self._term()
-        while self._peek() is not None and self._peek().text in "+-":
-            op = self._next().text
-            rhs = self._term()
-            value = self._combine(value, rhs, op)
+    def expression(self):
+        value = self.term()
+        while (tok := self.peek()) is not None and tok.text in "+-":
+            self.pos += 1
+            value = self.apply(tok.text, value, self.term())
         return value
 
-    def _term(self):
-        value = self._unary()
-        while self._peek() is not None and self._peek().text in "*/":
-            op = self._next().text
-            rhs = self._unary()
-            value = self._combine(value, rhs, op)
+    def term(self):
+        value = self.unary()
+        while (tok := self.peek()) is not None and tok.text in self.products:
+            self.pos += 1
+            value = self.apply(tok.text, value, self.unary())
         return value
 
-    def _unary(self):
-        tok = self._peek()
-        if tok is not None and tok.text == "-":
-            self._next()
-            value = self._unary()
-            return self._combine(0.0, value, "-")
-        if tok is not None and tok.text == "+":
-            self._next()
-            return self._unary()
-        return self._primary()
+    def unary(self):
+        tok = self.next()
+        if tok.kind != "symbol":
+            return self.atom(tok)
+        if tok.text == "-":
+            return self.negate(self.unary())
+        if tok.text == "+":
+            return self.unary()
+        if tok.text != "(":
+            raise tok.error(f"expected number, identifier, or '(', found {tok.text!r}")
+        value = self.expression()
+        self.next(")")
+        return value
 
-    def _primary(self):
-        tok = self._next()
+
+_FLOAT_OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+
+class _CircuitParser(_Arithmetic):
+    """Statements of the assembly dialect. An angle is a float: ``pi`` is pi
+    and any other name a free parameter, kept as its token, which must stand
+    alone."""
+
+    def atom(self, tok: _Token):
         if tok.kind == "number":
             return float(tok.text)
-        if tok.kind == "name":
-            if tok.text == "pi":
-                return math.pi
-            return ("symbol", tok.text, tok)
-        if tok.text == "(":
-            value = self._expression()
-            self._next(")")
-            return value
-        raise CircuitSyntaxError(
-            f"expected number, identifier, or '(', found {tok.text!r}",
-            tok.line,
-            tok.col,
-        )
+        return math.pi if tok.text == "pi" else tok
 
-    @staticmethod
-    def _combine(lhs, rhs, op: str):
-        # Free parameters must stand alone; arithmetic over symbols is out of
-        # the dialect.
+    def apply(self, op: str, lhs, rhs):
         for side in (lhs, rhs):
-            if isinstance(side, tuple) and side[0] == "symbol":
-                tok = side[2]
-                raise CircuitSyntaxError(
-                    f"free parameter {side[1]!r} cannot appear inside arithmetic",
-                    tok.line,
-                    tok.col,
+            if isinstance(side, _Token):
+                raise side.error(
+                    f"free parameter {side.text!r} cannot appear inside arithmetic"
                 )
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if rhs == 0.0:
+        if op == "/" and rhs == 0.0:
             raise CircuitError("division by zero in angle expression")
-        return lhs / rhs
+        return _FLOAT_OPS[op](lhs, rhs)
+
+    def negate(self, value):
+        return self.apply("-", 0.0, value)
+
+    def statements(self) -> list[tuple[_Token, list, list]]:
+        """(name, [(qubit, its token)], [angle]) for each ``Name(args...)``."""
+        stmts = []
+        while (name := self.peek()) is not None:
+            self.pos += 1
+            if name.text == ";":  # empty statement / trailing separator
+                continue
+            if name.kind != "name":
+                raise name.error(f"expected gate name, found {name.text!r}")
+            self.next("(")
+            targets, angles = [], []
+            if not self.accept(")"):
+                self.argument(targets, angles)
+                while self.accept(","):
+                    self.argument(targets, angles)
+                self.next(")")
+            self.accept(";")
+            stmts.append((name, targets, angles))
+        return stmts
+
+    def argument(self, targets: list, angles: list) -> None:
+        ahead = self.tokens[self.pos : self.pos + 2]
+        if len(ahead) == 2 and ahead[0].text == "q" and ahead[1].text == "[":
+            self.pos += 2
+            idx = self.next()
+            if idx.kind != "number" or not idx.text.isdigit():
+                raise idx.error(f"qubit index must be an integer, found {idx.text!r}")
+            self.next("]")
+            targets.append((int(idx.text), idx))
+        else:
+            angles.append(self.expression())
 
 
 def parse_angle(text: str) -> float:
-    """Value of one angle expression of the dialect, e.g. ``3*pi/4``."""
-    parser = _Parser(_tokenize(text))
-    value = parser._expression()
-    if parser._peek() is not None or isinstance(value, tuple):
+    """Value of one angle expression of the dialect, e.g. ``3*pi/4``.
+
+    Comments belong to circuit source only: ``pi//2`` is an error here.
+    """
+    parser = _CircuitParser(_tokenize(text, _ANGLE_LEXER))
+    value = parser.expression()
+    if parser.peek() is not None or isinstance(value, _Token):
         raise CircuitError(f"cannot parse numeric value {text!r}")
     return value
 
@@ -331,50 +297,33 @@ def parse_circuit(source: str, n_qubits: int | None = None) -> Circuit:
 
     ``n_qubits`` may be given explicitly (indices are then range-checked
     against it); otherwise it is inferred as ``max target index + 1``.
+    Every statement's syntax is checked before any gate name, arity or
+    index.
     """
-    tokens = _tokenize(source)
-    statements = _Parser(tokens).parse_statements()
+    statements = _CircuitParser(_tokenize(source, _CIRCUIT_LEXER)).statements()
     gates: list[Gate] = []
     max_index = -1
-    for name, args, name_tok in statements:
-        sig = GATE_SIGNATURES.get(name)
-        if sig is None:
-            raise CircuitSyntaxError(
-                f"unknown gate {name!r}", name_tok.line, name_tok.col
-            )
-        n_targets, n_params = sig
-        targets = [a for a in args if a[0] == "qubit"]
-        angles = [a for a in args if a[0] == "angle"]
+    for name, targets, angles in statements:
+        if name.text not in GATE_SIGNATURES:
+            raise name.error(f"unknown gate {name.text!r}")
+        n_targets, n_params = GATE_SIGNATURES[name.text]
         if len(targets) != n_targets or len(angles) != n_params:
-            raise CircuitSyntaxError(
-                f"{name} expects {n_targets} qubit(s) and {n_params} angle(s), "
-                f"got {len(targets)} and {len(angles)}",
-                name_tok.line,
-                name_tok.col,
+            raise name.error(
+                f"{name.text} expects {n_targets} qubit(s) and {n_params} angle(s), "
+                f"got {len(targets)} and {len(angles)}"
             )
-        target_ids = []
-        for _, idx, tok in targets:
+        for idx, tok in targets:
             if n_qubits is not None and idx >= n_qubits:
-                raise CircuitSyntaxError(
-                    f"qubit index {idx} out of range for {n_qubits} qubit(s)",
-                    tok.line,
-                    tok.col,
-                )
-            target_ids.append(idx)
+                raise tok.error(f"qubit index {idx} out of range for {n_qubits} qubits")
             max_index = max(max_index, idx)
-        params: list[float | str] = []
-        for _, value, _tok in angles:
-            if isinstance(value, tuple):  # ('symbol', name, token)
-                params.append(value[1])
-            else:
-                params.append(float(value))
+        params = [a.text if isinstance(a, _Token) else a for a in angles]
         try:
-            gates.append(Gate(name, tuple(target_ids), tuple(params)))
+            gates.append(Gate(name.text, tuple([i for i, _ in targets]), tuple(params)))
         except CircuitError as exc:
-            raise CircuitSyntaxError(str(exc), name_tok.line, name_tok.col) from exc
+            raise name.error(str(exc)) from exc
     if n_qubits is None:
         n_qubits = max(max_index + 1, 1)
-    return Circuit(n_qubits, tuple(gates), tuple(_collect_free_params(gates)))
+    return Circuit(n_qubits, tuple(gates), _collect_free_params(gates))
 
 
 def eval_parametric(circuit: Circuit, values: list[float]) -> Circuit:

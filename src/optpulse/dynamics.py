@@ -223,16 +223,6 @@ def ordered_products(umats: np.ndarray) -> np.ndarray:
     return prods[:n]
 
 
-def matrix_exp_hermitian_skew(hamiltonian: np.ndarray, time: float) -> np.ndarray:
-    """exp(-i * H * time) for Hermitian H, via eigendecomposition."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DynamicsError(f"expected a square matrix, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-        raise DynamicsError("matrix is not Hermitian")
-    return slice_propagators(h, time)[0]
-
-
 def _stacked_hamiltonians(
     drift: np.ndarray, ops: np.ndarray, amps: np.ndarray
 ) -> np.ndarray:

@@ -4,11 +4,14 @@ A model document is JSON with keys ``n_qubits``, ``dt``, ``drift``
 (list of ``{coef, op}``), ``control`` (list of ``{channel, op}``),
 and ``collapse`` (list of ``{rate, op}``). Any other key is rejected.
 
-Operator expressions combine the tokens ``X/Y/Z/I/SP/SM`` suffixed with a
-qubit index, scalar coefficients, ``+``/``-``, ``*`` and parentheses, e.g.
-``"X0"``, ``"0.5*Z0 + 0.5*Z1"``, ``"X0*X1"``. All factors are embedded into
-the full 2^n space (qubit 0 = least-significant bit) before combining, so
-products of operators on different qubits are tensor-aligned automatically.
+Operator expressions use the angle grammar of :mod:`optpulse.circuits`
+(``+ - *``, a sign before any factor, parentheses) over scalar coefficients
+and the factors ``X/Y/Z/I/SP/SM`` suffixed with a qubit index, e.g.
+``"X0"``, ``"0.5*Z0 + 0.5*Z1"``, ``"X0*-X1"``. They have no ``/`` and take no
+comments. All factors are embedded into the full 2^n space (qubit 0 =
+least-significant bit) before combining, so products of operators on
+different qubits are tensor-aligned automatically; a scalar in a sum is that
+multiple of the identity.
 
 hbar = 1 throughout; coefficients are angular frequencies per time unit.
 """
@@ -18,11 +21,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .circuits import _embed
-from .errors import ModelError
+from .circuits import _OPERATOR_LEXER, _Arithmetic, _embed, _tokenize
+from .errors import CircuitSyntaxError, ModelError
 
 HERMITICITY_TOL = 1e-12
 
@@ -35,130 +39,66 @@ _SINGLE_QUBIT_OPS = {
     "SM": np.array([[0, 1], [0, 0]], dtype=complex),  # |0><1|, lowering
 }
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op>X|Y|Z|I|SP|SM)(?P<idx>\d+)"
-    r"|(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<sym>[+\-*()]))"
-)
+
+@lru_cache(maxsize=1024)  # matching a name costs more than the rest of a factor
+def _factor(name: str) -> tuple[np.ndarray, int] | None:
+    """(single-qubit matrix, qubit) named by e.g. ``SM1``; None if no operator."""
+    m = re.fullmatch(r"(X|Y|Z|I|SP|SM)(\d+)", name)
+    return None if m is None else (_SINGLE_QUBIT_OPS[m[1]], int(m[2]))
 
 
-def _tokenize_expr(text: str) -> list[tuple[str, object]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ModelError(f"unknown operator token near {rest[:12]!r} in {text!r}")
-        if m.group("op"):
-            tokens.append(("op", (m.group("op"), int(m.group("idx")))))
-        elif m.group("num"):
-            tokens.append(("num", float(m.group("num"))))
-        else:
-            tokens.append(("sym", m.group("sym")))
-        pos = m.end()
-    if not tokens:
-        raise ModelError("empty operator expression")
-    return tokens
+class _OperatorParser(_Arithmetic):
+    """The shared grammar over operators: a number is a 0-d complex array,
+    ``*`` scales or takes the matrix product, a scalar in a sum is lifted to
+    a multiple of the identity, and there is no ``/``."""
 
+    products = "*"
 
-class _ExprBuilder:
-    """Evaluates an operator expression into a dense 2^n x 2^n matrix."""
+    def __init__(self, tokens, n_qubits: int):
+        super().__init__(tokens)
+        self.n_qubits = n_qubits
 
-    def __init__(self, tokens, n_qubits: int, text: str):
-        self.tokens = tokens
-        self.n = n_qubits
-        self.text = text
-        self.pos = 0
+    def atom(self, tok) -> np.ndarray:
+        if tok.kind == "number":
+            return np.asarray(float(tok.text), dtype=complex)
+        factor = _factor(tok.text)
+        if factor is None:
+            raise tok.error(f"unknown operator {tok.text!r}")
+        op, qubit = factor
+        if qubit >= self.n_qubits:
+            raise tok.error(f"qubit index out of range in {tok.text!r}")
+        return _embed(op, (qubit,), self.n_qubits)
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def apply(self, op: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        if op == "*":
+            return lhs * rhs if lhs.ndim == 0 or rhs.ndim == 0 else lhs @ rhs
+        if lhs.ndim != rhs.ndim:
+            lhs, rhs = self.lift(lhs), self.lift(rhs)
+        return lhs + rhs if op == "+" else lhs - rhs
 
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise ModelError(f"unexpected end of operator expression {self.text!r}")
-        self.pos += 1
-        return tok
+    def negate(self, value: np.ndarray) -> np.ndarray:
+        return -1.0 * value
 
-    def build(self) -> np.ndarray:
-        result = self.expression()
-        if self._peek() is not None:
-            raise ModelError(f"trailing tokens in operator expression {self.text!r}")
-        return result
-
-    def _lift(self, value: np.ndarray) -> np.ndarray:
-        # bare scalar in a sum means scalar * identity
+    def lift(self, value: np.ndarray) -> np.ndarray:
         if value.ndim == 0:
-            return complex(value) * np.eye(1 << self.n, dtype=complex)
+            return complex(value) * np.eye(1 << self.n_qubits, dtype=complex)
         return value
-
-    def expression(self) -> np.ndarray:
-        sign = 1.0
-        tok = self._peek()
-        if tok is not None and tok[0] == "sym" and tok[1] in "+-":
-            self._next()
-            sign = -1.0 if tok[1] == "-" else 1.0
-        value = sign * self.term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "sym" or tok[1] not in "+-":
-                return value
-            self._next()
-            rhs = self.term()
-            if value.ndim != rhs.ndim:
-                value, rhs = self._lift(value), self._lift(rhs)
-            value = value + rhs if tok[1] == "+" else value - rhs
-
-    def term(self) -> np.ndarray:
-        value = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "sym" or tok[1] != "*":
-                return value
-            self._next()
-            rhs = self.factor()
-            if value.ndim == 0 or rhs.ndim == 0:
-                value = value * rhs
-            else:
-                value = value @ rhs
-
-    def factor(self):
-        tok = self._next()
-        kind, payload = tok
-        if kind == "num":
-            # Scalars are lifted to matrices lazily via term()'s dispatch;
-            # represent as 0-d array so `ndim` distinguishes them.
-            return np.asarray(payload, dtype=complex)
-        if kind == "op":
-            name, idx = payload
-            if idx >= self.n:
-                raise ModelError(
-                    f"qubit index {idx} out of range in {self.text!r} "
-                    f"(model has {self.n} qubit(s))"
-                )
-            return _embed(_SINGLE_QUBIT_OPS[name], (idx,), self.n)
-        if payload == "(":
-            value = self.expression()
-            tok = self._next()
-            if tok != ("sym", ")"):
-                raise ModelError(f"missing ')' in operator expression {self.text!r}")
-            return value
-        raise ModelError(f"unexpected {payload!r} in operator expression {self.text!r}")
 
 
 def build_operator(expression: str, n_qubits: int) -> np.ndarray:
     """Materialize an operator expression as a dense 2^n x 2^n matrix."""
     if n_qubits < 1:
         raise ModelError("n_qubits must be positive")
-    tokens = _tokenize_expr(expression)
-    matrix = _ExprBuilder(tokens, n_qubits, expression).build()
-    if matrix.ndim != 2:
-        # a bare scalar expression: lift to a multiple of the identity
-        matrix = complex(matrix) * np.eye(1 << n_qubits, dtype=complex)
-    return matrix
+    try:  # the shared parser's positioned errors become the model's error
+        parser = _OperatorParser(_tokenize(expression, _OPERATOR_LEXER), n_qubits)
+        matrix = parser.expression()
+        if (tok := parser.peek()) is not None:
+            raise tok.error(f"unexpected {tok.text!r}")
+    except CircuitSyntaxError as exc:
+        raise ModelError(
+            f"{exc} in operator expression {expression!r} on {n_qubits} qubit(s)"
+        ) from None
+    return parser.lift(matrix)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class GaussianTerm:
     width: float | str = 1.0
 
     def __post_init__(self):
-        if isinstance(self.width, float) and not self.width > 0:
+        if not isinstance(self.width, str) and not 0 < self.width:
             raise OptimizationError(f"fixed width must be positive, got {self.width}")
 
 

@@ -16,7 +16,7 @@ sorted keys) so equality of programs is byte-equality of documents.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -121,23 +121,6 @@ class PulseProgram:
         for instr in self.instructions:
             arrays[instr.channel][instr.t0 : instr.end] = instr.samples
         return ControlSignal.from_samples(arrays, self.dt)
-
-
-def discretize_envelope(
-    envelope: Callable[[float], complex], duration: float, dt: float
-) -> np.ndarray:
-    """Left-endpoint samples f(n*dt), n = 0..round(duration/dt)-1."""
-    if not dt > 0:
-        raise OptimizationError(f"dt must be positive, got {dt}")
-    if duration < dt:
-        raise OptimizationError(
-            f"duration {duration} shorter than one sample period {dt}"
-        )
-    n = int(round(duration / dt))
-    values = np.asarray([complex(envelope(k * dt)) for k in range(n)])
-    if not np.all(np.isfinite(values.view(float))):
-        raise OptimizationError("envelope produced a non-finite sample")
-    return values
 
 
 def transform(

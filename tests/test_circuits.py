@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optpulse.circuits import (
     Circuit,
@@ -11,6 +13,7 @@ from optpulse.circuits import (
     circuit_unitary,
     eval_parametric,
     gate_matrix,
+    parse_angle,
     parse_circuit,
 )
 from optpulse.errors import CircuitError, CircuitSyntaxError
@@ -60,6 +63,74 @@ def test_syntax_error_carries_position():
 def test_newline_separated_statements_and_comments():
     c = parse_circuit("X(q[0])  // flip\nY(q[0])\n")
     assert [g.name for g in c.gates] == ["X", "Y"]
+
+
+@pytest.mark.parametrize(
+    "source, n_qubits, line, column",
+    [
+        ("X(q[0]);\nY(q[0]) $", None, 2, 9),
+        ("Rx(q[0], 1.2.3);", None, 1, 10),
+        ("X(q[1.0]);", None, 1, 5),
+        ("X(q[0]);\nRx(q[0],", None, 2, 8),
+        ("Rz(q[0], pi/2);\nRx(q[0], 2*theta);", None, 2, 12),
+        # every statement's syntax is checked before any gate name
+        ("Toffoli(q[0]);\nX(q[0]", None, 2, 6),
+        ("X(q[0]);\nCNOT(q[0], q[2]);", 2, 2, 14),
+    ],
+    ids=[
+        "bad-character",
+        "bad-number",
+        "non-integer-index",
+        "end-of-input",
+        "free-parameter-in-arithmetic",
+        "unknown-gate-before-syntax-error",
+        "index-out-of-range",
+    ],
+)
+def test_malformed_circuit_reports_line_and_column(source, n_qubits, line, column):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(source, n_qubits=n_qubits)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_comments_belong_to_circuit_source_only():
+    assert parse_circuit("Rx(q[0], pi // a half turn\n);").gates[0].params == (math.pi,)
+    for text in ("pi//2", "pi // 2", "1 // comment"):
+        with pytest.raises(CircuitSyntaxError):
+            parse_angle(text)
+
+
+_ANGLE_LEAVES = st.one_of(
+    st.just("pi"),
+    st.integers(0, 40).map(lambda n: f"{n}.0"),
+    st.sampled_from([".5", "3.", "2.50", "1e3", "2.5E-2", "0.1", "0.0"]),
+    st.floats(0, 1e6, allow_nan=False).map(repr),
+)
+_ANGLE_OPS = st.sampled_from(["+", "-", "*", "/", " * ", " - "])
+_ANGLE_TEXTS = st.recursive(
+    _ANGLE_LEAVES,
+    lambda kids: st.one_of(
+        st.tuples(kids, _ANGLE_OPS, kids).map("".join),
+        st.tuples(kids, _ANGLE_OPS, kids, _ANGLE_OPS, kids).map("".join),
+        st.tuples(st.sampled_from(["-", "+", "- "]), kids).map("".join),
+        kids.map(lambda k: f"({k})"),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANGLE_TEXTS)
+def test_parse_angle_matches_python_arithmetic(text):
+    # float literals only, so Python evaluates the same IEEE operations
+    try:
+        expected = eval(text, {"__builtins__": {}}, {"pi": math.pi})
+    except ZeroDivisionError:
+        with pytest.raises(CircuitError, match="division by zero"):
+            parse_angle(text)
+        return
+    value = parse_angle(text)
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 def test_missing_parenthesis_is_a_syntax_error():

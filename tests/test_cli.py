@@ -207,6 +207,30 @@ def test_simulate_initial_state_and_observables(h_pulse, fixtures, capsys):
     assert all(r[header.index("X0*X0")] == pytest.approx(1.0) for r in rows)
 
 
+@pytest.mark.parametrize("observable", ["Z0//2", "Z0/2"])
+def test_simulate_observables_take_no_division_or_comment(
+    h_pulse, fixtures, capsys, observable
+):
+    code, _, stderr = run(
+        capsys,
+        "simulate", h_pulse, fixtures / "model_1q_xy.json",
+        "--observables", observable,
+    )
+    assert code == 2
+    assert "operator expression" in stderr
+
+
+def test_simulate_observable_with_a_sign_inside_a_product(h_pulse, fixtures, capsys):
+    code, stdout, _ = run(
+        capsys,
+        "simulate", h_pulse, fixtures / "model_1q_xy.json",
+        "--observables", "X0*-X0",
+    )
+    assert code == 0
+    header, rows = read_csv(stdout)
+    assert all(r[header.index("X0*-X0")] == pytest.approx(-1.0) for r in rows)
+
+
 def test_simulate_channel_mismatch_exits_2(h_pulse, fixtures, capsys):
     code, _, stderr = run(
         capsys, "simulate", h_pulse, fixtures / "model_1q_x_nodrift.json"
@@ -315,7 +339,7 @@ def test_bind_accepts_pi_arithmetic(fixtures, capsys, raw, theta):
 
 
 @pytest.mark.parametrize(
-    "raw", ["__import__('os').getcwd()", "__import__", "pi pi", ""]
+    "raw", ["__import__('os').getcwd()", "__import__", "pi pi", "", "pi//2"]
 )
 def test_bind_rejects_anything_but_a_number(fixtures, capsys, raw):
     code, _, stderr = run(
@@ -350,6 +374,17 @@ def test_sweep_empty_values_gives_header_only(fixtures, capsys):
     )
     assert code == 0
     assert stdout.strip() == "value, infidelity, p_excited"
+
+
+def test_sweep_rejects_a_comment_in_a_value(fixtures, capsys):
+    code, stdout, stderr = run(
+        capsys,
+        "sweep", fixtures / "rx_theta.xasm", fixtures / "model_1q_x_nodrift.json",
+        "--values", "pi//2", "--max-time", "10",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
 
 
 def test_sweep_requires_exactly_one_free_param(fixtures, capsys):

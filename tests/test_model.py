@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optpulse.errors import ModelError
 from optpulse.model import (
@@ -59,6 +61,62 @@ def test_expression_errors():
         build_operator("", 1)
     with pytest.raises(ModelError):
         build_operator("X0 +", 1)
+    for text in ("Z0/2", "Z0//2", "Z0 // comment"):  # no division, no comments
+        with pytest.raises(ModelError):
+            build_operator(text, 1)
+
+
+def test_sign_inside_a_product():
+    x0, x1 = build_operator("X0", 2), build_operator("X1", 2)
+    assert np.array_equal(build_operator("X0*-X1", 2), -(x0 @ x1))
+
+
+_REFERENCE_OPS = {
+    "X": X,
+    "Y": Y,
+    "Z": Z,
+    "SP": np.array([[0, 0], [1, 0]], dtype=complex),
+    "SM": np.array([[0, 1], [0, 0]], dtype=complex),
+}
+
+
+def _reference_factor(name):
+    # two qubits, qubit 0 the least-significant bit of the basis index
+    op = _REFERENCE_OPS[name[:-1]]
+    return (name, np.kron(I2, op) if name[-1] == "0" else np.kron(op, I2))
+
+
+def _reference_binary(args):
+    (ltext, lhs), op, (rtext, rhs) = args
+    scalar = np.ndim(lhs) == 0 or np.ndim(rhs) == 0
+    if op == "*":
+        value = lhs * rhs if scalar else lhs @ rhs
+    else:
+        if np.ndim(lhs) != np.ndim(rhs):
+            lhs, rhs = (v * np.eye(4) if np.ndim(v) == 0 else v for v in (lhs, rhs))
+        value = lhs + rhs if op == "+" else lhs - rhs
+    return (f"({ltext}{op}{rtext})", value)
+
+
+_OPERATOR_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from(["X0", "Y1", "Z0", "SP0", "SM1"]).map(_reference_factor),
+        st.sampled_from(["0.5", "2", "1.25", ".75"]).map(lambda t: (t, complex(t))),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from(["+", "-", "*"]), kids).map(_reference_binary),
+        kids.map(lambda k: (f"-{k[0]}", -k[1])),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPERATOR_TREES)
+def test_build_operator_matches_a_numpy_evaluation_of_the_same_tree(tree):
+    text, value = tree
+    expected = value * np.eye(4) if np.ndim(value) == 0 else value
+    assert np.array_equal(build_operator(text, 2), expected)
 
 
 MODEL_DOC = {

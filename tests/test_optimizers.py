@@ -532,6 +532,31 @@ def test_goat_custom_spec_needs_initial_parameters():
     assert res.method == "GOAT"
 
 
+@pytest.mark.parametrize("width", [-2, 0, -2.0, 0.0, float("nan")])
+def test_goat_fixed_width_must_be_positive(width):
+    with pytest.raises(OptimizationError, match="width"):
+        GaussianTerm("amp", 5.0, width)
+
+
+def test_goat_integer_fixed_width_runs_as_float():
+    p = x_problem(max_iters=3)
+    runs = [
+        goat_optimize(
+            p,
+            spec=GoatEnvelopeSpec(
+                terms=(("dx", GaussianTerm("amp", 5.0, width)),), param_names=("amp",)
+            ),
+            initial_parameters=np.array([0.1]),
+        )
+        for width in (2, 2.0)
+    ]
+    assert np.array_equal(runs[0].optimal_params, runs[1].optimal_params)
+    assert runs[0].final_infidelity == runs[1].final_infidelity
+    assert np.array_equal(
+        runs[0].synthesized_samples["dx"], runs[1].synthesized_samples["dx"]
+    )
+
+
 # ------------------------------------------------------------------ Krotov
 
 

@@ -23,7 +23,6 @@ from optpulse.synthesis import (
     PulseLibrary,
     PulseProgram,
     compile_circuit,
-    discretize_envelope,
     emit_program,
     library_lower,
     parse_program,
@@ -78,22 +77,6 @@ def test_to_signal_pads_idle_stretches_with_zeros():
     sig = prog.to_signal()
     assert np.allclose(sig.samples["d0"], [0, 0, 1, 2])
     assert np.allclose(sig.samples["d1"], [5, 0, 0, 0])
-
-
-# ------------------------------------------------------------ discretizer
-
-
-def test_discretize_envelope_takes_left_endpoints():
-    vals = discretize_envelope(lambda t: t, 1.0, 0.25)
-    assert np.allclose(vals, [0.0, 0.25, 0.5, 0.75])
-    assert vals.size == 4
-
-
-def test_discretize_envelope_errors():
-    with pytest.raises(OptimizationError):
-        discretize_envelope(lambda t: 1.0, 0.1, 0.25)  # shorter than dt
-    with pytest.raises(OptimizationError):
-        discretize_envelope(lambda t: float("nan"), 1.0, 0.25)
 
 
 # ----------------------------------------------------------- serialization
