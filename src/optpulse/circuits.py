@@ -275,7 +275,10 @@ class _CircuitParser(_Arithmetic):
             if idx.kind != "number" or not idx.text.isdigit():
                 raise idx.error(f"qubit index must be an integer, found {idx.text!r}")
             self.next("]")
-            targets.append((int(idx.text), idx))
+            try:
+                targets.append((int(idx.text), idx))
+            except ValueError:  # past int()'s digit limit
+                raise idx.error("qubit index is too large") from None
         else:
             angles.append(self.expression())
 

@@ -20,8 +20,10 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
 * ``lindblad_evolve`` -- exact per-slice propagation of the Lindblad master
   equation for sampled signals: rho_{n+1} = exp(L_n dt) rho_n with the
   Liouvillian L_n constant inside each slice, applied to rho by a Taylor
-  series on norm-bounded substeps (no d^2 x d^2 matrix is formed). Returns
-  the density-matrix trajectory at every sample time.
+  series on norm-bounded substeps (no d^2 x d^2 matrix is formed). Each
+  Taylor term is two plain GEMMs: L_n(rho) = sum_a A_a rho B_a, with the
+  factors A_a stacked into one left matrix and the B_a into one right
+  matrix. Returns the density-matrix trajectory at every sample time.
 
 Samples are complex for format compatibility, but with no quadrature
 partner declared the imaginary part must vanish; only Re(s) drives Op_c.
@@ -269,6 +271,8 @@ def evolve_states(
     psi = np.asarray(psi0, dtype=complex).ravel()
     if psi.size != model.dim:
         raise DynamicsError(f"state dim {psi.size} != model dim {model.dim}")
+    if not np.all(np.isfinite(psi)):
+        raise DynamicsError("initial state has non-finite entries")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise DynamicsError("initial state is not normalized")
     umats = slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]
@@ -364,9 +368,15 @@ def lindblad_evolve(
     rho_{n+1} = exp(L_n dt) rho_n. The exponential is applied to rho, never
     formed: each slice splits into substeps whose a-priori generator norm
     is at most 1/2, and each substep sums the Taylor series of
-    exp(h L_n) rho until a term drops below round-off. A slice that would
-    need more than ``MAX_LINDBLAD_SUBSTEPS`` substeps raises
-    ``DynamicsError``.
+    exp(h L_n) rho until a term drops below round-off. With
+    J_j = sqrt(gamma_j) L_j and G_n = -i H_n - sum_j J_j^+ J_j / 2, the
+    generator is L_n(rho) = sum_a A_a rho B_a over A = (G_n, I, J_1, ...)
+    and B = (I, G_n^+, J_1^+, ...). The A_a are laid out as one
+    (d (m+2), d) left factor and the B_a as one ((m+2) d, d) right factor,
+    so a Taylor term is two GEMMs (``_lindblad_substep``); only the G_n and
+    G_n^+ blocks change from slice to slice. A slice that would need
+    more than ``MAX_LINDBLAD_SUBSTEPS`` substeps, or an unbounded number,
+    raises ``DynamicsError``.
     """
     rho_init = np.asarray(rho0, dtype=complex)
     if rho_init.ndim == 1:  # pure state given as a vector
@@ -375,6 +385,8 @@ def lindblad_evolve(
         raise DynamicsError(
             f"rho0 shape {rho_init.shape} != ({model.dim}, {model.dim})"
         )
+    if not np.all(np.isfinite(rho_init)):
+        raise DynamicsError("rho0 has non-finite entries")
     trace = complex(np.trace(rho_init))
     if abs(trace - 1.0) > 1e-9:
         raise DynamicsError("rho0 must have unit trace")
@@ -387,24 +399,27 @@ def lindblad_evolve(
         [np.sqrt(rate) * op for rate, op in model.collapse_terms()], dtype=complex
     ).reshape(-1, d, d)
     jumps_dag = jumps.conj().swapaxes(-1, -2)
-    # For Hermitian rho, L_n(rho) = W + W^+ with W = sum_j A_j rho B_j over
-    # A = (G_n, J_1, ...), B = (I, J_1^+/2, ...) and G_n = -i H_n - sum_j J_j^+ J_j/2
     gens = -1j * hams - 0.5 * (jumps_dag @ jumps).sum(axis=0)
-    rights = np.concatenate([np.eye(d, dtype=complex)[None], 0.5 * jumps_dag])
     bound = 2.0 * _norm_bound(gens) + np.sum(_norm_bound(jumps) ** 2)
-    substeps = np.maximum(1, np.ceil(2.0 * bound * signal.dt)).astype(int)
-    if substeps.max() > MAX_LINDBLAD_SUBSTEPS:
+    substeps = np.maximum(1.0, np.ceil(2.0 * bound * signal.dt))
+    if not np.all(substeps <= MAX_LINDBLAD_SUBSTEPS):  # NaN and inf fail too
         raise DynamicsError(
-            f"drive too strong for dt={signal.dt}: a slice needs {substeps.max()} "
-            f"Lindblad substeps (cap {MAX_LINDBLAD_SUBSTEPS})"
+            f"drive too strong for dt={signal.dt}: a slice needs "
+            f"{np.max(substeps):.4g} Lindblad substeps (cap {MAX_LINDBLAD_SUBSTEPS})"
         )
+    factors = len(jumps) + 2
+    left = np.empty((d, factors, d), dtype=complex)
+    left[:, 1], left[:, 2:] = np.eye(d), jumps.swapaxes(0, 1)
+    right = np.empty((factors, d, d), dtype=complex)
+    right[0], right[2:] = np.eye(d), jumps_dag
+    left_rows, right_rows = left.reshape(-1, d), right.reshape(-1, d)
     rho = rho_init.copy()
     traj = [rho]
-    for gen, steps in zip(gens, substeps):
-        lefts = np.concatenate([gen[None], jumps])
+    for gen, steps in zip(gens, substeps.astype(int)):
+        left[:, 0], right[1] = gen, gen.conj().T
         h = signal.dt / steps
         for _ in range(steps):
-            rho = _lindblad_substep(lefts, rights, rho, h)
+            rho = _lindblad_substep(left_rows, right_rows, rho, h)
         rho = 0.5 * (rho + rho.conj().T)  # clip Hermiticity round-off
         traj.append(rho)
     times = np.arange(signal.n_samples + 1) * signal.dt
@@ -412,25 +427,36 @@ def lindblad_evolve(
 
 
 def _norm_bound(mats: np.ndarray) -> np.ndarray:
-    """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2, per matrix of a stack."""
+    """sqrt(||A||_1 ||A||_inf), an upper bound on ||A||_2, per matrix of a stack.
+
+    Each norm takes its own square root, so the product overflows only when
+    the bound itself does.
+    """
     mag = np.abs(mats)
-    return np.sqrt(mag.sum(axis=-2).max(axis=-1) * mag.sum(axis=-1).max(axis=-1))
+    cols, rows = mag.sum(axis=-2).max(axis=-1), mag.sum(axis=-1).max(axis=-1)
+    return np.sqrt(cols) * np.sqrt(rows)
 
 
 def _lindblad_substep(
-    lefts: np.ndarray, rights: np.ndarray, rho: np.ndarray, h: float
+    left: np.ndarray, right: np.ndarray, rho: np.ndarray, h: float
 ) -> np.ndarray:
-    """exp(h L) rho for Hermitian rho by its Taylor series; L(r) = W + W^+.
+    """exp(h L) rho by its Taylor series; L(r) = sum_a A_a r B_a.
 
-    The caller keeps ||h L||_2 <= 1/2, so each term is at most half the one
-    before it; the sum stops once a term is below round-off of rho.
+    ``left`` is (d (m+2), d) with row i (m+2) + a holding row i of A_a;
+    ``right`` is ((m+2) d, d) with the B_a stacked. left r, read as
+    (d, (m+2) d), holds the A_a r side by side, so its product with
+    ``right`` sums the A_a r B_a. The caller keeps ||h L||_2 <= 1/2, so
+    each term is at most half the one before it; the sum stops once a term
+    is below round-off of rho.
     """
+    d = rho.shape[0]
     floor = _EPS**2 * np.vdot(rho, rho).real
-    total = term = rho
+    total, term = rho.copy(), rho
     for k in range(1, MAX_TAYLOR_TERMS + 1):
-        w = (lefts @ term @ rights).sum(axis=0)
-        term = (h / k) * (w + w.conj().T)
-        total = total + term
+        # np.dot: the same GEMMs as @, without matmul's ufunc dispatch
+        term = np.dot(np.dot(left, term).reshape(d, -1), right)
+        term *= h / k
+        total += term
         if np.vdot(term, term).real <= floor:
             break
     return total

@@ -19,6 +19,7 @@ hbar = 1 throughout; coefficients are angular frequencies per time unit.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -60,8 +61,13 @@ class _OperatorParser(_Arithmetic):
 
     def atom(self, tok) -> np.ndarray:
         if tok.kind == "number":
-            return np.asarray(float(tok.text), dtype=complex)
-        factor = _factor(tok.text)
+            if not math.isfinite(value := float(tok.text)):
+                raise tok.error(f"number {tok.text!r} overflows")
+            return np.asarray(value, dtype=complex)
+        try:
+            factor = _factor(tok.text)
+        except ValueError:  # an index past int()'s digit limit
+            raise tok.error("qubit index out of range") from None
         if factor is None:
             raise tok.error(f"unknown operator {tok.text!r}")
         op, qubit = factor
@@ -135,20 +141,29 @@ class SystemModel:
             if not np.isfinite(coef):
                 raise ModelError(f"drift coefficient of {expr!r} is {coef}")
             op = build_operator(expr, self.n_qubits)
-            if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
-                raise ModelError(f"drift operator {expr!r} is not Hermitian")
+            # written so that NaN, which every comparison fails, is rejected
+            if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
+                raise ModelError(
+                    f"drift operator {expr!r} is not a finite Hermitian matrix"
+                )
             drift += coef * op
+        if not np.isfinite(drift).all():
+            raise ModelError("drift Hamiltonian overflows")
         controls = np.zeros((len(self.control), self.dim, self.dim), dtype=complex)
         for i, (ch, expr) in enumerate(self.control):
             op = build_operator(expr, self.n_qubits)
-            if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
+            if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
                 raise ModelError(
-                    f"control operator {expr!r} on channel {ch!r} is not Hermitian"
+                    f"control operator {expr!r} on channel {ch!r} is not a finite "
+                    "Hermitian matrix"
                 )
             controls[i] = op
-        collapse = [
-            (rate, build_operator(expr, self.n_qubits)) for rate, expr in self.collapse
-        ]
+        collapse = []
+        for rate, expr in self.collapse:
+            op = build_operator(expr, self.n_qubits)
+            if not np.isfinite(op).all():
+                raise ModelError(f"collapse operator {expr!r} is not finite")
+            collapse.append((rate, op))
         # built once per model; callers share the arrays, so freeze them
         for arr in (drift, controls, *(op for _, op in collapse)):
             arr.flags.writeable = False

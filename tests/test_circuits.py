@@ -93,6 +93,12 @@ def test_malformed_circuit_reports_line_and_column(source, n_qubits, line, colum
     assert (err.value.line, err.value.column) == (line, column)
 
 
+def test_qubit_index_over_the_digit_limit_is_a_syntax_error():
+    with pytest.raises(CircuitSyntaxError, match="too large") as err:
+        parse_circuit("H(q[0]);\nX(q[" + "1" * 5000 + "]);")
+    assert (err.value.line, err.value.column) == (2, 5)
+
+
 def test_comments_belong_to_circuit_source_only():
     assert parse_circuit("Rx(q[0], pi // a half turn\n);").gates[0].params == (math.pi,)
     for text in ("pi//2", "pi // 2", "1 // comment"):

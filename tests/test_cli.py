@@ -272,6 +272,39 @@ def test_simulate_huge_t0_exits_2(tmp_path, fixtures, capsys):
     assert "samples" in stderr
 
 
+def test_simulate_t1_with_an_overflowing_drive_exits_2(tmp_path, capsys):
+    # the Lindblad substep count overflows
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"n_qubits": 1, "dt": 0.1, "control": [{"channel": "dx", "op": "X0"}]}'
+    )
+    pulse = tmp_path / "p.json"
+    pulse.write_text(json.dumps({
+        "dt": 0.1,
+        "instructions": [{"channel": "dx", "t0": 0, "samples": [[1e200, 0]] * 3}],
+    }))
+    code, stdout, stderr = run(capsys, "simulate", pulse, model, "--t1", "20")
+    assert code == 2
+    assert stdout == "" and "substeps" in stderr
+
+
+def test_compile_with_a_non_finite_operator_exits_2_at_the_model(
+    tmp_path, fixtures, capsys
+):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "n_qubits": 1, "dt": 0.2,
+        "drift": [{"coef": 1.0, "op": "1e999*X0"}],
+        "control": [{"channel": "dx", "op": "X0"}],
+    }))
+    code, _, stderr = run(
+        capsys, "compile", fixtures / "x.xasm", model, "--max-time", "10",
+        "-o", tmp_path / "x.json",
+    )
+    assert code == 2
+    assert "number '1e999' overflows" in stderr and "'1e999*X0'" in stderr
+
+
 def test_simulate_empty_program_is_constant(tmp_path, fixtures, capsys):
     pulse = tmp_path / "empty.json"
     pulse.write_text('{"dt": 0.2, "instructions": [], "metadata": {}}\n')
@@ -304,6 +337,14 @@ def test_unitary_prints_x_matrix(fixtures, capsys):
     assert code == 0
     rows = [[complex(z) for z in line.split()] for line in stdout.strip().split("\n")]
     assert np.allclose(rows, [[0, 1], [1, 0]])
+
+
+def test_unitary_qubit_index_over_the_digit_limit_exits_2(tmp_path, capsys):
+    source = tmp_path / "big.xasm"
+    source.write_text("X(q[" + "1" * 5000 + "]);\n")
+    code, _, stderr = run(capsys, "unitary", source)
+    assert code == 2
+    assert "too large" in stderr and "column 5" in stderr
 
 
 def test_unitary_h_as_yx_matches_hadamard(fixtures, capsys):

@@ -288,6 +288,14 @@ def test_evolve_states_rejects_unnormalized_input():
         evolve_states(model, sig, np.array([1.0, 1.0]))
 
 
+def test_evolve_states_rejects_a_non_finite_state():
+    # NaN fails the norm comparison, so only a finiteness check catches it
+    model = x_model()
+    sig = ControlSignal.from_samples({"dx": np.zeros(5)}, model.dt)
+    with pytest.raises(DynamicsError, match="non-finite"):
+        evolve_states(model, sig, np.array([np.nan, 0.0]))
+
+
 def test_signal_channel_must_exist_in_model():
     model = x_model()
     sig = ControlSignal.from_samples({"nope": np.zeros(5)}, model.dt)
@@ -384,18 +392,28 @@ def liouvillian(ham, jumps):
     return sup
 
 
-PAULI_TERMS = {1: ["X0", "Y0", "Z0"], 2: ["X0", "Y1", "Z0", "Z1", "X0*X1", "Y0*Z1"]}
-JUMP_TERMS = {1: ["SM0", "SP0", "Z0", "X0"], 2: ["SM0", "SM1", "SP1", "Z0", "SM0*SM1"]}
+PAULI_TERMS = {
+    1: ["X0", "Y0", "Z0"],
+    2: ["X0", "Y1", "Z0", "Z1", "X0*X1", "Y0*Z1"],
+    3: ["X0", "Y1", "Z2", "Z0*Z1", "X1*X2", "Y0*Z2"],
+}
+JUMP_TERMS = {
+    1: ["SM0", "SP0", "Z0", "X0"],
+    2: ["SM0", "SM1", "SP1", "Z0", "SM0*SM1"],
+    3: ["SM0", "SM1", "SM2", "SP2", "Z1", "SM0*SM2"],
+}
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_qubits=st.sampled_from([1, 2]),
-    n_jumps=st.integers(1, 3),
+    n_qubits=st.sampled_from([1, 2, 3]),
+    n_jumps=st.integers(1, 4),
     n_slices=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     dt=st.floats(0.01, 0.5),
 )
+@example(n_qubits=1, n_jumps=1, n_slices=2, seed=0, dt=0.3)
+@example(n_qubits=3, n_jumps=4, n_slices=3, seed=1, dt=0.4)
 def test_lindblad_matches_dense_liouvillian_exponential(
     n_qubits, n_jumps, n_slices, seed, dt
 ):
@@ -446,6 +464,28 @@ def test_lindblad_fails_fast_on_pathological_amplitude():
     with pytest.raises(DynamicsError, match="substeps"):
         lindblad_evolve(model, sig, np.array([1.0, 0.0]))
     assert time.perf_counter() - start < 1.0
+
+
+def test_lindblad_rejects_an_overflowing_substep_count():
+    # the norm bound overflows to inf, which has no integer substep count
+    model = SystemModel(
+        n_qubits=1, dt=0.1, control=(("dx", "X0"),), collapse=((0.05, "SM0"),)
+    )
+    sig = ControlSignal.from_samples({"dx": np.full(3, 1e200)}, model.dt)
+    with pytest.raises(DynamicsError, match="substeps"):
+        lindblad_evolve(model, sig, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "rho0",
+    [np.array([np.nan, 0.0]), np.diag([np.nan, 0.0])],
+    ids=["vector", "density-matrix"],
+)
+def test_lindblad_rejects_a_non_finite_rho0(rho0):
+    model = x_model()
+    sig = ControlSignal.from_samples({"dx": np.zeros(4)}, model.dt)
+    with pytest.raises(DynamicsError, match="non-finite"):
+        lindblad_evolve(model, sig, rho0)
 
 
 def test_accepts_state_vector_as_rho0():

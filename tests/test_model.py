@@ -195,6 +195,36 @@ def test_non_hermitian_operators_rejected():
         SystemModel(n_qubits=1, dt=0.1, drift=((1.0, "SM0"),))
 
 
+@pytest.mark.parametrize("role", ["drift", "control", "collapse"])
+def test_non_finite_number_in_an_operator_rejected(role):
+    # 1e999 reads as inf; in a matrix, inf * 0 gives NaN entries, which no
+    # Hermiticity comparison rejects
+    entry = {"drift": {"coef": 1.0}, "control": {"channel": "dx"},
+             "collapse": {"rate": 0.1}}[role]
+    doc = {"n_qubits": 1, "dt": 0.1, role: [{**entry, "op": "1e999*X0"}]}
+    with pytest.raises(ModelError, match=r"number '1e999' overflows.*'1e999\*X0'"):
+        parse_model(doc)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"drift": [{"coef": 1e300, "op": "1e300*Z0"}]}, "drift Hamiltonian"),
+        ({"control": [{"channel": "dx", "op": "1e200*1e200*X0"}]}, "finite Hermitian"),
+        ({"collapse": [{"rate": 0.1, "op": "1e200*1e200*SM0"}]}, "not finite"),
+    ],
+    ids=["drift", "control", "collapse"],
+)
+def test_overflowing_operator_arithmetic_rejected(spec, message):
+    with pytest.warns(RuntimeWarning), pytest.raises(ModelError, match=message):
+        parse_model({"n_qubits": 1, "dt": 0.1, **spec})
+
+
+def test_operator_qubit_index_over_the_digit_limit():
+    with pytest.raises(ModelError, match="qubit index out of range"):
+        build_operator("X" + "9" * 5000, 1)
+
+
 def test_negative_collapse_rate_rejected():
     with pytest.raises(ModelError):
         SystemModel(n_qubits=1, dt=0.1, collapse=((-0.5, "SM0"),))
