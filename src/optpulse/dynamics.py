@@ -7,12 +7,15 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
   exponentials for sampled (piecewise-constant) signals, closed systems
   only. The slice exponentials come from ``slice_propagators``, one stacked
   eigendecomposition that the GRAPE, GOAT and Krotov optimizers share;
-  ``ordered_products`` forms every partial product of such a stack in
-  about 2 sqrt(N) stacked matmuls, which gives both the total propagator
-  and the state trajectory. Qubit stacks (d = 2) take a path of
-  plain elementwise arithmetic: the eigendecomposition in closed form and
-  every stacked 2x2 product written out (``_matmul``), since numpy spends
-  one BLAS call per matrix on a stacked matmul.
+  ``ordered_products`` forms every partial product of such a stack by a
+  pairwise recursion, about 2 log2(N) stacked matmuls, which gives both
+  the total propagator and the state trajectory. Qubit stacks (d = 2)
+  take a path of plain elementwise arithmetic: the eigendecomposition in
+  closed form and every stacked 2x2 product written out (``_matmul``),
+  since numpy spends one BLAS call per matrix on a stacked matmul. Their
+  (N, 2, 2) stacks keep the slice index as the contiguous axis (Fortran
+  order), so each elementwise operation runs over one entry of every
+  slice at once; larger stacks stay in C order for eigh and BLAS.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
   unitarity defect meets tolerance. It shares no exponential with the other
@@ -153,9 +156,10 @@ def slice_propagators(
 
     Returns (umats, evals, evecs) with H = evecs diag(evals) evecs^+ per
     slice and evals ascending. Qubit stacks (d = 2) take their
-    eigendecomposition in closed form (``_eigh2``), larger ones from one
-    stacked eigh. Only the lower triangle of H is read; Hermiticity is the
-    caller's guarantee.
+    eigendecomposition in closed form (``_eigh2``) and come back with the
+    slice axis contiguous, whatever the input's layout; larger ones come
+    from one stacked eigh, in C order. Only the lower triangle of H is
+    read; Hermiticity is the caller's guarantee.
     """
     evals, evecs = (_eigh2 if hams.shape[-1] == 2 else np.linalg.eigh)(hams)
     phases = np.exp(-1j * evals * dt)
@@ -171,15 +175,16 @@ def _eigh2(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are m - r <= m + r, with eigenvectors (-sin t, e^{i arg b}
     cos t) and (cos t, e^{i arg b} sin t). The phase comes from arg b, not
     b/|b|, which overflows when |b| is subnormal; b = 0 gives phase 1.
+    Both results are in Fortran order: the slice axis is contiguous.
     """
     a, c, b = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
     mean, half, mod = 0.5 * (a + c), 0.5 * (a - c), np.abs(b)
     radius = np.hypot(half, mod)
     t = 0.5 * np.arctan2(mod, half)
     cos, sin, phase = np.cos(t), np.sin(t), np.exp(1j * np.angle(b))
-    evals = np.empty(hams.shape[:-1])
+    evals = np.empty(hams.shape[:-1], order="F")
     evals[..., 0], evals[..., 1] = mean - radius, mean + radius
-    evecs = np.empty(hams.shape, dtype=complex)
+    evecs = np.empty(hams.shape, dtype=complex, order="F")
     evecs[..., 0, 0], evecs[..., 0, 1] = -sin, cos
     evecs[..., 1, 0], evecs[..., 1, 1] = phase * cos, phase * sin
     return evals, evecs
@@ -190,46 +195,54 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     numpy runs a stacked matmul as one BLAS call per matrix, which for
     d = 2 costs several times the arithmetic written out; from d = 4 on the
-    BLAS calls are the faster form.
+    BLAS calls are the faster form. The 2x2 products are formed in Fortran
+    order, so each ufunc's inner loop runs along the slice axis, and the
+    result has the slice axis contiguous for operands of any layout, one
+    broadcast (2, 2) matrix included. Larger products come back from ``@``
+    in C order.
     """
     if a.shape[-1] != 2:
         return a @ b
-    return (
-        a[..., :, 0, None] * b[..., None, 0, :]
-        + a[..., :, 1, None] * b[..., None, 1, :]
-    )
+    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], order="F")
+    out += np.multiply(a[..., :, 1, None], b[..., None, 1, :], order="F")
+    return out
 
 
 def ordered_products(umats: np.ndarray) -> np.ndarray:
     """prods[k] = U_k ... U_0 for an (N, d, d) stack of slice propagators.
 
-    The stack is cut into about sqrt(N) blocks of about sqrt(N) slices,
-    the last padded with identities. One loop forms the running product
-    inside every block at once; a second carries each block's total into
-    the next, as one (width d, d) x (d, d) product per block. That is about
-    2 sqrt(N) stacked products in place of N single ones, for twice the
-    flops of the sequential loop.
+    A pairwise prefix product (Blelloch, "Prefix sums and their
+    applications", 1990): multiply neighbours into pairs U_{2k+1} U_{2k},
+    recurse on the N/2 pairs, whose products are the odd entries, and fill
+    in each even entry as U_{2k} times the odd entry before it. That is
+    about 2 log2(N) stacked products, for twice the flops of the sequential
+    loop. The result has the input's layout: slice-contiguous for the qubit
+    stacks of ``slice_propagators``, C order for larger ones.
     """
-    n, d = umats.shape[0], umats.shape[-1]
-    width = max(1, int(np.ceil(np.sqrt(n))))
-    blocks = -(-n // width)
-    prods = np.empty((blocks * width, d, d), dtype=complex)
-    prods[:n] = umats
-    prods[n:] = np.eye(d)
-    grid = prods.reshape(blocks, width, d, d)
-    for j in range(1, width):
-        grid[:, j] = _matmul(grid[:, j], grid[:, j - 1])
-    rows = prods.reshape(blocks, width * d, d)
-    for b in range(1, blocks):
-        rows[b] = rows[b] @ grid[b - 1, -1]
-    return prods[:n]
+    prods = np.empty_like(umats)
+    prods[0] = umats[0]
+    if len(umats) > 1:
+        odd = ordered_products(_matmul(umats[1::2], umats[:-1:2]))
+        prods[1::2] = odd
+        prods[2::2] = _matmul(umats[2::2], odd[: (len(umats) - 1) // 2])
+    return prods
 
 
 def _stacked_hamiltonians(
     drift: np.ndarray, ops: np.ndarray, amps: np.ndarray
 ) -> np.ndarray:
-    """H_n = drift + sum_c amps[c, n] ops[c]: (C, N) amplitudes -> (N, d, d)."""
+    """H_n = drift + sum_c amps[c, n] ops[c]: (C, N) amplitudes -> (N, d, d).
+
+    Qubit stacks (d = 2) come out with the slice axis contiguous (Fortran
+    order), the layout of the 2x2 path; larger ones in C order for eigh.
+    """
     d = drift.shape[0]
+    if d == 2:
+        # row 2j + i of ops.T.reshape(4, C) is entry (i, j) of every op, so
+        # the (4, N) product read as [j, i, n] and transposed is [n, i, j]
+        hams = (ops.T.reshape(4, -1) @ amps).reshape(2, 2, -1).T
+        hams += drift
+        return hams
     return drift + (amps.T @ ops.reshape(len(ops), d * d)).reshape(-1, d, d)
 
 
@@ -293,7 +306,8 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U with fixed-step RK3 over the signal.
 
     The step starts at dt/10 and is halved until the unitarity defect of
-    the result is within ``UNITARITY_TOL``; running out of halvings raises.
+    the result is within ``UNITARITY_TOL``; running out of halvings, or a
+    non-finite result, raises.
     Sampled signals are integrated slice by slice with the Hamiltonian
     frozen inside each slice, so RK stages never straddle a sample
     discontinuity.
@@ -349,6 +363,8 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     integrate = integrate_sliced if signal.is_sampled else integrate_smooth
     for _ in range(MAX_STEP_HALVINGS + 1):
         u = integrate(h0)
+        if not np.all(np.isfinite(u)):  # no smaller step mends NaN or inf
+            raise DynamicsError("RK3 propagator has non-finite entries")
         defect = np.max(np.abs(u.conj().T @ u - eye))
         if defect <= UNITARITY_TOL:
             return u
@@ -476,7 +492,10 @@ def _expectations(operators, states) -> np.ndarray:
         raise DynamicsError("observables or states differ in shape") from None
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DynamicsError(f"observable shape {ops.shape[1:]} is not square")
-    if np.max(np.abs(ops - ops.conj().swapaxes(1, 2)), initial=0.0) > HERMITICITY_TOL:
+    if not np.all(np.isfinite(ops)):
+        raise DynamicsError("observable has non-finite entries")
+    asymmetry = np.max(np.abs(ops - ops.conj().swapaxes(1, 2)), initial=0.0)
+    if not asymmetry <= HERMITICITY_TOL:
         raise DynamicsError("observable is not Hermitian")
     dim = ops.shape[1]
     # stacked matmuls sum in the same order as one op @ state at a time
@@ -488,7 +507,7 @@ def _expectations(operators, states) -> np.ndarray:
     else:
         raise DynamicsError(f"state shape {block.shape[1:]} does not fit dim {dim}")
     residual = np.max(np.abs(values.imag), initial=0.0)
-    if residual > 1e-9:
+    if not residual <= 1e-9:
         raise DynamicsError(f"expectation has imaginary residual {residual:.3e}")
     return values.real + 0.0  # turns -0.0, which prints as "-0", into 0.0
 

@@ -169,7 +169,8 @@ class _Propagation:
     from one stacked ``slice_propagators`` call and the products from
     ``ordered_products``; fields:
       umats (N,d,d), evals (N,d), evecs (N,d,d),
-      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
+      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I, laid
+      out like umats (for d = 2 with the slice axis contiguous),
       total = fwd[N], overlap g = Tr(target^+ total), loss.
     The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
     so they are never formed (see ``_times_inverse``).
@@ -185,8 +186,10 @@ class _Propagation:
     ):
         hams = _stacked_hamiltonians(drift, ops, amps)
         self.umats, self.evals, self.evecs = slice_propagators(hams, dt)
-        eye = np.eye(drift.shape[0], dtype=complex)
-        self.fwd = np.concatenate([eye[None], ordered_products(self.umats)])
+        n, d = self.umats.shape[:2]
+        self.fwd = np.empty_like(self.umats, shape=(n + 1, d, d))
+        self.fwd[0] = np.eye(d)
+        self.fwd[1:] = ordered_products(self.umats)
         self.total = self.fwd[-1]
         self.overlap, self.loss = _trace_loss(self.total, target)
 
@@ -230,8 +233,11 @@ def _gradient_from_state(
     v = state.evecs
     vh = v.conj().swapaxes(1, 2)
     before, f = state.fwd[:-1], state.fwd[1:]
-    # fwd[n] (target^+ total) for every n as one (N d, d) x (d, d) product
-    c = (before.reshape(-1, d) @ (target.conj().T @ state.total)).reshape(f.shape)
+    boundary = target.conj().T @ state.total
+    if d == 2:  # keep the qubit stack's slice-contiguous layout
+        c = _matmul(before, boundary)
+    else:  # fwd[n] boundary for every n as one (N d, d) x (d, d) product
+        c = (before.reshape(-1, d) @ boundary).reshape(f.shape)
     c = _times_inverse(c, f)
     q = _matmul(_matmul(v, _matmul(_matmul(vh, c), v) * phi), vh)
     dg = (-1j * dt) * (

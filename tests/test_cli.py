@@ -220,6 +220,19 @@ def test_simulate_observables_take_no_division_or_comment(
     assert "operator expression" in stderr
 
 
+def test_simulate_overflowing_observable_exits_2(h_pulse, fixtures, capsys):
+    # the literals are finite; their product overflows to inf, and inf * 0
+    # puts NaN off the diagonal
+    with pytest.warns(RuntimeWarning):
+        code, stdout, stderr = run(
+            capsys,
+            "simulate", h_pulse, fixtures / "model_1q_xy.json",
+            "--observables", "1e200*1e200*Z0",
+        )
+    assert code == 2 and stdout == ""
+    assert "non-finite" in stderr
+
+
 def test_simulate_observable_with_a_sign_inside_a_product(h_pulse, fixtures, capsys):
     code, stdout, _ = run(
         capsys,

@@ -10,6 +10,8 @@ from scipy.linalg import expm
 
 from optpulse.dynamics import (
     ControlSignal,
+    _matmul,
+    _stacked_hamiltonians,
     evolve_continuous,
     evolve_states,
     expectation,
@@ -21,6 +23,7 @@ from optpulse.dynamics import (
 )
 from optpulse.errors import DynamicsError
 from optpulse.model import SystemModel, build_operator
+from optpulse.optimize.problem import _Propagation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1, -1]).astype(complex)
@@ -164,21 +167,82 @@ def _sequential_products(umats):
     n=st.integers(1, 300),
     dim=st.sampled_from([2, 4, 8]),
     seed=st.integers(0, 2**32 - 1),
+    c_order=st.booleans(),
 )
-@example(n=1, dim=2, seed=0)
-@example(n=2, dim=4, seed=1)
-@example(n=97, dim=8, seed=2)  # prime: the last block is mostly padding
-@example(n=256, dim=2, seed=3)  # perfect square: every block is full
-def test_ordered_products_match_the_sequential_loop(n, dim, seed):
+# the recursion's edge cases: no pair, one pair, an odd one out at every
+# level, and one either side of a power of two
+@example(n=1, dim=2, seed=0, c_order=False)
+@example(n=2, dim=4, seed=1, c_order=False)
+@example(n=3, dim=2, seed=2, c_order=False)
+@example(n=255, dim=8, seed=3, c_order=False)
+@example(n=256, dim=2, seed=4, c_order=False)
+@example(n=257, dim=4, seed=5, c_order=False)
+@example(n=97, dim=2, seed=6, c_order=True)  # a qubit stack in C order
+def test_ordered_products_match_the_sequential_loop(n, dim, seed, c_order):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
     umats = slice_propagators((a + a.conj().swapaxes(1, 2)) / 2, 0.7)[0]
+    if c_order:
+        umats = np.ascontiguousarray(umats)
     before = umats.copy()
     prods = ordered_products(umats)
     assert prods.shape == umats.shape and np.array_equal(umats, before)
+    assert prods.strides == umats.strides  # the input's layout
     assert np.max(np.abs(prods - _sequential_products(umats))) <= 1e-12
     defect = prods.conj().swapaxes(1, 2) @ prods - np.eye(dim)
     assert np.max(np.abs(defect)) <= 1e-12
+
+
+_LAYOUTS = ("C", "F", "C[1::2]", "F[1::2]", "matrix")
+
+
+def _qubit_operand(rng, n, layout):
+    """An (n, 2, 2) stack, or one (2, 2) matrix, in the given layout."""
+    if layout == "matrix":
+        return rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+    rows = 2 * n if layout.endswith("[1::2]") else n
+    stack = rng.uniform(-1, 1, (rows, 2, 2)) + 1j * rng.uniform(-1, 1, (rows, 2, 2))
+    stack = np.asfortranarray(stack) if layout.startswith("F") else stack
+    return stack[1::2] if layout.endswith("[1::2]") else stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    left=st.sampled_from(_LAYOUTS),
+    right=st.sampled_from(_LAYOUTS),
+)
+def test_qubit_matmul_matches_matmul_with_the_slice_axis_contiguous(
+    n, seed, left, right
+):
+    rng = np.random.default_rng(seed)
+    a, b = _qubit_operand(rng, n, left), _qubit_operand(rng, n, right)
+    out = _matmul(a, b)
+    assert out.shape == (a @ b).shape
+    assert np.max(np.abs(out - a @ b)) <= 1e-14
+    assert out.strides[0] == out.itemsize
+
+
+@pytest.mark.parametrize("c_order", [False, True], ids=["slice-contiguous", "C"])
+def test_qubit_stacks_keep_the_slice_axis_contiguous(c_order):
+    rng = np.random.default_rng(4)
+    ops = np.array([X, build_operator("Y0", 1)])
+    amps = rng.uniform(-1, 1, (2, 50))
+    hams = _stacked_hamiltonians(0.3 * Z, ops, amps)
+    direct = 0.3 * Z + np.einsum("cn,cij->nij", amps, ops)
+    assert np.max(np.abs(hams - direct)) <= 1e-15
+    assert hams.strides[0] == hams.itemsize
+    if c_order:
+        hams = np.ascontiguousarray(hams)
+    for arr in slice_propagators(hams, 0.1):
+        assert arr.strides[0] == arr.itemsize
+    fwd = _Propagation(0.3 * Z, ops, amps, 0.1, X).fwd
+    assert fwd.shape == (51, 2, 2) and fwd.strides[0] == fwd.itemsize
+    # larger stacks stay in C order for eigh and BLAS
+    big = np.kron(np.eye(2), 0.3 * Z)
+    wide = np.array([np.kron(op, np.eye(2)) for op in ops])
+    assert _Propagation(big, wide, amps, 0.1, np.eye(4)).fwd.flags.c_contiguous
 
 
 # ------------------------------------------------------------ closed system
@@ -209,6 +273,20 @@ def test_rk3_engine_agrees_with_piecewise_on_sampled_input():
         u_exact = piecewise_propagator(model, sig)
         u_rk3 = evolve_continuous(model, sig)
         assert np.max(np.abs(u_exact - u_rk3)) <= 1e-7
+
+
+def test_continuous_engine_stops_at_a_non_finite_result():
+    # step halving cannot mend NaN: one integration at the start step, dt/10
+    calls = []
+
+    def envelope(t):
+        calls.append(t)
+        return float("nan")
+
+    sig = ControlSignal.from_envelopes({"dx": envelope}, duration=1.0, dt=0.1)
+    with pytest.raises(DynamicsError, match="non-finite"):
+        evolve_continuous(x_model(dt=0.1), sig)
+    assert len(calls) == 3 * 100  # three RK3 stages per step
 
 
 def test_continuous_engine_matches_pulse_area_on_commuting_drive():
@@ -508,6 +586,24 @@ def test_expectation_on_vector_and_density_matrix():
 def test_expectation_rejects_non_hermitian_observable():
     with pytest.raises(DynamicsError):
         expectation(np.array([[0, 1], [0, 0]], dtype=complex), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0, np.nan)])
+def test_expectation_rejects_non_finite_observables(entry):
+    op = Z.copy()
+    op[0, 0] = entry
+    for state in (np.array([1.0, 0.0]), np.diag([0.25, 0.75])):
+        with pytest.raises(DynamicsError, match="non-finite"):
+            expectation(op, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = build_operator("1e200*1e200*Z0", 1)
+    with pytest.raises(DynamicsError, match="non-finite"):
+        expectation(overflowed, np.array([1.0, 0.0]))
+
+
+def test_expectation_of_a_non_finite_state_has_no_real_value():
+    with pytest.raises(DynamicsError, match="imaginary residual nan"):
+        expectation(Z, np.array([np.nan, 0.0]))
 
 
 def test_trajectory_csv_layout():
