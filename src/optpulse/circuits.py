@@ -247,6 +247,15 @@ class _CircuitParser(_Arithmetic):
     def negate(self, value):
         return self.apply("-", 0.0, value)
 
+    def angle(self):
+        """One angle expression; a value that is not finite (``1e999``,
+        ``1e308*10``) is an error at the expression's first token."""
+        start = self.peek()
+        value = self.expression()
+        if not (isinstance(value, _Token) or math.isfinite(value)):
+            raise start.error(f"angle {value} is not finite")
+        return value
+
     def statements(self) -> list[tuple[_Token, list, list]]:
         """(name, [(qubit, its token)], [angle]) for each ``Name(args...)``."""
         stmts = []
@@ -280,7 +289,7 @@ class _CircuitParser(_Arithmetic):
             except ValueError:  # past int()'s digit limit
                 raise idx.error("qubit index is too large") from None
         else:
-            angles.append(self.expression())
+            angles.append(self.angle())
 
 
 def parse_angle(text: str) -> float:
@@ -289,7 +298,7 @@ def parse_angle(text: str) -> float:
     Comments belong to circuit source only: ``pi//2`` is an error here.
     """
     parser = _CircuitParser(_tokenize(text, _ANGLE_LEXER))
-    value = parser.expression()
+    value = parser.angle()
     if parser.peek() is not None or isinstance(value, _Token):
         raise CircuitError(f"cannot parse numeric value {text!r}")
     return value
@@ -337,6 +346,11 @@ def eval_parametric(circuit: Circuit, values: list[float]) -> Circuit:
             f"{circuit.free_params}, got {len(values)}"
         )
     binding = dict(zip(circuit.free_params, (float(v) for v in values)))
+    for name, value in binding.items():
+        if not math.isfinite(value):
+            raise CircuitError(
+                f"parameter {name!r} is bound to {value}, not a finite angle"
+            )
     gates = tuple(
         replace(
             g,

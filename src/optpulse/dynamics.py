@@ -34,6 +34,7 @@ partner declared the imaginary part must vanish; only Re(s) drives Op_c.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -149,8 +150,16 @@ def _real_samples(signal: ControlSignal, channel: str) -> np.ndarray:
     return arr.real
 
 
+def _empty(shape: tuple[int, ...], dtype=complex, buffer=None, offset=0) -> np.ndarray:
+    """An uninitialised stack in the layout of its matrix size: the slice axis
+    contiguous (Fortran order) for qubits, C order otherwise. It is a new
+    array, or a view of ``buffer`` from byte ``offset`` on."""
+    order = "F" if shape[-1] == 2 else "C"
+    return np.ndarray(shape, dtype, buffer, offset, order=order)
+
+
 def slice_propagators(
-    hams: np.ndarray, dt: float
+    hams: np.ndarray, dt: float, out: tuple | None = None, work: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(-i H dt) for one Hermitian H or a stack of them.
 
@@ -158,16 +167,27 @@ def slice_propagators(
     slice and evals ascending. Qubit stacks (d = 2) take their
     eigendecomposition in closed form (``_eigh2``) and come back with the
     slice axis contiguous, whatever the input's layout; larger ones come
-    from one stacked eigh, in C order. Only the lower triangle of H is
-    read; Hermiticity is the caller's guarantee.
+    from one stacked eigh, in C order, which allocates its evals and evecs.
+    Only the lower triangle of H is read; Hermiticity is the caller's
+    guarantee. ``out`` = (umats, evals, evecs) and ``work`` = (phases,
+    left, right), stacks shaped like evals and like H, are overwritten
+    when given and allocated when not.
     """
-    evals, evecs = (_eigh2 if hams.shape[-1] == 2 else np.linalg.eigh)(hams)
-    phases = np.exp(-1j * evals * dt)
-    umats = _matmul(evecs * phases[..., None, :], evecs.conj().swapaxes(-1, -2))
-    return umats, evals, evecs
+    umats, evals, evecs = out or (None, None, None)
+    phases, left, right = work or (None, None, None)
+    if hams.shape[-1] == 2:
+        evals, evecs = _eigh2(hams, None if out is None else out[1:])
+    else:
+        evals, evecs = np.linalg.eigh(hams)
+    phases = np.multiply(-1j, evals, out=phases)
+    phases *= dt
+    np.exp(phases, out=phases)
+    left = np.multiply(evecs, phases[..., None, :], out=left)
+    right = np.conjugate(evecs, out=right).swapaxes(-1, -2)
+    return _matmul(left, right, umats), evals, evecs
 
 
-def _eigh2(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh2(hams: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """eigh of Hermitian 2x2 matrices in closed form, from the lower triangle.
 
     With H = [[a, b*], [b, c]], mean m = (a + c)/2, half-difference
@@ -175,40 +195,43 @@ def _eigh2(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are m - r <= m + r, with eigenvectors (-sin t, e^{i arg b}
     cos t) and (cos t, e^{i arg b} sin t). The phase comes from arg b, not
     b/|b|, which overflows when |b| is subnormal; b = 0 gives phase 1.
-    Both results are in Fortran order: the slice axis is contiguous.
+    Both results are in Fortran order, the slice axis contiguous, and are
+    written into ``out`` = (evals, evecs) when given.
     """
     a, c, b = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
     mean, half, mod = 0.5 * (a + c), 0.5 * (a - c), np.abs(b)
     radius = np.hypot(half, mod)
     t = 0.5 * np.arctan2(mod, half)
     cos, sin, phase = np.cos(t), np.sin(t), np.exp(1j * np.angle(b))
-    evals = np.empty(hams.shape[:-1], order="F")
+    evals, evecs = out or (_empty(hams.shape[:-1], float), _empty(hams.shape))
     evals[..., 0], evals[..., 1] = mean - radius, mean + radius
-    evecs = np.empty(hams.shape, dtype=complex, order="F")
     evecs[..., 0, 0], evecs[..., 0, 1] = -sin, cos
     evecs[..., 1, 0], evecs[..., 1, 1] = phase * cos, phase * sin
     return evals, evecs
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks; 2x2 stacks as two broadcast multiply-adds.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over stacks, into ``out`` when given; 2x2 stacks as two
+    broadcast multiply-adds.
 
     numpy runs a stacked matmul as one BLAS call per matrix, which for
     d = 2 costs several times the arithmetic written out; from d = 4 on the
     BLAS calls are the faster form. The 2x2 products are formed in Fortran
-    order, so each ufunc's inner loop runs along the slice axis, and the
+    order, so each ufunc's inner loop runs along the slice axis, and a new
     result has the slice axis contiguous for operands of any layout, one
     broadcast (2, 2) matrix included. Larger products come back from ``@``
-    in C order.
+    in C order. ``out`` must not overlap a or b.
     """
     if a.shape[-1] != 2:
-        return a @ b
-    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], order="F")
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out, order="F")
     out += np.multiply(a[..., :, 1, None], b[..., None, 1, :], order="F")
     return out
 
 
-def ordered_products(umats: np.ndarray) -> np.ndarray:
+def ordered_products(
+    umats: np.ndarray, out: np.ndarray | None = None, work: list | None = None
+) -> np.ndarray:
     """prods[k] = U_k ... U_0 for an (N, d, d) stack of slice propagators.
 
     A pairwise prefix product (Blelloch, "Prefix sums and their
@@ -216,34 +239,84 @@ def ordered_products(umats: np.ndarray) -> np.ndarray:
     recurse on the N/2 pairs, whose products are the odd entries, and fill
     in each even entry as U_{2k} times the odd entry before it. That is
     about 2 log2(N) stacked products, for twice the flops of the sequential
-    loop. The result has the input's layout: slice-contiguous for the qubit
-    stacks of ``slice_propagators``, C order for larger ones.
+    loop. Every product is formed in a compact stack, the pairs in place
+    of their own prefix products, and reaches ``out`` in one strided copy
+    per level: written straight into the strided entries, the products
+    run slower. ``out`` may be umats itself. ``work`` holds each level's
+    stacks (``_product_work``); without it each level allocates them, and
+    without ``out`` the result is new, in the input's layout:
+    slice-contiguous for the qubit stacks of ``slice_propagators``, C order
+    for larger ones.
     """
-    prods = np.empty_like(umats)
-    prods[0] = umats[0]
+    out = np.empty_like(umats) if out is None else out
+    out[0] = umats[0]
     if len(umats) > 1:
-        odd = ordered_products(_matmul(umats[1::2], umats[:-1:2]))
-        prods[1::2] = odd
-        prods[2::2] = _matmul(umats[2::2], odd[: (len(umats) - 1) // 2])
-    return prods
+        (pairs, even), *deeper = work or [(None, None)]
+        pairs = _matmul(umats[1::2], umats[:-1:2], pairs)
+        ordered_products(pairs, pairs, deeper)  # the odd entries, in place
+        out[1::2] = pairs
+        out[2::2] = _matmul(umats[2::2], pairs[: (len(umats) - 1) // 2], even)
+    return out
+
+
+def _product_work(
+    n: int, d: int, pairs: np.ndarray, even: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The scratch of ``ordered_products`` on n slices: per level, compact
+    stacks for the pairs and for the even entries. The levels hold fewer
+    than n matrices each way, so they are carved from the memory of two
+    contiguous (n, d, d) stacks, ``pairs`` and ``even``.
+    """
+    pairs, even = (w.reshape(-1, order="A") for w in (pairs, even))  # flat views
+    levels, offset = [], 0
+    while n > 1:
+        h, e = n // 2, (n - 1) // 2
+        levels.append((_empty((h, d, d), complex, pairs, offset),
+                       _empty((e, d, d), complex, even, offset)))
+        offset += h * d * d * pairs.itemsize
+        n = h
+    return levels
+
+
+def _block(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Uninitialised arrays of the given (shape, dtype), laid out as
+    ``_empty`` lays them out, carved from one allocation at 64-byte offsets.
+
+    One block per buffer set, not one allocation per stack: glibc hands
+    freed stacks of a few hundred KB back to the operating system, and the
+    next set of the same size faults every page in again, while a freed
+    block of a few MB stays in the heap for the next one.
+    """
+    sizes = [-(-np.dtype(t).itemsize * math.prod(s) // 64) * 64 for s, t in specs]
+    block = np.empty(sum(sizes), np.uint8)
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        arrays.append(_empty(shape, dtype, block, offset))
+        offset += size
+    return arrays
 
 
 def _stacked_hamiltonians(
-    drift: np.ndarray, ops: np.ndarray, amps: np.ndarray
+    drift: np.ndarray, ops: np.ndarray, amps: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """H_n = drift + sum_c amps[c, n] ops[c]: (C, N) amplitudes -> (N, d, d).
 
     Qubit stacks (d = 2) come out with the slice axis contiguous (Fortran
     order), the layout of the 2x2 path; larger ones in C order for eigh.
+    ``out``, laid out so, is overwritten when given.
     """
     d = drift.shape[0]
     if d == 2:
         # row 2j + i of ops.T.reshape(4, C) is entry (i, j) of every op, so
         # the (4, N) product read as [j, i, n] and transposed is [n, i, j]
-        hams = (ops.T.reshape(4, -1) @ amps).reshape(2, 2, -1).T
-        hams += drift
-        return hams
-    return drift + (amps.T @ ops.reshape(len(ops), d * d)).reshape(-1, d, d)
+        rows = None if out is None else out.T.reshape(4, -1)
+        hams = np.matmul(ops.T.reshape(4, -1), amps, out=rows).reshape(2, 2, -1).T
+    else:
+        rows = None if out is None else out.reshape(-1, d * d)
+        hams = np.matmul(amps.T, ops.reshape(len(ops), d * d), out=rows)
+        hams = hams.reshape(-1, d, d)
+    hams += drift
+    return hams
 
 
 def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray:

@@ -302,18 +302,20 @@ def goat_optimize(
 
     # The grid stays fixed during a run so the line search sees one smooth
     # objective; the result is then checked on a grid twice as fine, and a
-    # refinement run starts where the coarser one stopped.
+    # refinement run starts where the coarser one stopped, on the objective
+    # of the check. An objective allocates its buffers at its first
+    # evaluation, so rebinding drops the coarse grid's before the check's.
     substeps, iterations, evaluations, trace = SUBSTEPS, 0, 0, []
+    objective = _cf4_objective(problem, evaluate, ops, substeps)
     for _ in range(MAX_SUBSTEP_DOUBLINGS + 1):
-        objective = _cf4_objective(problem, evaluate, ops, substeps)
         found = minimize(objective, x0, floors, np.inf, tol, max_iters - iterations)
         iterations += found.iterations
         evaluations += found.evaluations + 1  # the finer-grid check below
         trace += found.trace
         x0 = found.x
         substeps *= 2
-        finer = _cf4_objective(problem, evaluate, ops, substeps)
-        gap = abs(finer(found.x, grad=False)[0] - found.loss)
+        objective = _cf4_objective(problem, evaluate, ops, substeps)
+        gap = abs(objective(found.x, grad=False)[0] - found.loss)
         if gap <= INTEGRATION_TOL:
             break
     else:

@@ -15,7 +15,7 @@ trace monotone without faking it.
 
 The sum over k is Tr(Op_c m) with m = psi chi^+, so one product per slice
 and one (C, d^2) x (d^2,) product give every channel's update. The first
-sweep starts from ``_Propagation``; an accepted sweep keeps the forward
+sweep starts from ``_propagate``; an accepted sweep keeps the forward
 products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
 costates come from them by unitarity (``_costates``), with no backward loop.
 """
@@ -29,7 +29,7 @@ from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
     OptimResult,
-    _Propagation,
+    _propagate,
     _times_inverse,
     _trace_loss,
     clip_amplitudes,
@@ -83,7 +83,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         return new_amps, fwd, psi
 
     amps = clip_amplitudes(initial_amplitudes(problem), bound)
-    start = _Propagation(drift, ops, amps, dt, target)
+    start = _propagate(drift, ops, amps, dt, target)
     fwd, total, overlap, loss = start.fwd[:-1], start.total, start.overlap, start.loss
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"

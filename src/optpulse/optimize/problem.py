@@ -10,10 +10,14 @@ The d^2 normalization makes L(U, U) = 0 and keeps the range [0, 1];
 global phase drops out through the modulus.
 
 GRAPE and GOAT share one objective, ``sampled_objective``: piecewise-constant
-slice amplitudes propagated by ``_Propagation``, with the exact amplitude
+slice amplitudes propagated by ``_propagate``, with the exact amplitude
 gradient of ``_gradient_from_state``. They differ only in the
 parametrization x -> (amps, vjp) that feeds it: GRAPE's is a reshape,
-GOAT's samples its Gaussian envelopes on the CF4 grid.
+GOAT's samples its Gaussian envelopes on the CF4 grid. An objective owns
+one ``_Propagation``, the slice-stack buffers of its grid: its first
+evaluation allocates them and every later one overwrites them in place.
+What it returns never aliases them: the loss is a float and each gradient
+a new array, which the minimizer may keep.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dynamics import (
+    _block,
     _matmul,
+    _product_work,
     _stacked_hamiltonians,
     ordered_products,
     slice_propagators,
@@ -46,7 +52,9 @@ def _check_unitary(u: np.ndarray, label: str) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise OptimizationError(f"{label} must be square, got shape {mat.shape}")
     eye = np.eye(mat.shape[0])
-    if np.max(np.abs(mat.conj().T @ mat - eye)) > UNITARITY_TOL:
+    # NaN and inf fail as well; the product is not formed from them
+    finite = np.all(np.isfinite(mat))
+    if not (finite and np.max(np.abs(mat.conj().T @ mat - eye)) <= UNITARITY_TOL):
         raise OptimizationError(f"{label} is not unitary to {UNITARITY_TOL:.0e}")
     return mat
 
@@ -163,45 +171,86 @@ class OptimResult:
 
 
 class _Propagation:
-    """Slice propagators and their forward partial products.
+    """Slice propagators and their forward partial products for N slices of
+    a d-level system, in buffers that the instance owns.
 
-    Built by ``sampled_objective`` and Krotov's start. Slice exponentials come
-    from one stacked ``slice_propagators`` call and the products from
-    ``ordered_products``; fields:
+    ``sampled_objective`` owns one and overwrites it on every evaluation;
+    the loss and gradients it returns never alias these buffers. Fields
+    after each ``_propagate``:
       umats (N,d,d), evals (N,d), evecs (N,d,d),
-      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I, laid
-      out like umats (for d = 2 with the slice axis contiguous),
+      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
       total = fwd[N], overlap g = Tr(target^+ total), loss.
+    Stacks are laid out like umats: for d = 2 with the slice axis
+    contiguous. Slice exponentials come from one stacked
+    ``slice_propagators`` call and the products from ``ordered_products``.
     The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
-    so they are never formed (see ``_times_inverse``).
+    so they are never formed (see ``_times_inverse``). The gradient's own
+    stacks are allocated at its first use, so an objective that is only
+    checked never holds them.
     """
 
-    def __init__(
-        self,
-        drift: np.ndarray,
-        ops: np.ndarray,
-        amps: np.ndarray,
-        dt: float,
-        target: np.ndarray,
-    ):
-        hams = _stacked_hamiltonians(drift, ops, amps)
-        self.umats, self.evals, self.evecs = slice_propagators(hams, dt)
-        n, d = self.umats.shape[:2]
-        self.fwd = np.empty_like(self.umats, shape=(n + 1, d, d))
+    def __init__(self, n: int, d: int):
+        stack = ((n, d, d), complex)
+        (self.umats, self.evecs, self.evals, self.fwd, self.hams, *self.work) = _block(
+            stack, stack, ((n, d), float), ((n + 1, d, d), complex), stack,
+            ((n, d), complex), stack, stack,
+        )
         self.fwd[0] = np.eye(d)
-        self.fwd[1:] = ordered_products(self.umats)
         self.total = self.fwd[-1]
-        self.overlap, self.loss = _trace_loss(self.total, target)
+        # the products' scratch lives in the exponentials' left and right
+        # factors, spent once umats is formed
+        self.product_work = _product_work(n, d, *self.work[1:])
+        self.gradient_work = None
+
+    def gradient_buffers(self) -> tuple[np.ndarray, ...]:
+        """(a, half_sum, half_diff, phi, vh, c, w1, w2, w3) for the gradient.
+
+        w1, w2 and w3 are the propagation's hams and scratch, spent by the
+        time a gradient is formed; the rest is allocated at the first one.
+        """
+        if self.gradient_work is None:
+            n, d = self.evals.shape
+            real, stack = ((n, d, d), float), ((n, d, d), complex)
+            allocated = _block(((n, d), float), real, real, stack, stack, stack)
+            self.gradient_work = (*allocated, self.hams, *self.work[1:])
+        return self.gradient_work
 
 
-def _times_inverse(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _propagate(
+    drift: np.ndarray,
+    ops: np.ndarray,
+    amps: np.ndarray,
+    dt: float,
+    target: np.ndarray,
+    out: _Propagation | None = None,
+) -> _Propagation:
+    """The propagation of (C, N) amplitudes into ``out``, or into new buffers."""
+    if out is None:
+        out = _Propagation(amps.shape[1], target.shape[0])
+    hams = _stacked_hamiltonians(drift, ops, amps, out.hams)
+    out.umats, out.evals, out.evecs = slice_propagators(
+        hams, dt, (out.umats, out.evals, out.evecs), out.work
+    )
+    ordered_products(out.umats, out.fwd[1:], out.product_work)
+    out.overlap, out.loss = _trace_loss(out.total, target)
+    return out
+
+
+def _times_inverse(
+    c: np.ndarray, f: np.ndarray, out: np.ndarray | None = None, work=(None,) * 3
+) -> np.ndarray:
     """c F^-1 for a stack F unitary up to round-off, as (c F^+)(2 - F F^+).
 
     That is one Newton step from the adjoint towards the inverse, exact to
     the square of F's unitarity defect; c may be one matrix or a stack.
+    ``out`` and the three stacks of ``work``, shaped like the result, are
+    overwritten when given; out may be c itself.
     """
-    fh = f.conj().swapaxes(-1, -2)
-    return _matmul(_matmul(c, fh), 2.0 * np.eye(f.shape[-1]) - _matmul(f, fh))
+    fh = np.conjugate(f, out=work[0]).swapaxes(-1, -2)
+    left = _matmul(c, fh, work[1])
+    right = _matmul(f, fh, work[2])
+    np.subtract(2.0 * np.eye(f.shape[-1]), right, out=right)
+    return _matmul(left, right, out)
 
 
 def _gradient_from_state(
@@ -223,23 +272,36 @@ def _gradient_from_state(
     Phi is symmetric, so the overlap derivative Tr(C_n dU_n) equals
     sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with Q_n = V ((V^+ C_n V) o Phi) V^+:
     one product per slice, then one (C, d^2) x (d^2, N) product for all
-    channels.
+    channels. Every stack lives in the state's gradient buffers; the
+    returned gradient is a new array.
     """
     d = target.shape[0]
-    a = state.evals * dt  # (N, d) real
-    half_sum = 0.5 * (a[:, :, None] + a[:, None, :])
-    half_diff = 0.5 * (a[:, :, None] - a[:, None, :])
-    phi = np.exp(-1j * half_sum) * np.sinc(half_diff / np.pi)
+    a, half_sum, half_diff, phi, vh, c, w1, w2, w3 = state.gradient_buffers()
+    np.multiply(state.evals, dt, out=a)  # (N, d) real
+    np.add(a[:, :, None], a[:, None, :], out=half_sum)
+    half_sum *= 0.5
+    np.subtract(a[:, :, None], a[:, None, :], out=half_diff)
+    half_diff *= 0.5
+    np.multiply(-1j, half_sum, out=phi)
+    np.exp(phi, out=phi)
+    # np.sinc(half_diff / pi) in place, rounded as np.sinc rounds it:
+    # y = pi (half_diff / pi), and sin(y) / y with 1 where y = 0
+    half_diff /= np.pi
+    half_diff *= np.pi
+    np.copyto(half_diff, EPS, where=half_diff == 0)
+    phi *= np.divide(np.sin(half_diff, out=half_sum), half_diff, out=half_sum)
     v = state.evecs
-    vh = v.conj().swapaxes(1, 2)
+    vh = np.conjugate(v, out=vh).swapaxes(1, 2)
     before, f = state.fwd[:-1], state.fwd[1:]
     boundary = target.conj().T @ state.total
     if d == 2:  # keep the qubit stack's slice-contiguous layout
-        c = _matmul(before, boundary)
+        _matmul(before, boundary, c)
     else:  # fwd[n] boundary for every n as one (N d, d) x (d, d) product
-        c = (before.reshape(-1, d) @ boundary).reshape(f.shape)
-    c = _times_inverse(c, f)
-    q = _matmul(_matmul(v, _matmul(_matmul(vh, c), v) * phi), vh)
+        np.matmul(before.reshape(-1, d), boundary, out=c.reshape(-1, d))
+    c = _times_inverse(c, f, c, (w1, w2, w3))
+    _matmul(_matmul(vh, c, w1), v, w2)
+    w2 *= phi
+    q = _matmul(_matmul(v, w2, w3), vh, w1)
     dg = (-1j * dt) * (
         ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
     )
@@ -258,11 +320,15 @@ def sampled_objective(
     parametrize(x) -> (amps, vjp): amps (C, N) drive ops on N slices of
     length dt, and vjp pulls d(loss)/d(amps), shape (C, N), back to x.
     fun(x, grad=False) returns (loss, None) without forming the gradient.
+    fun overwrites one ``_Propagation`` on every call, so it is not
+    reentrant; what it returns does not alias it.
     """
+    state = None
 
     def fun(x: np.ndarray, grad: bool = True) -> tuple[float, np.ndarray | None]:
+        nonlocal state
         amps, vjp = parametrize(x)
-        state = _Propagation(drift, ops, amps, dt, target)
+        state = _propagate(drift, ops, amps, dt, target, state)
         if not grad:
             return state.loss, None
         return state.loss, vjp(_gradient_from_state(state, ops, target, dt))

@@ -135,8 +135,33 @@ def test_parse_angle_matches_python_arithmetic(text):
         with pytest.raises(CircuitError, match="division by zero"):
             parse_angle(text)
         return
-    value = parse_angle(text)
-    assert value == expected or (math.isnan(value) and math.isnan(expected))
+    if not math.isfinite(expected):  # e.g. a subnormal divisor overflows
+        with pytest.raises(CircuitSyntaxError, match="not finite"):
+            parse_angle(text)
+        return
+    assert parse_angle(text) == expected
+
+
+@pytest.mark.parametrize(
+    "source, line, column",
+    [
+        ("Rx(q[0], 1e999);", 1, 10),
+        ("Rx(q[0], 1e308*10);", 1, 10),
+        ("H(q[0]);\nCPhase(q[0], q[1], -(1e999));", 2, 20),
+        ("Ry(q[0], 1e308*10 - 1e308*10);", 1, 10),  # NaN
+    ],
+    ids=["literal", "overflow", "cphase", "nan"],
+)
+def test_non_finite_angle_is_a_positioned_syntax_error(source, line, column):
+    with pytest.raises(CircuitSyntaxError, match="not finite") as err:
+        parse_circuit(source)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e308*10", "1e999-1e999"])
+def test_parse_angle_rejects_a_non_finite_value(text):
+    with pytest.raises(CircuitSyntaxError, match="not finite"):
+        parse_angle(text)
 
 
 def test_missing_parenthesis_is_a_syntax_error():
@@ -252,6 +277,13 @@ def test_eval_parametric_wrong_count():
     c = parse_circuit("Rx(q[0], a);")
     with pytest.raises(CircuitError):
         eval_parametric(c, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_eval_parametric_rejects_a_non_finite_binding(value):
+    c = parse_circuit("Rx(q[0], a); CPhase(q[0], q[1], b);")
+    with pytest.raises(CircuitError, match="'b'.*not a finite angle"):
+        eval_parametric(c, [0.5, value])
 
 
 def test_unitary_of_unbound_circuit_rejected():

@@ -142,6 +142,35 @@ def test_compile_malformed_circuit_exits_2(tmp_path, fixtures, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, source, bind",
+    [
+        ("compile", "Rx(q[0], 1e999);", None),
+        ("compile", "Rx(q[0], 1e308*10);", None),
+        ("unitary", "CPhase(q[0], q[1], 1e999);", None),
+        ("compile", "Rx(q[0], theta);", "theta=1e999"),
+    ],
+    ids=["literal", "overflow", "cphase", "bind"],
+)
+def test_non_finite_angle_exits_2_at_the_circuit(
+    tmp_path, fixtures, capsys, command, source, bind
+):
+    circuit = tmp_path / "bad.xasm"
+    circuit.write_text(source + "\n")
+    argv = [command, circuit]
+    if command == "compile":
+        argv += [fixtures / "model_1q_x_nodrift.json", "--max-time", "10"]
+        argv += ["-o", tmp_path / "x.json"]
+    if bind:
+        argv += ["--bind", bind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert "not finite (line 1, column" in stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_compile_bind_flag(tmp_path, fixtures, capsys):
     out = tmp_path / "rx.pulse.json"
     code, _, _ = run(

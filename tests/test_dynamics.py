@@ -23,7 +23,7 @@ from optpulse.dynamics import (
 )
 from optpulse.errors import DynamicsError
 from optpulse.model import SystemModel, build_operator
-from optpulse.optimize.problem import _Propagation
+from optpulse.optimize.problem import _propagate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1, -1]).astype(complex)
@@ -188,6 +188,7 @@ def test_ordered_products_match_the_sequential_loop(n, dim, seed, c_order):
     prods = ordered_products(umats)
     assert prods.shape == umats.shape and np.array_equal(umats, before)
     assert prods.strides == umats.strides  # the input's layout
+    assert np.array_equal(ordered_products(before, before), prods)  # in place
     assert np.max(np.abs(prods - _sequential_products(umats))) <= 1e-12
     defect = prods.conj().swapaxes(1, 2) @ prods - np.eye(dim)
     assert np.max(np.abs(defect)) <= 1e-12
@@ -237,12 +238,12 @@ def test_qubit_stacks_keep_the_slice_axis_contiguous(c_order):
         hams = np.ascontiguousarray(hams)
     for arr in slice_propagators(hams, 0.1):
         assert arr.strides[0] == arr.itemsize
-    fwd = _Propagation(0.3 * Z, ops, amps, 0.1, X).fwd
+    fwd = _propagate(0.3 * Z, ops, amps, 0.1, X).fwd
     assert fwd.shape == (51, 2, 2) and fwd.strides[0] == fwd.itemsize
     # larger stacks stay in C order for eigh and BLAS
     big = np.kron(np.eye(2), 0.3 * Z)
     wide = np.array([np.kron(op, np.eye(2)) for op in ops])
-    assert _Propagation(big, wide, amps, 0.1, np.eye(4)).fwd.flags.c_contiguous
+    assert _propagate(big, wide, amps, 0.1, np.eye(4)).fwd.flags.c_contiguous
 
 
 # ------------------------------------------------------------ closed system

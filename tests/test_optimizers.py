@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.dynamics import (
@@ -26,8 +28,10 @@ from optpulse.optimize import (
     infidelity,
     krotov_optimize,
 )
+from optpulse.optimize import goat as goat_module
 from optpulse.optimize import krotov as krotov_module
 from optpulse.optimize import problem as problem_module
+from optpulse.optimize.grape import _objective as grape_objective
 from optpulse.optimize.goat import (
     SUBSTEPS,
     _cf4_objective,
@@ -36,7 +40,7 @@ from optpulse.optimize.goat import (
 )
 from optpulse.optimize.problem import (
     _gradient_from_state,
-    _Propagation,
+    _propagate,
     clip_amplitudes,
     initial_amplitudes,
     minimize,
@@ -65,16 +69,20 @@ def h_problem(**kw):
     return ControlProblem(**defaults)
 
 
-def random_problem(rng, n_channels=2, n_samples=8):
-    ops = ["X0", "Y0", "Z0"]
+def random_problem(rng, n_channels=2, n_samples=8, n_qubits=1):
+    # X on every qubit first, then Y, then Z; neighbours coupled by ZZ
+    ops = [f"{p}{q}" for p in "XYZ" for q in range(n_qubits)]
+    dt = rng.uniform(0.05, 0.3)
+    drift = tuple((rng.uniform(-1, 1), f"Z{q}") for q in range(n_qubits))
     model = SystemModel(
-        n_qubits=1,
-        dt=rng.uniform(0.05, 0.3),
-        drift=((rng.uniform(-1, 1), "Z0"),),
+        n_qubits=n_qubits,
+        dt=dt,
+        drift=drift + tuple((0.4, f"Z{q}*Z{q + 1}") for q in range(n_qubits - 1)),
         control=tuple((f"c{i}", ops[i]) for i in range(n_channels)),
     )
     # random unitary target via QR
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    d = 2**n_qubits
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(a)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     return ControlProblem(
@@ -83,6 +91,16 @@ def random_problem(rng, n_channels=2, n_samples=8):
 
 
 # -------------------------------------------------------- problem plumbing
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_infidelity_rejects_a_non_finite_propagator_or_target(entry):
+    junk = np.full((2, 2), entry, dtype=complex)
+    for u, target in ((np.eye(2), junk), (junk, np.eye(2))):
+        with pytest.raises(OptimizationError, match="not unitary"):
+            infidelity(u, target)
+    with pytest.raises(OptimizationError, match="not unitary"):
+        x_problem(target_u=junk)
 
 
 def test_infidelity_identities():
@@ -184,7 +202,7 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("run", [grape_optimize, goat_optimize], ids=["GRAPE", "GOAT"])
 def test_evaluations_count_every_propagation(monkeypatch, run):
-    calls = _counting(monkeypatch, problem_module, "_Propagation")
+    calls = _counting(monkeypatch, problem_module, "_propagate")
     res = run(h_problem(seed=3, tol=1e-6))
     assert res.evaluations == len(calls) > res.iterations
 
@@ -197,10 +215,62 @@ def test_krotov_evaluations_count_lambda_retries(monkeypatch):
     problem = ControlProblem(model=model, target_u=X, max_time=4.0, tol=1e-6)
     calls = _counting(monkeypatch, krotov_module, "slice_propagators")
     res = krotov_optimize(problem)
-    # the start propagates in problem._Propagation; each sweep attempt then
+    # the start propagates in problem._propagate; each sweep attempt then
     # makes one call per slice here
     assert res.evaluations == len(calls) / problem.n_samples
     assert res.evaluations > res.iterations
+
+
+def _random_objective(rng, kind):
+    """A GRAPE objective on one or two qubits, or GOAT under a random spec of
+    one or two Gaussians per channel with every slot trainable, with two
+    points to evaluate it at."""
+    n_samples = int(rng.integers(1, 12))
+    if kind == "GOAT":
+        p = random_problem(rng, int(rng.integers(1, 3)), n_samples)
+        terms, names, x = [], [], []
+        for ch in p.model.channels:
+            for _ in range(int(rng.integers(1, 3))):
+                k = len(terms)
+                terms.append((ch, GaussianTerm(f"a{k}", f"c{k}", f"s{k}")))
+                names += [f"a{k}", f"c{k}", f"s{k}"]
+                x += [rng.uniform(-0.5, 0.5), rng.uniform(0, p.max_time),
+                      rng.uniform(p.dt, p.max_time)]
+        spec = GoatEnvelopeSpec(terms=tuple(terms), param_names=tuple(names))
+        x1 = np.array(x)
+        x2 = x1 + rng.uniform(-0.05, 0.05, x1.shape)
+
+        def make():
+            return _cf4_objective(p, spec.evaluator(), p.model.control_stack, SUBSTEPS)
+    else:
+        n_qubits = 1 if kind == "GRAPE d=2" else 2
+        p = random_problem(rng, int(rng.integers(1, 4)), n_samples, n_qubits)
+        x1, x2 = rng.uniform(-1, 1, (2, len(p.model.channels) * n_samples))
+
+        def make():
+            return grape_objective(p)
+    return make, x1, x2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["GRAPE d=2", "GRAPE d=4", "GOAT"]),
+)
+def test_an_objective_reuses_its_buffers_without_touching_its_results(seed, kind):
+    make, x1, x2 = _random_objective(np.random.default_rng(seed), kind)
+    fun = make()
+    loss1, grad1 = fun(x1)
+    kept = grad1.copy()
+    loss2, grad2 = fun(x2)
+    fun(x1 + 0.01, grad=False)
+    # an earlier result is not overwritten by later evaluations
+    assert np.array_equal(grad1, kept) and not np.shares_memory(grad1, grad2)
+    # and the reused buffers give exactly what new ones give
+    for x, loss, grad in ((x1, loss1, kept), (x2, loss2, grad2)):
+        again, fresh = fun(x), make()(x)
+        assert again[0] == fresh[0] == loss
+        assert np.array_equal(again[1], fresh[1]) and np.array_equal(fresh[1], grad)
 
 
 def test_grape_amplitude_bound_reaches_the_bang_bang_floor(fixtures):
@@ -230,12 +300,14 @@ def test_grape_qft2_converges_in_few_iterations(fixtures):
 
 
 def test_grape_gradient_matches_finite_differences():
-    # independent route: FD of infidelity(piecewise_propagator) per sample
+    # independent route: FD of infidelity(piecewise_propagator) per sample,
+    # on qubits (the 2x2 path) and on d = 4 and d = 8 (BLAS products)
     rng = np.random.default_rng(2)
     h = 1e-6
-    for _ in range(3):
-        p = random_problem(rng)
-        amps = rng.uniform(-0.5, 0.5, size=(2, p.n_samples))
+    shapes = [(2, 8, 1)] * 3 + [(3, 6, 2), (3, 4, 3)]  # channels, samples, qubits
+    for n_channels, n_samples, n_qubits in shapes:
+        p = random_problem(rng, n_channels, n_samples, n_qubits)
+        amps = rng.uniform(-0.5, 0.5, size=(n_channels, p.n_samples))
         grad = grape_gradient(p, amps)
 
         def loss(a):
@@ -294,11 +366,11 @@ def _goat_pi_case(monkeypatch):
     )
     built = []
 
-    def recording(drift, ops, amps, dt, target):
-        built.append((_Propagation(drift, ops, amps, dt, target), ops, target, dt))
+    def recording(drift, ops, amps, dt, target, out=None):
+        built.append((_propagate(drift, ops, amps, dt, target), ops, target, dt))
         return built[-1][0]
 
-    monkeypatch.setattr(problem_module, "_Propagation", recording)
+    monkeypatch.setattr(problem_module, "_propagate", recording)
     objective = _cf4_objective(
         problem, spec.evaluator(), problem.model.control_stack, SUBSTEPS
     )
@@ -313,7 +385,7 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
     qft2 = ControlProblem(model=model, target_u=target, max_time=10.0, seed=5)
     ops = model.control_stack
     amps = initial_amplitudes(qft2)
-    state = _Propagation(model.drift_matrix(), ops, amps, qft2.dt, target)
+    state = _propagate(model.drift_matrix(), ops, amps, qft2.dt, target)
     goat_case = _goat_pi_case(monkeypatch)
     assert goat_case[0].umats.shape[0] == 4000
     # d = 2 with drift and two non-commuting drives: unlike the pi grid, whose
@@ -323,7 +395,7 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
     hadamard = ControlProblem(model=qubit, target_u=H, max_time=10.0, seed=7)
     qubit_ops = qubit.control_stack
     qubit_amps = initial_amplitudes(hadamard)
-    qubit_state = _Propagation(
+    qubit_state = _propagate(
         qubit.drift_matrix(), qubit_ops, qubit_amps, hadamard.dt, H
     )
     cases = [
@@ -505,6 +577,27 @@ def test_goat_default_family_leaves_the_plateau_on_a_drifted_qubit(fixtures):
     assert amplitude * sigma * np.sqrt(2 * np.pi) == pytest.approx(np.pi / 2, rel=0.02)
 
 
+def test_goat_builds_each_grid_objective_once(monkeypatch):
+    # a drifted qubit on which the first run's result moves on the finer
+    # grid, so GOAT refines once: runs on 2 and 4 substeps, each checked on
+    # the grid twice as fine, and the check's objective is the next run's
+    model = SystemModel(
+        n_qubits=1, dt=1.0, drift=((3.0, "Z0"),),
+        control=(("dx", "X0"), ("dy", "Y0")),
+    )
+    problem = ControlProblem(model=model, target_u=X, max_time=10.0, tol=1e-6)
+    grids = []
+    original = goat_module._cf4_objective
+
+    def counted(problem, evaluate, ops, substeps):
+        grids.append(substeps)
+        return original(problem, evaluate, ops, substeps)
+
+    monkeypatch.setattr(goat_module, "_cf4_objective", counted)
+    goat_optimize(problem)
+    assert grids == [SUBSTEPS, 2 * SUBSTEPS, 4 * SUBSTEPS]
+
+
 def test_goat_width_floor():
     p = x_problem(max_iters=5)
     spec, x0 = default_envelope_spec(p)
@@ -614,7 +707,7 @@ def test_krotov_costates_match_the_back_propagation_loop(fixtures):
     for problem in (qft2, drifted):
         drift, ops = problem.model.drift_matrix(), problem.model.control_stack
         amps = initial_amplitudes(problem)
-        state = _Propagation(drift, ops, amps, problem.dt, problem.target_u)
+        state = _propagate(drift, ops, amps, problem.dt, problem.target_u)
         reference = _loop_costates(state.umats, problem.target_u, state.overlap)
         # forward products as the start builds them, and as a sweep does
         sequential = [np.eye(problem.dim, dtype=complex)]
@@ -636,7 +729,7 @@ def _reference_krotov(problem):
     n, dt, d, target = problem.n_samples, problem.dt, problem.dim, problem.target_u
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
     amps = clip_amplitudes(initial_amplitudes(problem), problem.amplitude_bound)
-    state = _Propagation(drift, ops, amps, dt, target)
+    state = _propagate(drift, ops, amps, dt, target)
     loss, trace, status, sweeps, lam = state.loss, [state.loss], "max-iters", 0, 1.0
     if loss <= tol:
         return amps, 0, "converged"
@@ -657,7 +750,7 @@ def _reference_krotov(problem):
                 break
             lam *= 2.0
         amps = new_amps
-        state = _Propagation(drift, ops, amps, dt, target)
+        state = _propagate(drift, ops, amps, dt, target)
         loss = state.loss
         sweeps += 1
         trace.append(loss)
