@@ -113,8 +113,6 @@ def _deliver(
 
 def _optimizer_options(args) -> dict:
     opts: dict[str, object] = {"max-time": args.max_time, "seed": args.seed}
-    if args.n_samples is not None:
-        opts["n-samples"] = args.n_samples
     if args.tol is not None:
         opts["tol"] = args.tol
     if args.max_iters is not None:
@@ -261,7 +259,6 @@ def cmd_sweep(args) -> int:
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", default="GRAPE", help="GRAPE, GOAT, or krotov")
     parser.add_argument("--max-time", type=float, required=True, help="pulse horizon")
-    parser.add_argument("--n-samples", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iters", type=int, default=None)

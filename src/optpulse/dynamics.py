@@ -5,11 +5,11 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
 
 * ``piecewise_propagator`` / ``evolve_states`` -- exact products of slice
   exponentials for sampled (piecewise-constant) signals, closed systems
-  only. The slice exponentials come from ``slice_propagators``, one stacked
-  eigendecomposition that the GRAPE, GOAT and Krotov optimizers share;
-  ``ordered_products`` forms every partial product of such a stack by a
-  pairwise recursion, about 2 log2(N) stacked matmuls, which gives both
-  the total propagator and the state trajectory. Qubit stacks (d = 2)
+  only. Both run ``_propagate``, the one propagation core, which the
+  GRAPE, GOAT and Krotov optimizers share: slice exponentials from one
+  stacked eigendecomposition (``slice_propagators``), then every partial
+  product by a pairwise recursion (``ordered_products``), about 2 log2(N)
+  stacked matmuls, in buffers a ``_Propagation`` owns. Qubit stacks (d = 2)
   take a path of plain elementwise arithmetic: the eigendecomposition in
   closed form and every stacked 2x2 product written out (``_matmul``),
   since numpy spends one BLAS call per matrix on a stacked matmul. Their
@@ -220,9 +220,15 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     order, so each ufunc's inner loop runs along the slice axis, and a new
     result has the slice axis contiguous for operands of any layout, one
     broadcast (2, 2) matrix included. Larger products come back from ``@``
-    in C order. ``out`` must not overlap a or b.
+    in C order; a C-order stack times one d x d matrix is one
+    (N d, d) x (d, d) GEMM. ``out`` must not overlap a or b.
     """
-    if a.shape[-1] != 2:
+    if (d := a.shape[-1]) != 2:
+        if a.ndim == 3 and b.ndim == 2 and all(
+            m is None or m.flags.c_contiguous for m in (a, out)
+        ):
+            rows = None if out is None else out.reshape(-1, d)
+            return np.matmul(a.reshape(-1, d), b, out=rows).reshape(a.shape)
         return np.matmul(a, b, out=out)
     out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out, order="F")
     out += np.multiply(a[..., :, 1, None], b[..., None, 1, :], order="F")
@@ -278,6 +284,23 @@ def _product_work(
     return levels
 
 
+def _times_inverse(
+    c: np.ndarray, f: np.ndarray, out: np.ndarray | None = None, work=(None,) * 3
+) -> np.ndarray:
+    """c F^-1 for a stack F unitary up to round-off, as (c F^+)(2 - F F^+).
+
+    That is one Newton step from the adjoint towards the inverse, exact to
+    the square of F's unitarity defect; c may be one matrix or a stack.
+    ``out`` and the three stacks of ``work``, shaped like the result, are
+    overwritten when given; out may be c itself.
+    """
+    fh = np.conjugate(f, out=work[0]).swapaxes(-1, -2)
+    left = _matmul(c, fh, work[1])
+    right = _matmul(f, fh, work[2])
+    np.subtract(2.0 * np.eye(f.shape[-1]), right, out=right)
+    return _matmul(left, right, out)
+
+
 def _block(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
     """Uninitialised arrays of the given (shape, dtype), laid out as
     ``_empty`` lays them out, carved from one allocation at 64-byte offsets.
@@ -319,8 +342,80 @@ def _stacked_hamiltonians(
     return hams
 
 
-def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray:
-    """Stack of H(t_n) per slice, (N, dim, dim); checks the sampled signal."""
+def _finite_hamiltonians(
+    drift: np.ndarray, ops: np.ndarray, amps: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``_stacked_hamiltonians`` for the engines: a drive that overflows a
+    slice Hamiltonian raises ``DynamicsError``, before any exponential or
+    Taylor series sees it, and leaves no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
+        hams = _stacked_hamiltonians(drift, ops, amps, out)
+    if not np.isfinite(hams).all():
+        raise DynamicsError("the drive overflows: a slice Hamiltonian is not finite")
+    return hams
+
+
+class _Propagation:
+    """Slice Hamiltonians, propagators and their forward partial products for
+    N slices of a d-level system, in buffers that the instance owns.
+
+    ``_propagate`` overwrites them, so an owner that propagates on one grid
+    again and again allocates them once. Fields after each ``_propagate``:
+      hams (N,d,d), umats (N,d,d), evals (N,d), evecs (N,d,d),
+      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
+      total = fwd[N].
+    Stacks are laid out like umats: for d = 2 with the slice axis
+    contiguous. Slice exponentials come from one stacked
+    ``slice_propagators`` call and the products from ``ordered_products``.
+    The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
+    so they are never formed (see ``_times_inverse``). The gradient's own
+    stacks are allocated at its first use, so an objective that is only
+    checked never holds them.
+    """
+
+    def __init__(self, n: int, d: int):
+        stack = ((n, d, d), complex)
+        (self.umats, self.evecs, self.evals, self.fwd, self.hams, *self.work) = _block(
+            stack, stack, ((n, d), float), ((n + 1, d, d), complex), stack,
+            ((n, d), complex), stack, stack,
+        )
+        self.fwd[0] = np.eye(d)
+        self.total = self.fwd[-1]
+        # the products' scratch lives in the exponentials' left and right
+        # factors, spent once umats is formed
+        self.product_work = _product_work(n, d, *self.work[1:])
+        self.gradient_work = None
+
+    def gradient_buffers(self) -> tuple[np.ndarray, ...]:
+        """(a, half_sum, half_diff, phi, vh, c, w1, w2, w3) for the gradient.
+
+        w1, w2 and w3 are the propagation's hams and scratch, spent by the
+        time a gradient is formed; the rest is allocated at the first one.
+        """
+        if self.gradient_work is None:
+            n, d = self.evals.shape
+            real, stack = ((n, d, d), float), ((n, d, d), complex)
+            allocated = _block(((n, d), float), real, real, stack, stack, stack)
+            self.gradient_work = (*allocated, self.hams, *self.work[1:])
+        return self.gradient_work
+
+
+def _propagate(
+    drift: np.ndarray, ops: np.ndarray, amps: np.ndarray, dt: float,
+    out: _Propagation | None = None,
+) -> _Propagation:
+    """The propagation of (C, N) amplitudes into ``out``, or into new buffers."""
+    out = out or _Propagation(amps.shape[1], drift.shape[0])
+    hams = _finite_hamiltonians(drift, ops, amps, out.hams)
+    out.umats, out.evals, out.evecs = slice_propagators(
+        hams, dt, (out.umats, out.evals, out.evecs), out.work
+    )
+    ordered_products(out.umats, out.fwd[1:], out.product_work)
+    return out
+
+
+def _signal_amplitudes(model: SystemModel, signal: ControlSignal) -> np.ndarray:
+    """(C, N) amplitudes of the model's channels; checks the sampled signal."""
     if not signal.is_sampled:
         raise DynamicsError("this engine needs a sampled signal")
     _check_signal_channels(model, signal)
@@ -331,17 +426,28 @@ def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray
     amps = np.zeros((len(model.channels), signal.n_samples))
     for ch in signal.channels:
         amps[model.channels.index(ch)] = _real_samples(signal, ch)
-    return _stacked_hamiltonians(model.drift_matrix(), model.control_stack, amps)
+    return amps
 
 
-def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarray:
-    """Total unitary for a sampled signal: product of slice exponentials."""
+def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray:
+    """Stack of H(t_n) per slice, (N, dim, dim); checks the sampled signal."""
+    amps = _signal_amplitudes(model, signal)
+    return _finite_hamiltonians(model.drift_matrix(), model.control_stack, amps)
+
+
+def _closed_propagation(model: SystemModel, signal: ControlSignal) -> _Propagation:
+    """The core's propagation of a sampled signal on a closed-system model."""
     if model.has_dissipation:
         raise DynamicsError(
             "model has collapse operators; use lindblad_evolve for open systems"
         )
-    umats = slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]
-    return ordered_products(umats)[-1]
+    amps = _signal_amplitudes(model, signal)
+    return _propagate(model.drift_matrix(), model.control_stack, amps, signal.dt)
+
+
+def piecewise_propagator(model: SystemModel, signal: ControlSignal) -> np.ndarray:
+    """Total unitary for a sampled signal: product of slice exponentials."""
+    return _closed_propagation(model, signal).total.copy()
 
 
 def evolve_states(
@@ -349,11 +455,9 @@ def evolve_states(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """State-vector trajectory at each sample time under a sampled signal.
 
-    psi(t_{n+1}) = (U_n ... U_0) psi0, every partial product from one
-    ``ordered_products`` call.
+    psi(t_{n+1}) = (U_n ... U_0) psi0, every partial product from one run of
+    the propagation core.
     """
-    if model.has_dissipation:
-        raise DynamicsError("closed-system trajectory, but model has dissipation")
     psi = np.asarray(psi0, dtype=complex).ravel()
     if psi.size != model.dim:
         raise DynamicsError(f"state dim {psi.size} != model dim {model.dim}")
@@ -361,8 +465,8 @@ def evolve_states(
         raise DynamicsError("initial state has non-finite entries")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise DynamicsError("initial state is not normalized")
-    umats = slice_propagators(_slice_hamiltonians(model, signal), signal.dt)[0]
-    states = [psi.copy(), *(ordered_products(umats) @ psi)]
+    # numpy picks matmul kernels by stride: apply a compact copy of the products
+    states = [psi.copy(), *(np.copy(_closed_propagation(model, signal).fwd[1:]) @ psi)]
     times = np.arange(signal.n_samples + 1) * signal.dt
     return times, states
 

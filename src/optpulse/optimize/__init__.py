@@ -1,9 +1,9 @@
 """Optimizer registry: name-dispatched GRAPE / GOAT / Krotov handles.
 
 One options map configures a handle, and it is parsed only here. Every
-method reads the problem keys (method, max-time, n-samples, seed, tol,
-max-iters); with no circuit, the standalone keys (dimension, target-U,
-control-H, dt) build the model and the target. GRAPE and krotov add
+method reads the problem keys (method, max-time, seed, tol, max-iters);
+with no circuit, the standalone keys (dimension, target-U, control-H, dt)
+build the model and the target. GRAPE and krotov add
 amplitude-bound; GOAT adds control-funcs, control-params and
 initial-parameters. get_optimizer rejects any other key, and
 Optimizer.build_problem is the only code that turns options into a
@@ -50,7 +50,7 @@ __all__ = [
 
 _METHODS = {"grape": "GRAPE", "goat": "GOAT", "krotov": "krotov"}
 
-_PROBLEM_KEYS = frozenset({"max-time", "n-samples", "seed", "tol", "max-iters"})
+_PROBLEM_KEYS = frozenset({"max-time", "seed", "tol", "max-iters"})
 _STANDALONE_KEYS = frozenset({"dimension", "target-U", "control-H", "dt"})
 _ENVELOPE_KEYS = frozenset({"control-funcs", "control-params", "initial-parameters"})
 _METHOD_KEYS = {
@@ -107,13 +107,7 @@ def _standalone_model(options: Mapping, method: str) -> SystemModel:
         )
     ops = [str(x) for x in _as_list(_require(options, "control-H"))]
     max_time = float(_require(options, "max-time"))
-    if "dt" in options:
-        dt = float(options["dt"])
-    else:
-        n = int(options.get("n-samples", _DEFAULT_SAMPLES[method]))
-        if n < 1:
-            raise OptimizationError(f"n-samples must be >= 1, got {n}")
-        dt = max_time / n
+    dt = float(options.get("dt", max_time / _DEFAULT_SAMPLES[method]))
     control = tuple((f"d{i}", op) for i, op in enumerate(ops))
     return SystemModel(
         n_qubits=n_qubits, dt=dt, drift=(), control=control, collapse=()
@@ -209,7 +203,6 @@ class Optimizer:
             model=model,
             target_u=target,
             max_time=_require(opts, "max-time"),
-            n_samples=opts.get("n-samples"),
             amplitude_bound=opts.get("amplitude-bound", 0.0),
             seed=opts.get("seed", 0),
             tol=opts.get("tol"),
@@ -269,7 +262,6 @@ def get_optimizer(method: str, options: Mapping | None = None) -> Optimizer:
         )
     for key, kind in (
         ("dimension", int),
-        ("n-samples", int),
         ("seed", int),
         ("max-iters", int),
         ("max-time", float),

@@ -272,6 +272,11 @@ def goat_optimize(
             "GOAT does not support amplitude-bound: its Gaussian amplitudes "
             "are unconstrained parameters"
         )
+    if problem.initial_guess is not None:
+        raise OptimizationError(
+            "GOAT does not take an initial-guess of samples: it starts from "
+            "its envelope parameters (initial-parameters)"
+        )
     if spec is None:
         spec, x0 = default_envelope_spec(problem)
     elif initial_parameters is None:

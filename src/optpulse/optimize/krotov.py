@@ -15,8 +15,8 @@ trace monotone without faking it.
 
 The sum over k is Tr(Op_c m) with m = psi chi^+, so one product per slice
 and one (C, d^2) x (d^2,) product give every channel's update. The first
-sweep starts from ``_propagate``; an accepted sweep keeps the forward
-products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
+sweep starts from ``dynamics._propagate``; an accepted sweep keeps the
+forward products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
 costates come from them by unitarity (``_costates``), with no backward loop.
 """
 
@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import _stacked_hamiltonians, slice_propagators
+from ..dynamics import (
+    _propagate, _stacked_hamiltonians, _times_inverse, slice_propagators,
+)
 from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
     OptimResult,
-    _propagate,
-    _times_inverse,
     _trace_loss,
     clip_amplitudes,
     initial_amplitudes,
@@ -83,8 +83,9 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         return new_amps, fwd, psi
 
     amps = clip_amplitudes(initial_amplitudes(problem), bound)
-    start = _propagate(drift, ops, amps, dt, target)
-    fwd, total, overlap, loss = start.fwd[:-1], start.total, start.overlap, start.loss
+    start = _propagate(drift, ops, amps, dt)
+    fwd, total = start.fwd[:-1], start.total
+    overlap, loss = _trace_loss(total, target)
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"
     sweeps = attempts = 0

@@ -10,11 +10,11 @@ The d^2 normalization makes L(U, U) = 0 and keeps the range [0, 1];
 global phase drops out through the modulus.
 
 GRAPE and GOAT share one objective, ``sampled_objective``: piecewise-constant
-slice amplitudes propagated by ``_propagate``, with the exact amplitude
-gradient of ``_gradient_from_state``. They differ only in the
-parametrization x -> (amps, vjp) that feeds it: GRAPE's is a reshape,
-GOAT's samples its Gaussian envelopes on the CF4 grid. An objective owns
-one ``_Propagation``, the slice-stack buffers of its grid: its first
+slice amplitudes propagated by the simulators' core, ``dynamics._propagate``,
+with the exact amplitude gradient of ``_gradient_from_state``. They differ
+only in the parametrization x -> (amps, vjp) that feeds it: GRAPE's is a
+reshape, GOAT's samples its Gaussian envelopes on the CF4 grid. An objective
+owns one ``_Propagation``, the slice-stack buffers of its grid: its first
 evaluation allocates them and every later one overwrites them in place.
 What it returns never aliases them: the loss is a float and each gradient
 a new array, which the minimizer may keep.
@@ -28,14 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import (
-    _block,
-    _matmul,
-    _product_work,
-    _stacked_hamiltonians,
-    ordered_products,
-    slice_propagators,
-)
+from ..dynamics import _matmul, _propagate, _Propagation, _times_inverse
 from ..errors import OptimizationError
 from ..model import SystemModel
 
@@ -81,19 +74,19 @@ def _trace_loss(total: np.ndarray, target: np.ndarray) -> tuple[complex, float]:
 class ControlProblem:
     """One gate-synthesis task: model, target unitary, horizon, knobs.
 
-    amplitude_bound 0 means unbounded. For sampled methods the horizon must
-    tile into n_samples slices of the model's dt; n_samples=None deduces it.
+    amplitude_bound 0 means unbounded. The horizon must tile into slices of
+    the model's dt; n_samples, their number, is derived from the two.
     """
 
     model: SystemModel
     target_u: np.ndarray
     max_time: float
-    n_samples: int | None = None
     amplitude_bound: float = 0.0
     initial_guess: Mapping[str, np.ndarray] | None = None
     seed: int = 0
     tol: float | None = None
     max_iters: int | None = None
+    n_samples: int = field(init=False)
 
     def __post_init__(self):
         target = _check_unitary(self.target_u, "target-U")
@@ -119,13 +112,10 @@ class ControlProblem:
                 f"{self.initial_guess!r}"
             )
         dt = self.model.dt
-        n = self.n_samples
-        if n is None:
-            n = int(round(self.max_time / dt))
+        n = int(round(self.max_time / dt))
         if n < 1 or abs(n * dt - self.max_time) > 1e-9 * max(1.0, self.max_time):
             raise OptimizationError(
-                f"horizon {self.max_time} does not tile into samples of "
-                f"dt={dt} (n_samples={self.n_samples})"
+                f"horizon {self.max_time} does not tile into samples of dt={dt}"
             )
         object.__setattr__(self, "n_samples", n)
 
@@ -170,89 +160,6 @@ class OptimResult:
         return self.status == "converged"
 
 
-class _Propagation:
-    """Slice propagators and their forward partial products for N slices of
-    a d-level system, in buffers that the instance owns.
-
-    ``sampled_objective`` owns one and overwrites it on every evaluation;
-    the loss and gradients it returns never alias these buffers. Fields
-    after each ``_propagate``:
-      umats (N,d,d), evals (N,d), evecs (N,d,d),
-      fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
-      total = fwd[N], overlap g = Tr(target^+ total), loss.
-    Stacks are laid out like umats: for d = 2 with the slice axis
-    contiguous. Slice exponentials come from one stacked
-    ``slice_propagators`` call and the products from ``ordered_products``.
-    The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
-    so they are never formed (see ``_times_inverse``). The gradient's own
-    stacks are allocated at its first use, so an objective that is only
-    checked never holds them.
-    """
-
-    def __init__(self, n: int, d: int):
-        stack = ((n, d, d), complex)
-        (self.umats, self.evecs, self.evals, self.fwd, self.hams, *self.work) = _block(
-            stack, stack, ((n, d), float), ((n + 1, d, d), complex), stack,
-            ((n, d), complex), stack, stack,
-        )
-        self.fwd[0] = np.eye(d)
-        self.total = self.fwd[-1]
-        # the products' scratch lives in the exponentials' left and right
-        # factors, spent once umats is formed
-        self.product_work = _product_work(n, d, *self.work[1:])
-        self.gradient_work = None
-
-    def gradient_buffers(self) -> tuple[np.ndarray, ...]:
-        """(a, half_sum, half_diff, phi, vh, c, w1, w2, w3) for the gradient.
-
-        w1, w2 and w3 are the propagation's hams and scratch, spent by the
-        time a gradient is formed; the rest is allocated at the first one.
-        """
-        if self.gradient_work is None:
-            n, d = self.evals.shape
-            real, stack = ((n, d, d), float), ((n, d, d), complex)
-            allocated = _block(((n, d), float), real, real, stack, stack, stack)
-            self.gradient_work = (*allocated, self.hams, *self.work[1:])
-        return self.gradient_work
-
-
-def _propagate(
-    drift: np.ndarray,
-    ops: np.ndarray,
-    amps: np.ndarray,
-    dt: float,
-    target: np.ndarray,
-    out: _Propagation | None = None,
-) -> _Propagation:
-    """The propagation of (C, N) amplitudes into ``out``, or into new buffers."""
-    if out is None:
-        out = _Propagation(amps.shape[1], target.shape[0])
-    hams = _stacked_hamiltonians(drift, ops, amps, out.hams)
-    out.umats, out.evals, out.evecs = slice_propagators(
-        hams, dt, (out.umats, out.evals, out.evecs), out.work
-    )
-    ordered_products(out.umats, out.fwd[1:], out.product_work)
-    out.overlap, out.loss = _trace_loss(out.total, target)
-    return out
-
-
-def _times_inverse(
-    c: np.ndarray, f: np.ndarray, out: np.ndarray | None = None, work=(None,) * 3
-) -> np.ndarray:
-    """c F^-1 for a stack F unitary up to round-off, as (c F^+)(2 - F F^+).
-
-    That is one Newton step from the adjoint towards the inverse, exact to
-    the square of F's unitarity defect; c may be one matrix or a stack.
-    ``out`` and the three stacks of ``work``, shaped like the result, are
-    overwritten when given; out may be c itself.
-    """
-    fh = np.conjugate(f, out=work[0]).swapaxes(-1, -2)
-    left = _matmul(c, fh, work[1])
-    right = _matmul(f, fh, work[2])
-    np.subtract(2.0 * np.eye(f.shape[-1]), right, out=right)
-    return _matmul(left, right, out)
-
-
 def _gradient_from_state(
     state: _Propagation, ops: np.ndarray, target: np.ndarray, dt: float
 ) -> np.ndarray:
@@ -292,20 +199,17 @@ def _gradient_from_state(
     phi *= np.divide(np.sin(half_diff, out=half_sum), half_diff, out=half_sum)
     v = state.evecs
     vh = np.conjugate(v, out=vh).swapaxes(1, 2)
-    before, f = state.fwd[:-1], state.fwd[1:]
     boundary = target.conj().T @ state.total
-    if d == 2:  # keep the qubit stack's slice-contiguous layout
-        _matmul(before, boundary, c)
-    else:  # fwd[n] boundary for every n as one (N d, d) x (d, d) product
-        np.matmul(before.reshape(-1, d), boundary, out=c.reshape(-1, d))
-    c = _times_inverse(c, f, c, (w1, w2, w3))
+    c = _matmul(state.fwd[:-1], boundary, c)  # fwd[n] (target^+ total), every n
+    c = _times_inverse(c, state.fwd[1:], c, (w1, w2, w3))
     _matmul(_matmul(vh, c, w1), v, w2)
     w2 *= phi
     q = _matmul(_matmul(v, w2, w3), vh, w1)
     dg = (-1j * dt) * (
         ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
     )
-    return (-2.0 / d**2) * np.real(np.conj(state.overlap) * dg)
+    overlap = complex(boundary.trace())  # as _trace_loss forms it
+    return (-2.0 / d**2) * np.real(np.conj(overlap) * dg)
 
 
 def sampled_objective(
@@ -328,10 +232,11 @@ def sampled_objective(
     def fun(x: np.ndarray, grad: bool = True) -> tuple[float, np.ndarray | None]:
         nonlocal state
         amps, vjp = parametrize(x)
-        state = _propagate(drift, ops, amps, dt, target, state)
+        state = _propagate(drift, ops, amps, dt, state)
+        loss = _trace_loss(state.total, target)[1]
         if not grad:
-            return state.loss, None
-        return state.loss, vjp(_gradient_from_state(state, ops, target, dt))
+            return loss, None
+        return loss, vjp(_gradient_from_state(state, ops, target, dt))
 
     return fun
 
@@ -444,7 +349,8 @@ def initial_amplitudes(problem: ControlProblem) -> np.ndarray:
     """(channels, N) start amplitudes for the sampled methods.
 
     The per-channel arrays of problem.initial_guess when it is set, else
-    uniform in [-0.1, 0.1] from the problem seed.
+    uniform in [-0.1, 0.1] from the problem seed. A guess gives every model
+    channel, and no other key, N real and finite samples.
     """
     channels = problem.model.channels
     n = problem.n_samples
@@ -452,17 +358,30 @@ def initial_amplitudes(problem: ControlProblem) -> np.ndarray:
     if guess is None:
         rng = np.random.default_rng(problem.seed)
         return rng.uniform(-0.1, 0.1, size=(len(channels), n))
+    unknown = set(guess) - set(channels)
+    if unknown:
+        raise OptimizationError(
+            f"initial guess names channel(s) {sorted(map(str, unknown))} that "
+            f"the model lacks (has {list(channels)})"
+        )
     amps = np.zeros((len(channels), n))
     for i, ch in enumerate(channels):
         if ch not in guess:
             raise OptimizationError(f"initial guess missing channel {ch!r}")
-        arr = np.asarray(guess[ch], dtype=float)
+        try:
+            arr = np.asarray(guess[ch], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise OptimizationError(f"initial guess for {ch!r}: {exc}") from None
         if arr.shape != (n,):
             raise OptimizationError(
                 f"initial guess for {ch!r} has shape {arr.shape}, "
                 f"expected ({n},)"
             )
-        amps[i] = arr
+        if not np.all(np.isfinite(arr)):
+            raise OptimizationError(f"initial guess for {ch!r} is not finite")
+        if np.any(arr.imag):
+            raise OptimizationError(f"initial guess for {ch!r} is complex")
+        amps[i] = arr.real
     return amps
 
 

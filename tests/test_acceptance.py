@@ -177,7 +177,6 @@ def test_criterion_4_gradients_match_finite_differences():
             model=model,
             target_u=q,
             max_time=n_samples * model.dt,
-            n_samples=n_samples,
         )
 
     worst_grape = 0.0

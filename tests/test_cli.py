@@ -330,6 +330,28 @@ def test_simulate_t1_with_an_overflowing_drive_exits_2(tmp_path, capsys):
     assert stdout == "" and "substeps" in stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["--t1", "20"]], ids=["closed", "t1"])
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_simulate_with_an_overflowing_drive_exits_2(
+    tmp_path, capsys, n_qubits, flags
+):
+    # two finite 1e308 channels on X0 sum to an infinite slice Hamiltonian
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "n_qubits": n_qubits, "dt": 0.1,
+        "control": [{"channel": "a", "op": "X0"}, {"channel": "b", "op": "X0"}],
+    }))
+    pulse = tmp_path / "p.json"
+    pulse.write_text(json.dumps({"dt": 0.1, "instructions": [
+        {"channel": ch, "t0": 0, "samples": [[1e308, 0]] * 3} for ch in "ab"
+    ]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "simulate", pulse, model, *flags)
+    assert code == 2
+    assert stdout == "" and "overflows" in stderr and "Traceback" not in stderr
+
+
 def test_compile_with_a_non_finite_operator_exits_2_at_the_model(
     tmp_path, fixtures, capsys
 ):

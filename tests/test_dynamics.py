@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from optpulse.dynamics import (
     ControlSignal,
     _matmul,
+    _propagate,
     _stacked_hamiltonians,
     evolve_continuous,
     evolve_states,
@@ -23,7 +24,6 @@ from optpulse.dynamics import (
 )
 from optpulse.errors import DynamicsError
 from optpulse.model import SystemModel, build_operator
-from optpulse.optimize.problem import _propagate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1, -1]).astype(complex)
@@ -238,12 +238,12 @@ def test_qubit_stacks_keep_the_slice_axis_contiguous(c_order):
         hams = np.ascontiguousarray(hams)
     for arr in slice_propagators(hams, 0.1):
         assert arr.strides[0] == arr.itemsize
-    fwd = _propagate(0.3 * Z, ops, amps, 0.1, X).fwd
+    fwd = _propagate(0.3 * Z, ops, amps, 0.1).fwd
     assert fwd.shape == (51, 2, 2) and fwd.strides[0] == fwd.itemsize
     # larger stacks stay in C order for eigh and BLAS
     big = np.kron(np.eye(2), 0.3 * Z)
     wide = np.array([np.kron(op, np.eye(2)) for op in ops])
-    assert _propagate(big, wide, amps, 0.1, np.eye(4)).fwd.flags.c_contiguous
+    assert _propagate(big, wide, amps, 0.1).fwd.flags.c_contiguous
 
 
 # ------------------------------------------------------------ closed system

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.dynamics import (
     ControlSignal,
+    _propagate,
     _stacked_hamiltonians,
     evolve_continuous,
     piecewise_propagator,
@@ -40,7 +41,7 @@ from optpulse.optimize.goat import (
 )
 from optpulse.optimize.problem import (
     _gradient_from_state,
-    _propagate,
+    _trace_loss,
     clip_amplitudes,
     initial_amplitudes,
     minimize,
@@ -85,9 +86,7 @@ def random_problem(rng, n_channels=2, n_samples=8, n_qubits=1):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(a)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return ControlProblem(
-        model=model, target_u=q, max_time=n_samples * model.dt, n_samples=n_samples
-    )
+    return ControlProblem(model=model, target_u=q, max_time=n_samples * model.dt)
 
 
 # -------------------------------------------------------- problem plumbing
@@ -116,7 +115,7 @@ def test_problem_rejects_non_unitary_target():
 
 def test_problem_rejects_bad_horizon():
     with pytest.raises(OptimizationError):
-        x_problem(max_time=10.0, n_samples=37)  # 10 / 0.2 = 50
+        x_problem(max_time=10.1)  # 10.1 / 0.2 = 50.5
 
 
 def test_problem_deduces_sample_count():
@@ -147,6 +146,53 @@ def test_problem_rejects_an_initial_guess_that_is_not_a_mapping(guess):
     # a guess that is not used must not be accepted silently
     with pytest.raises(OptimizationError, match="initial-guess"):
         x_problem(initial_guess=guess)
+
+
+@pytest.mark.parametrize(
+    "guess, message",
+    [
+        ({"dx": np.zeros(50), "dy": np.zeros(50)}, r"\['dy'\] that the model lacks"),
+        ({"dx": np.full(50, 0.1 + 0.1j)}, "'dx' is complex"),
+        ({"dx": np.full(50, np.nan)}, "'dx' is not finite"),
+        ({"dx": [np.inf] + [0.0] * 49}, "'dx' is not finite"),
+        ({"dx": ["a"] * 50}, "initial guess for 'dx'"),
+    ],
+    ids=["unknown-channel", "complex", "nan", "inf", "text"],
+)
+def test_initial_amplitudes_reject_a_guess_they_would_mishandle(guess, message):
+    with pytest.raises(OptimizationError, match=message):
+        initial_amplitudes(x_problem(initial_guess=guess))
+
+
+@pytest.mark.parametrize(
+    "run", [grape_optimize, krotov_optimize], ids=["GRAPE", "krotov"]
+)
+@pytest.mark.parametrize("case", ["qubit", "QFT2"])
+def test_a_nan_guess_is_rejected_before_the_first_propagation(
+    fixtures, monkeypatch, run, case
+):
+    if case == "QFT2":
+        model = load_model(fixtures / "model_2q_12ch.json")
+        target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
+        problem = ControlProblem(model=model, target_u=target, max_time=10.0)
+    else:
+        problem = x_problem()
+    guess = {ch: np.full(problem.n_samples, 0.1) for ch in problem.model.channels}
+    guess[problem.model.channels[0]][7] = np.nan
+    starts = _counting(monkeypatch, krotov_module, "_propagate")
+    evaluations = _counting(monkeypatch, problem_module, "_propagate")
+    with pytest.raises(OptimizationError, match="not finite"):
+        run(replace(problem, initial_guess=guess))
+    assert starts == evaluations == []
+
+
+def test_goat_rejects_an_initial_guess_of_samples():
+    # GOAT trains envelope parameters; a sample guess would be ignored
+    guess = {"dx": np.full(50, 7.0)}
+    with pytest.raises(OptimizationError, match="initial-guess"):
+        goat_optimize(x_problem(initial_guess=guess))
+    with pytest.raises(OptimizationError, match="initial-guess"):
+        get_optimizer("GOAT").optimize(x_problem(initial_guess=guess))
 
 
 # ---------------------------------------------------------------- minimize
@@ -215,8 +261,8 @@ def test_krotov_evaluations_count_lambda_retries(monkeypatch):
     problem = ControlProblem(model=model, target_u=X, max_time=4.0, tol=1e-6)
     calls = _counting(monkeypatch, krotov_module, "slice_propagators")
     res = krotov_optimize(problem)
-    # the start propagates in problem._propagate; each sweep attempt then
-    # makes one call per slice here
+    # the start propagates in the core, dynamics._propagate; each sweep
+    # attempt then makes one call per slice here
     assert res.evaluations == len(calls) / problem.n_samples
     assert res.evaluations > res.iterations
 
@@ -366,8 +412,8 @@ def _goat_pi_case(monkeypatch):
     )
     built = []
 
-    def recording(drift, ops, amps, dt, target, out=None):
-        built.append((_propagate(drift, ops, amps, dt, target), ops, target, dt))
+    def recording(drift, ops, amps, dt, out=None):
+        built.append((_propagate(drift, ops, amps, dt), ops, problem.target_u, dt))
         return built[-1][0]
 
     monkeypatch.setattr(problem_module, "_propagate", recording)
@@ -385,7 +431,7 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
     qft2 = ControlProblem(model=model, target_u=target, max_time=10.0, seed=5)
     ops = model.control_stack
     amps = initial_amplitudes(qft2)
-    state = _propagate(model.drift_matrix(), ops, amps, qft2.dt, target)
+    state = _propagate(model.drift_matrix(), ops, amps, qft2.dt)
     goat_case = _goat_pi_case(monkeypatch)
     assert goat_case[0].umats.shape[0] == 4000
     # d = 2 with drift and two non-commuting drives: unlike the pi grid, whose
@@ -395,9 +441,7 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
     hadamard = ControlProblem(model=qubit, target_u=H, max_time=10.0, seed=7)
     qubit_ops = qubit.control_stack
     qubit_amps = initial_amplitudes(hadamard)
-    qubit_state = _propagate(
-        qubit.drift_matrix(), qubit_ops, qubit_amps, hadamard.dt, H
-    )
+    qubit_state = _propagate(qubit.drift_matrix(), qubit_ops, qubit_amps, hadamard.dt)
     cases = [
         (state, ops, target, qft2.dt),
         goat_case,
@@ -707,15 +751,16 @@ def test_krotov_costates_match_the_back_propagation_loop(fixtures):
     for problem in (qft2, drifted):
         drift, ops = problem.model.drift_matrix(), problem.model.control_stack
         amps = initial_amplitudes(problem)
-        state = _propagate(drift, ops, amps, problem.dt, problem.target_u)
-        reference = _loop_costates(state.umats, problem.target_u, state.overlap)
+        state = _propagate(drift, ops, amps, problem.dt)
+        overlap = _trace_loss(state.total, problem.target_u)[0]
+        reference = _loop_costates(state.umats, problem.target_u, overlap)
         # forward products as the start builds them, and as a sweep does
         sequential = [np.eye(problem.dim, dtype=complex)]
         for u in state.umats[:-1]:
             sequential.append(u @ sequential[-1])
         for fwd in (state.fwd[:-1], np.array(sequential)):
             chi_h = krotov_module._costates(
-                fwd, state.total, problem.target_u, state.overlap
+                fwd, state.total, problem.target_u, overlap
             )
             error = np.max(np.abs(chi_h - reference))
             assert error <= 1e-12 * np.max(np.abs(reference))
@@ -729,13 +774,14 @@ def _reference_krotov(problem):
     n, dt, d, target = problem.n_samples, problem.dt, problem.dim, problem.target_u
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
     amps = clip_amplitudes(initial_amplitudes(problem), problem.amplitude_bound)
-    state = _propagate(drift, ops, amps, dt, target)
-    loss, trace, status, sweeps, lam = state.loss, [state.loss], "max-iters", 0, 1.0
+    state = _propagate(drift, ops, amps, dt)
+    overlap, loss = _trace_loss(state.total, target)
+    trace, status, sweeps, lam = [loss], "max-iters", 0, 1.0
     if loss <= tol:
         return amps, 0, "converged"
     while sweeps < max_sweeps:
         # chi_k = (U_{N-1}...U_k)^+ (g/d^2) target, with U_{N-1}...U_k = total fwd[k]^+
-        costates = state.fwd @ state.total.conj().T @ ((state.overlap / d**2) * target)
+        costates = state.fwd @ state.total.conj().T @ ((overlap / d**2) * target)
         for _ in range(60):
             new_amps = amps.copy()
             psi = np.eye(d, dtype=complex)
@@ -750,8 +796,8 @@ def _reference_krotov(problem):
                 break
             lam *= 2.0
         amps = new_amps
-        state = _propagate(drift, ops, amps, dt, target)
-        loss = state.loss
+        state = _propagate(drift, ops, amps, dt)
+        overlap, loss = _trace_loss(state.total, target)
         sweeps += 1
         trace.append(loss)
         if loss <= tol:

@@ -125,7 +125,7 @@ def test_standalone_grape_from_options_map():
             "target-U": "X0",
             "control-H": ["X0"],
             "max-time": 10.0,
-            "n-samples": 50,
+            "dt": 0.2,
             "tol": 1e-6,
             "seed": 1,
         },
@@ -213,7 +213,7 @@ def test_option_values_are_type_checked():
     with pytest.raises(OptimizationError):
         get_optimizer("GRAPE", {"max-time": "ten"})
     with pytest.raises(OptimizationError):
-        get_optimizer("GRAPE", {"n-samples": 2.5})
+        get_optimizer("GRAPE", {"max-iters": 2.5})
 
 
 def test_options_are_copied_not_aliased():
@@ -318,5 +318,5 @@ def test_goat_control_params_need_control_funcs(fixtures):
 def test_option_values_must_survive_the_cast():
     with pytest.raises(OptimizationError, match="tol"):
         get_optimizer("GRAPE", {"tol": float("nan")})
-    with pytest.raises(OptimizationError, match="n-samples"):
-        get_optimizer("GRAPE", {"n-samples": float("inf")})
+    with pytest.raises(OptimizationError, match="max-iters"):
+        get_optimizer("GRAPE", {"max-iters": float("inf")})

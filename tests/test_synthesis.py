@@ -386,7 +386,8 @@ def test_transform_requires_max_time():
 
 
 def test_transform_rejects_contradictory_sample_count():
-    with pytest.raises(OptimizationError):
+    # the sample count follows from max-time and dt, so it is no option
+    with pytest.raises(OptimizationError, match="unknown option.*n-samples"):
         transform(
             parse_circuit("X(q[0]);"),
             x_model(),
