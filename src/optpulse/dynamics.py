@@ -15,7 +15,9 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
   since numpy spends one BLAS call per matrix on a stacked matmul. Their
   (N, 2, 2) stacks keep the slice index as the contiguous axis (Fortran
   order), so each elementwise operation runs over one entry of every
-  slice at once; larger stacks stay in C order for eigh and BLAS.
+  slice at once; larger stacks stay in C order for eigh and BLAS. Krotov's
+  sweep, which sets each slice's amplitudes only after propagating the
+  slice before, steps one slice at a time through ``_slice_step`` instead.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
   unitarity defect meets tolerance. It shares no exponential with the other
@@ -50,7 +52,20 @@ UNITARITY_TOL = 1e-9  # stricter than the 1e-7 contract; keeps engines in step
 MAX_STEP_HALVINGS = 12
 MAX_LINDBLAD_SUBSTEPS = 1024  # per slice; more means the drive outruns dt
 MAX_TAYLOR_TERMS = 24  # ample: at norm 1/2, term 17 is 2^-17/17! < 1e-20
+# slices x d^2 of one grid: at most 64 MiB per (N, d, d) complex slice stack
+MAX_SLICE_ENTRIES = 2**22
 _EPS = np.finfo(float).eps
+
+
+def _check_grid(slices: float, dim: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``slices`` slices of a dim-level system stay
+    within ``MAX_SLICE_ENTRIES``; checked on the float count, so an infinite
+    or oversize grid fails before any int() of it or allocation."""
+    if not slices * dim**2 <= MAX_SLICE_ENTRIES:  # NaN and inf fail too
+        raise error(
+            f"{slices:.4g} slices of a {dim}-level system exceed the limit of "
+            f"{MAX_SLICE_ENTRIES} slices x d^2"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,7 +74,8 @@ class ControlSignal:
 
     Exactly one of ``samples`` (channel -> complex array, one value per dt)
     and ``envelopes`` (channel -> callable of t) is set. All channels share
-    ``n_samples`` and ``dt``; duration = n_samples * dt.
+    ``n_samples`` and ``dt``; duration = n_samples * dt. The engines take
+    at most ``MAX_SLICE_ENTRIES`` slices x d^2 of the model they run on.
     """
 
     dt: float
@@ -110,6 +126,7 @@ class ControlSignal:
                 f"duration and dt must be positive and finite, got {duration} "
                 f"and {dt}"
             )
+        _check_grid(float(duration) / float(dt), 1, DynamicsError)
         n = int(round(duration / dt))
         if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
             raise DynamicsError(
@@ -131,7 +148,9 @@ class ControlSignal:
         return tuple(source.keys())
 
 
-def _check_signal_channels(model: SystemModel, signal: ControlSignal) -> None:
+def _check_signal(model: SystemModel, signal: ControlSignal) -> None:
+    """The signal drives only model channels, on a grid within the limit."""
+    _check_grid(signal.n_samples, model.dim, DynamicsError)
     unknown = set(signal.channels) - set(model.channels)
     if unknown:
         raise DynamicsError(
@@ -375,10 +394,16 @@ class _Propagation:
 
     def __init__(self, n: int, d: int):
         stack = ((n, d, d), complex)
-        (self.umats, self.evecs, self.evals, self.fwd, self.hams, *self.work) = _block(
-            stack, stack, ((n, d), float), ((n + 1, d, d), complex), stack,
-            ((n, d), complex), stack, stack,
+        # only the qubit path writes evals and evecs in place; eigh has no
+        # out=, so larger stacks take the ones each call returns
+        eig = (stack, ((n, d), float)) if d == 2 else ()
+        arrays = _block(
+            stack, ((n + 1, d, d), complex), stack, ((n, d), complex), stack,
+            stack, *eig,
         )
+        self.umats, self.fwd, self.hams = arrays[:3]
+        self.work = arrays[3:6]
+        self.evecs, self.evals = arrays[6:] or (None, None)
         self.fwd[0] = np.eye(d)
         self.total = self.fwd[-1]
         # the products' scratch lives in the exponentials' left and right
@@ -393,7 +418,7 @@ class _Propagation:
         time a gradient is formed; the rest is allocated at the first one.
         """
         if self.gradient_work is None:
-            n, d = self.evals.shape
+            n, d = self.umats.shape[:2]
             real, stack = ((n, d, d), float), ((n, d, d), complex)
             allocated = _block(((n, d), float), real, real, stack, stack, stack)
             self.gradient_work = (*allocated, self.hams, *self.work[1:])
@@ -414,11 +439,33 @@ def _propagate(
     return out
 
 
+def _slice_step(
+    drift: np.ndarray, op_flat: np.ndarray, amps: np.ndarray, dt: float,
+    psi: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
+    """out = exp(-i dt H) psi for one slice, H = drift + sum_c amps[c] Op_c.
+
+    The core's slice exponential for one amplitude vector, for a caller
+    that must set each slice's amplitudes after the slice before it is
+    propagated (Krotov's sweep). ``op_flat`` holds the (C, d^2) flattened
+    operators. One product gives H, one LAPACK eigh its eigenbasis, and
+    u = (V e^{-i w dt}) V^+ is applied to psi straight into ``out``, which
+    must not overlap psi. Qubits take the same eigh: on a single matrix it
+    costs fewer numpy calls than the closed form of the stacks. Only the
+    lower triangle of H is read.
+    """
+    ham = (amps @ op_flat).reshape(drift.shape)
+    ham += drift
+    evals, evecs = np.linalg.eigh(ham)
+    left = evecs * np.exp(evals * (-1j * dt))
+    return np.matmul(left @ evecs.conj().T, psi, out=out)
+
+
 def _signal_amplitudes(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """(C, N) amplitudes of the model's channels; checks the sampled signal."""
     if not signal.is_sampled:
         raise DynamicsError("this engine needs a sampled signal")
-    _check_signal_channels(model, signal)
+    _check_signal(model, signal)
     if abs(signal.dt - model.dt) > 1e-12 * max(1.0, model.dt):
         raise DynamicsError(
             f"signal dt={signal.dt} does not match model dt={model.dt}"
@@ -493,7 +540,7 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
         raise DynamicsError(
             "model has collapse operators; use lindblad_evolve for open systems"
         )
-    _check_signal_channels(model, signal)
+    _check_signal(model, signal)
     tau = signal.duration
     drift = model.drift_matrix()
     controls = model.control_matrices()

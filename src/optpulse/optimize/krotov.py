@@ -14,9 +14,15 @@ whenever a sweep fails to decrease the loss, which keeps the accepted
 trace monotone without faking it.
 
 The sum over k is Tr(Op_c m) with m = psi chi^+, so one product per slice
-and one (C, d^2) x (d^2,) product give every channel's update. The first
-sweep starts from ``dynamics._propagate``; an accepted sweep keeps the
-forward products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
+and one (C, d^2) x (d^2,) product give every channel's update; the
+costates are scaled by 1/lambda once per sweep, which is exact because
+lambda is a power of two. The slice then goes through the dynamics core's
+one-slice step, ``dynamics._slice_step``: one product for H, one LAPACK
+eigh and two products, written straight into the sweep's forward stack.
+Qubit slices take that eigh too; only the core's sampled stacks take the
+closed-form 2x2 eigendecomposition. The first sweep starts from the
+stacked ``dynamics._propagate``; an accepted sweep keeps the forward
+products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
 costates come from them by unitarity (``_costates``), with no backward loop.
 """
 
@@ -24,9 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import (
-    _propagate, _stacked_hamiltonians, _times_inverse, slice_propagators,
-)
+from ..dynamics import _propagate, _slice_step, _times_inverse
 from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
@@ -68,19 +72,22 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
     # Tr(Op_c m) = sum_ab Op_c[a, b] m[b, a]: rows of the transposed operators
     op_rows = ops.swapaxes(1, 2).reshape(len(ops), d * d)
+    op_flat = ops.reshape(len(ops), d * d)
     bound = problem.amplitude_bound
+    # the sweep's forward products fwd[k] = U_{k-1}...U_0, laid out as the
+    # core's; an attempt overwrites them, and an accepted one keeps them
+    sweep_fwd = np.empty((n + 1, d, d), dtype=complex)
+    sweep_fwd[0] = np.eye(d)
 
-    def sweep(amps: np.ndarray, chi_h: np.ndarray, lam: float):
-        new_amps = amps.copy()
-        fwd = np.empty((n, d, d), dtype=complex)
-        psi = np.eye(d, dtype=complex)
-        for k in range(n):
-            fwd[k] = psi
-            new_amps[:, k] += (op_rows @ (psi @ chi_h[k]).ravel()).imag / lam
-            new_amps[:, k] = clip_amplitudes(new_amps[:, k], bound)
-            ham = _stacked_hamiltonians(drift, ops, new_amps[:, k : k + 1])[0]
-            psi = slice_propagators(ham, dt)[0] @ psi
-        return new_amps, fwd, psi
+    def sweep(amps: np.ndarray, chi_h: np.ndarray, lam: float) -> np.ndarray:
+        chi_h = chi_h * (1.0 / lam)  # exact: lambda is a power of two
+        rows = amps.T.copy()  # the channel amplitudes of one slice per row
+        for row, chi, psi, out in zip(rows, chi_h, sweep_fwd[:-1], sweep_fwd[1:]):
+            row += (op_rows @ (psi @ chi).ravel()).imag
+            if bound > 0:
+                np.clip(row, -bound, bound, out=row)
+            _slice_step(drift, op_flat, row, dt, psi, out)
+        return rows.T
 
     amps = clip_amplitudes(initial_amplitudes(problem), bound)
     start = _propagate(drift, ops, amps, dt)
@@ -97,9 +104,9 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         while sweeps < max_sweeps:
             chi_h = _costates(fwd, total, target, overlap)
             for _ in range(MAX_LAMBDA_DOUBLINGS):
-                new_amps, new_fwd, psi = sweep(amps, chi_h, lam)
+                new_amps = sweep(amps, chi_h, lam)
                 attempts += 1
-                new_overlap, new_loss = _trace_loss(psi, target)
+                new_overlap, new_loss = _trace_loss(sweep_fwd[-1], target)
                 if new_loss <= loss + MONOTONE_TOL:
                     break
                 lam *= 2.0  # too aggressive; retry the sweep more gently
@@ -108,7 +115,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
                     "Krotov sweep failed to decrease the infidelity even at "
                     f"lambda={lam:g}; monotonicity is broken"
                 )
-            amps, fwd, total = new_amps, new_fwd, psi
+            amps, fwd, total = new_amps, sweep_fwd[:-1], sweep_fwd[-1]
             overlap, loss = new_overlap, new_loss
             sweeps += 1
             trace.append(loss)

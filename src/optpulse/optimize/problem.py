@@ -28,7 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import _matmul, _propagate, _Propagation, _times_inverse
+from ..dynamics import (
+    _check_grid, _matmul, _propagate, _Propagation, _times_inverse,
+)
 from ..errors import OptimizationError
 from ..model import SystemModel
 
@@ -75,7 +77,8 @@ class ControlProblem:
     """One gate-synthesis task: model, target unitary, horizon, knobs.
 
     amplitude_bound 0 means unbounded. The horizon must tile into slices of
-    the model's dt; n_samples, their number, is derived from the two.
+    the model's dt; n_samples, their number, is derived from the two, and
+    n_samples x d^2 may not exceed ``dynamics.MAX_SLICE_ENTRIES``.
     """
 
     model: SystemModel
@@ -112,6 +115,7 @@ class ControlProblem:
                 f"{self.initial_guess!r}"
             )
         dt = self.model.dt
+        _check_grid(float(self.max_time) / dt, self.model.dim, OptimizationError)
         n = int(round(self.max_time / dt))
         if n < 1 or abs(n * dt - self.max_time) > 1e-9 * max(1.0, self.max_time):
             raise OptimizationError(

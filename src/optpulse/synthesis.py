@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .circuits import Circuit, circuit_unitary
-from .dynamics import ControlSignal
+from .dynamics import MAX_SLICE_ENTRIES, ControlSignal
 from .errors import (
     CircuitError,
     LibraryError,
@@ -107,15 +107,14 @@ class PulseProgram:
 
     def to_signal(self) -> ControlSignal:
         """Materialize per-channel sample arrays (zeros where idle)."""
-        try:
-            arrays = {
-                ch: np.zeros(self.total_duration, dtype=complex)
-                for ch in self.channels
-            }
-        except ValueError as exc:  # numpy refuses the size before allocating
+        if self.total_duration > MAX_SLICE_ENTRIES:  # no engine could take them
             raise PulseError(
-                f"program has too many samples for an array: {exc}"
-            ) from None
+                f"program spans more than {MAX_SLICE_ENTRIES} samples per "
+                "channel, the slice limit of one grid"
+            )
+        arrays = {
+            ch: np.zeros(self.total_duration, dtype=complex) for ch in self.channels
+        }
         if not arrays:
             raise PulseError("cannot build a signal from an empty program")
         for instr in self.instructions:

@@ -121,6 +121,32 @@ def test_compile_bad_problem_value_exits_2(tmp_path, fixtures, capsys, flags, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dt, max_time",
+    [(1e-300, "1e10"), (0.2, "1e300"), (0.2, "1e8")],
+    ids=["ratio-overflows", "past-numpy-dimension", "past-memory"],
+)
+def test_compile_rejects_an_oversize_grid_before_allocating_it(
+    tmp_path, fixtures, capsys, monkeypatch, dt, max_time
+):
+    doc = json.loads((fixtures / "model_1q_x.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**doc, "dt": dt}))
+
+    def no_start(*args, **kwargs):  # the random start is the grid's first array
+        raise AssertionError("the oversize grid reached the random start")
+
+    monkeypatch.setattr(np.random, "default_rng", no_start)
+    out = tmp_path / "x.pulse.json"
+    code, _, stderr = run(
+        capsys, "compile", fixtures / "x.xasm", model, "--max-time", max_time,
+        "-o", out,
+    )
+    assert code == 2
+    assert "slices x d^2" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_compile_zero_max_iters_stays_valid(tmp_path, fixtures, capsys):
     out = tmp_path / "x.pulse.json"
     code, stdout, _ = run(
@@ -312,6 +338,20 @@ def test_simulate_huge_t0_exits_2(tmp_path, fixtures, capsys):
     )
     assert code == 2
     assert "samples" in stderr
+
+
+def test_simulate_a_program_past_the_slice_limit_exits_2(tmp_path, fixtures, capsys):
+    # one sample at t0 = 2^22: a small file that would span 2^22 + 1 slices
+    pulse = tmp_path / "late.json"
+    pulse.write_text(
+        '{"dt": 0.2, "instructions": [{"channel": "dx", "t0": %d, '
+        '"samples": [[0.1, 0]]}]}' % 2**22
+    )
+    code, stdout, stderr = run(
+        capsys, "simulate", pulse, fixtures / "model_1q_x_nodrift.json"
+    )
+    assert code == 2
+    assert stdout == "" and "slice limit" in stderr
 
 
 def test_simulate_t1_with_an_overflowing_drive_exits_2(tmp_path, capsys):

@@ -74,6 +74,24 @@ def test_signal_rejects_non_finite_time_scales(build):
         build()
 
 
+def test_signal_past_the_grid_limit_raises_before_any_slice_is_formed():
+    # a duration / dt that overflows to inf
+    with pytest.raises(DynamicsError, match="slices x d"):
+        ControlSignal.from_envelopes({"dx": lambda t: 0.1}, duration=1e10, dt=1e-300)
+
+    def envelope(t):
+        raise AssertionError("the oversize grid was integrated")
+
+    # 2^21 qubit slices fit an envelope signal, but hold twice the limit's
+    # slices x d^2 on a qubit model
+    model = x_model()
+    signal = ControlSignal.from_envelopes(
+        {"dx": envelope}, duration=2**21 * model.dt, dt=model.dt
+    )
+    with pytest.raises(DynamicsError, match="slices x d"):
+        evolve_continuous(model, signal)
+
+
 def test_matrix_exp_matches_scipy():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -259,10 +259,10 @@ def test_krotov_evaluations_count_lambda_retries(monkeypatch):
         control=(("dx", "X0"), ("dy", "Y0")),
     )
     problem = ControlProblem(model=model, target_u=X, max_time=4.0, tol=1e-6)
-    calls = _counting(monkeypatch, krotov_module, "slice_propagators")
+    calls = _counting(monkeypatch, krotov_module, "_slice_step")
     res = krotov_optimize(problem)
     # the start propagates in the core, dynamics._propagate; each sweep
-    # attempt then makes one call per slice here
+    # attempt then takes one _slice_step per slice
     assert res.evaluations == len(calls) / problem.n_samples
     assert res.evaluations > res.iterations
 
@@ -810,12 +810,20 @@ def _reference_krotov(problem):
 
 
 @pytest.mark.parametrize("guess", ["square", "random"])
-@pytest.mark.parametrize("case", ["H", "X", "QFT2"])
+@pytest.mark.parametrize("case", ["H", "X", "QFT2", "QFT2-bounded", "3q"])
 def test_krotov_sweep_matches_the_per_channel_reference(fixtures, case, guess):
-    if case == "QFT2":
+    if case.startswith("QFT2"):
         model = load_model(fixtures / "model_2q_12ch.json")
         target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
-        problem = ControlProblem(model=model, target_u=target, max_time=10.0, seed=3)
+        bound = 0.3 if case == "QFT2-bounded" else 0.0  # the clip branch
+        problem = ControlProblem(
+            model=model, target_u=target, max_time=10.0, seed=3, amplitude_bound=bound
+        )
+    elif case == "3q":  # d = 8
+        problem = replace(
+            random_problem(np.random.default_rng(8), n_channels=6, n_qubits=3),
+            max_iters=3,
+        )
     else:
         build = h_problem if case == "H" else x_problem
         problem = build(seed=3, tol=1e-6)

@@ -232,7 +232,7 @@ def test_parse_rejects_t0_that_is_no_whole_number(t0):
 
 @pytest.mark.parametrize("t0", [10**400, 2**62])
 def test_signal_of_a_program_too_long_for_numpy_raises_typed_error(t0):
-    # numpy refuses both sizes before it allocates anything
+    # the slice limit refuses both sizes before anything is allocated
     doc = {"dt": 0.1, "instructions": [{"channel": "a", "t0": t0, "samples": [[0.1, 0.0]]}]}
     with pytest.raises(PulseError, match="samples"):
         parse_program(doc).to_signal()
