@@ -24,11 +24,17 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
   engines, so the tests use it as an independent oracle.
 * ``lindblad_evolve`` -- exact per-slice propagation of the Lindblad master
   equation for sampled signals: rho_{n+1} = exp(L_n dt) rho_n with the
-  Liouvillian L_n constant inside each slice, applied to rho by a Taylor
-  series on norm-bounded substeps (no d^2 x d^2 matrix is formed). Each
-  Taylor term is two plain GEMMs: L_n(rho) = sum_a A_a rho B_a, with the
-  factors A_a stacked into one left matrix and the B_a into one right
-  matrix. Returns the density-matrix trajectory at every sample time.
+  Liouvillian L_n constant inside each slice, by Taylor series on
+  norm-bounded substeps. The kernel is chosen by d. Up to four levels
+  (``_lindblad_superoperators``) every slice's d^2 x d^2 superoperator is
+  formed, one stacked Taylor series and a few stacked squarings give all
+  their exponentials at once, and each slice costs one matvec: at these
+  sizes numpy's per-call overhead, not arithmetic, sets the cost. From
+  eight levels on (``_lindblad_factors``) the exponential is applied to rho
+  and never formed, each Taylor term being two plain GEMMs:
+  L_n(rho) = sum_a A_a rho B_a, with the factors A_a stacked into one left
+  matrix and the B_a into one right matrix. Returns the density-matrix
+  trajectory at every sample time.
 
 Samples are complex for format compatibility, but with no quadrature
 partner declared the imaginary part must vanish; only Re(s) drives Op_c.
@@ -52,9 +58,21 @@ UNITARITY_TOL = 1e-9  # stricter than the 1e-7 contract; keeps engines in step
 MAX_STEP_HALVINGS = 12
 MAX_LINDBLAD_SUBSTEPS = 1024  # per slice; more means the drive outruns dt
 MAX_TAYLOR_TERMS = 24  # ample: at norm 1/2, term 17 is 2^-17/17! < 1e-20
+# Lindblad slices up to this dimension take stacked d^2 x d^2 exponentials;
+# at d = 8 the 64 x 64 superoperator products cost about 5x the factor form
+MAX_SUPEROPERATOR_DIM = 4
+SUPEROPERATOR_BLOCK = 256  # slices per superoperator stack: 1 MiB at d = 4
 # slices x d^2 of one grid: at most 64 MiB per (N, d, d) complex slice stack
 MAX_SLICE_ENTRIES = 2**22
 _EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=16)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, one read-only array shared by every caller."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_grid(slices: float, dim: int, error: type[Exception]) -> None:
@@ -171,10 +189,16 @@ def _real_samples(signal: ControlSignal, channel: str) -> np.ndarray:
 
 def _empty(shape: tuple[int, ...], dtype=complex, buffer=None, offset=0) -> np.ndarray:
     """An uninitialised stack in the layout of its matrix size: the slice axis
-    contiguous (Fortran order) for qubits, C order otherwise. It is a new
-    array, or a view of ``buffer`` from byte ``offset`` on."""
-    order = "F" if shape[-1] == 2 else "C"
-    return np.ndarray(shape, dtype, buffer, offset, order=order)
+    contiguous (Fortran order) for qubits, C order otherwise. A 4-D shape is
+    a set of (N, d, d) stacks along its first axis, each laid out so. It is
+    a new array, or a view of ``buffer`` from byte ``offset`` on."""
+    if shape[-1] != 2:
+        return np.ndarray(shape, dtype, buffer, offset)
+    if len(shape) == 4:
+        count, n, d, _ = shape
+        stacks = np.ndarray((count, d, d, n), dtype, buffer, offset)
+        return stacks.transpose(0, 3, 2, 1)
+    return np.ndarray(shape, dtype, buffer, offset, order="F")
 
 
 def slice_propagators(
@@ -289,16 +313,24 @@ def _product_work(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The scratch of ``ordered_products`` on n slices: per level, compact
     stacks for the pairs and for the even entries. The levels hold fewer
-    than n matrices each way, so they are carved from the memory of two
-    contiguous (n, d, d) stacks, ``pairs`` and ``even``.
+    than n matrices each way, so they are carved one after the other from
+    the memory of two (n, d, d) stacks, ``pairs`` and ``even``, laid out as
+    ``_empty`` lays them out: C-order levels are slices of the stacks, and
+    qubit levels, slice-contiguous, views of their flat memory.
     """
-    pairs, even = (w.reshape(-1, order="A") for w in (pairs, even))  # flat views
-    levels, offset = [], 0
+    if d == 2:
+        pairs, even = (w.T.reshape(-1) for w in (pairs, even))  # flat views
+
+    def level(w: np.ndarray, count: int) -> np.ndarray:
+        if d == 2:
+            return w[4 * first : 4 * (first + count)].reshape(2, 2, count).T
+        return w[first : first + count]
+
+    levels, first = [], 0
     while n > 1:
         h, e = n // 2, (n - 1) // 2
-        levels.append((_empty((h, d, d), complex, pairs, offset),
-                       _empty((e, d, d), complex, even, offset)))
-        offset += h * d * d * pairs.itemsize
+        levels.append((level(pairs, h), level(even, e)))
+        first += h
         n = h
     return levels
 
@@ -316,7 +348,7 @@ def _times_inverse(
     fh = np.conjugate(f, out=work[0]).swapaxes(-1, -2)
     left = _matmul(c, fh, work[1])
     right = _matmul(f, fh, work[2])
-    np.subtract(2.0 * np.eye(f.shape[-1]), right, out=right)
+    np.subtract(2.0 * _identity(f.shape[-1]), right, out=right)
     return _matmul(left, right, out)
 
 
@@ -393,22 +425,21 @@ class _Propagation:
     """
 
     def __init__(self, n: int, d: int):
-        stack = ((n, d, d), complex)
         # only the qubit path writes evals and evecs in place; eigh has no
         # out=, so larger stacks take the ones each call returns
-        eig = (stack, ((n, d), float)) if d == 2 else ()
-        arrays = _block(
-            stack, ((n + 1, d, d), complex), stack, ((n, d), complex), stack,
-            stack, *eig,
+        eig = (((n, d), float),) if d == 2 else ()
+        stacks, self.fwd, phases, *evals = _block(
+            ((4 + len(eig), n, d, d), complex), ((n + 1, d, d), complex),
+            ((n, d), complex), *eig,
         )
-        self.umats, self.fwd, self.hams = arrays[:3]
-        self.work = arrays[3:6]
-        self.evecs, self.evals = arrays[6:] or (None, None)
-        self.fwd[0] = np.eye(d)
+        self.hams, self.umats, left, right, *evecs = stacks
+        self.work = (phases, left, right)
+        self.evecs, self.evals = (evecs[0], evals[0]) if eig else (None, None)
+        self.fwd[0] = _identity(d)
         self.total = self.fwd[-1]
         # the products' scratch lives in the exponentials' left and right
         # factors, spent once umats is formed
-        self.product_work = _product_work(n, d, *self.work[1:])
+        self.product_work = _product_work(n, d, left, right)
         self.gradient_work = None
 
     def gradient_buffers(self) -> tuple[np.ndarray, ...]:
@@ -605,18 +636,17 @@ def lindblad_evolve(
 
     drho/dt = L_n(rho) = -i[H_n, rho] + sum_j gamma_j (L_j rho L_j^+
     - {L_j^+ L_j, rho} / 2) has a constant generator inside each slice, so
-    rho_{n+1} = exp(L_n dt) rho_n. The exponential is applied to rho, never
-    formed: each slice splits into substeps whose a-priori generator norm
-    is at most 1/2, and each substep sums the Taylor series of
-    exp(h L_n) rho until a term drops below round-off. With
-    J_j = sqrt(gamma_j) L_j and G_n = -i H_n - sum_j J_j^+ J_j / 2, the
-    generator is L_n(rho) = sum_a A_a rho B_a over A = (G_n, I, J_1, ...)
-    and B = (I, G_n^+, J_1^+, ...). The A_a are laid out as one
-    (d (m+2), d) left factor and the B_a as one ((m+2) d, d) right factor,
-    so a Taylor term is two GEMMs (``_lindblad_substep``); only the G_n and
-    G_n^+ blocks change from slice to slice. A slice that would need
-    more than ``MAX_LINDBLAD_SUBSTEPS`` substeps, or an unbounded number,
-    raises ``DynamicsError``.
+    rho_{n+1} = exp(L_n dt) rho_n. With J_j = sqrt(gamma_j) L_j and
+    G_n = -i H_n - sum_j J_j^+ J_j / 2, the generator is
+    L_n(rho) = G_n rho + rho G_n^+ + sum_j J_j rho J_j^+. Each slice splits
+    into substeps whose a-priori generator norm is at most 1/2; a slice that
+    would need more than ``MAX_LINDBLAD_SUBSTEPS`` substeps, or an unbounded
+    number, raises ``DynamicsError`` before either kernel runs. The kernel
+    is chosen by d: up to ``MAX_SUPEROPERATOR_DIM`` levels every slice's
+    d^2 x d^2 exponential is formed at once (``_lindblad_superoperators``);
+    larger systems apply the exponential to rho, never forming it
+    (``_lindblad_factors``). Both sum Taylor series on the same substep
+    bound and clip the Hermiticity round-off of every slice's rho.
     """
     rho_init = np.asarray(rho0, dtype=complex)
     if rho_init.ndim == 1:  # pure state given as a vector
@@ -633,6 +663,25 @@ def lindblad_evolve(
     if np.max(np.abs(rho_init - rho_init.conj().T)) > 1e-9:
         raise DynamicsError("rho0 must be Hermitian")
 
+    gens, jumps, substeps = _lindblad_generators(model, signal)
+    kernel = (
+        _lindblad_superoperators if model.dim <= MAX_SUPEROPERATOR_DIM
+        else _lindblad_factors
+    )
+    traj = kernel(gens, jumps, substeps, signal.dt, rho_init)
+    times = np.arange(signal.n_samples + 1) * signal.dt
+    return times, traj
+
+
+def _lindblad_generators(
+    model: SystemModel, signal: ControlSignal
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G_n, J_j, substeps per slice) of a sampled signal on ``model``.
+
+    The guard both Lindblad kernels share: it checks the signal and raises
+    ``DynamicsError`` when a slice needs more than ``MAX_LINDBLAD_SUBSTEPS``
+    substeps of generator norm at most 1/2, or an unbounded number.
+    """
     d = model.dim
     hams = _slice_hamiltonians(model, signal)
     jumps = np.array(
@@ -647,23 +696,90 @@ def lindblad_evolve(
             f"drive too strong for dt={signal.dt}: a slice needs "
             f"{np.max(substeps):.4g} Lindblad substeps (cap {MAX_LINDBLAD_SUBSTEPS})"
         )
+    return gens, jumps, substeps.astype(int)
+
+
+def _lindblad_superoperators(
+    gens: np.ndarray, jumps: np.ndarray, substeps: np.ndarray, dt: float,
+    rho: np.ndarray,
+) -> list[np.ndarray]:
+    """rho at every slice boundary from stacked superoperator exponentials.
+
+    On row-major vec(rho), vec(A rho B) = (A kron B^T) vec(rho), so slice n
+    has the d^2 x d^2 Liouvillian L_n = G_n kron I + I kron conj(G_n)
+    + sum_j J_j kron conj(J_j). Scaling and squaring (Moler and Van Loan,
+    SIAM Rev. 45, 3 (2003)): with 2^s at least the largest substep count,
+    h = dt / 2^s keeps every ||h L_n|| <= 1/2, one stacked Taylor series
+    gives every exp(h L_n) and s stacked squarings give exp(dt L_n). The
+    series stops once a term's Frobenius norm over the stack, which bounds
+    each of its entries, is below round-off, or after ``MAX_TAYLOR_TERMS``
+    terms. Each slice then costs one matvec. The stacks are formed
+    ``SUPEROPERATOR_BLOCK`` slices at a time, so they take a few MB at
+    most whatever the slice count.
+    """
+    d = rho.shape[0]
+    squarings = (int(substeps.max()) - 1).bit_length()
+    h = dt / 2**squarings
+    eye = _identity(d)
+    # [a, b, c, e] is row a d + b, column c d + e of the superoperator
+    jump_part = jumps[:, :, None, :, None] * jumps.conj()[:, None, :, None, :]
+    jump_part = h * jump_part.sum(axis=0)
+    vecs = np.empty((len(gens) + 1, d * d), dtype=complex)  # vec(rho) per boundary
+    vecs[0] = rho.reshape(-1)
+    for first in range(0, len(gens), SUPEROPERATOR_BLOCK):
+        g = h * gens[first : first + SUPEROPERATOR_BLOCK]
+        sup = g[:, :, None, :, None] * eye[:, None, :]
+        sup += eye[:, None, :, None] * g.conj()[:, None, :, None, :]
+        sup += jump_part
+        sup = sup.reshape(len(g), d * d, d * d)
+        term, props = sup, sup + _identity(d * d)
+        for k in range(2, MAX_TAYLOR_TERMS + 1):
+            if np.vdot(term, term).real <= _EPS**2:
+                break
+            term = term @ sup
+            term *= 1.0 / k
+            props += term
+        for _ in range(squarings):
+            props = props @ props
+        for n, prop in enumerate(props, first):
+            np.dot(prop, vecs[n], out=vecs[n + 1])
+    rhos = vecs[1:].reshape(-1, d, d)
+    # the maps keep Hermitian and anti-Hermitian parts apart, so the round-off
+    # of every slice is clipped at the end, in one operation
+    rhos = 0.5 * (rhos + rhos.conj().swapaxes(1, 2))
+    return [rho.copy(), *rhos]
+
+
+def _lindblad_factors(
+    gens: np.ndarray, jumps: np.ndarray, substeps: np.ndarray, dt: float,
+    rho: np.ndarray,
+) -> list[np.ndarray]:
+    """rho at every slice boundary, exp(L_n dt) applied to rho unformed.
+
+    L_n(rho) = sum_a A_a rho B_a over A = (G_n, I, J_1, ...) and
+    B = (I, G_n^+, J_1^+, ...). The A_a are laid out as one (d (m+2), d)
+    left factor and the B_a as one ((m+2) d, d) right factor, so a Taylor
+    term is two GEMMs (``_lindblad_substep``); only the G_n and G_n^+
+    blocks change from slice to slice, and each slice takes its own
+    substep count.
+    """
+    d = rho.shape[0]
     factors = len(jumps) + 2
     left = np.empty((d, factors, d), dtype=complex)
     left[:, 1], left[:, 2:] = np.eye(d), jumps.swapaxes(0, 1)
     right = np.empty((factors, d, d), dtype=complex)
-    right[0], right[2:] = np.eye(d), jumps_dag
+    right[0], right[2:] = np.eye(d), jumps.conj().swapaxes(-1, -2)
     left_rows, right_rows = left.reshape(-1, d), right.reshape(-1, d)
-    rho = rho_init.copy()
+    rho = rho.copy()
     traj = [rho]
-    for gen, steps in zip(gens, substeps.astype(int)):
+    for gen, steps in zip(gens, substeps):
         left[:, 0], right[1] = gen, gen.conj().T
-        h = signal.dt / steps
+        h = dt / steps
         for _ in range(steps):
             rho = _lindblad_substep(left_rows, right_rows, rho, h)
         rho = 0.5 * (rho + rho.conj().T)  # clip Hermiticity round-off
         traj.append(rho)
-    times = np.arange(signal.n_samples + 1) * signal.dt
-    return times, traj
+    return traj
 
 
 def _norm_bound(mats: np.ndarray) -> np.ndarray:

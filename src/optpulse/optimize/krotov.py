@@ -60,7 +60,9 @@ def _costates(
 def krotov_optimize(problem: ControlProblem) -> OptimResult:
     """Sequential sweeps from the seeded random start or problem.initial_guess.
 
-    Stops at tol (default 1e-4) or after 200 sweeps.
+    Stops at tol (default 1e-4), after 200 sweeps, or once a sweep lowers
+    the loss by less than ``MONOTONE_TOL``, the slack that accepts a sweep,
+    so round-off cannot decide when a plateau stalls.
     """
     tol = DEFAULT_TOL if problem.tol is None else problem.tol
     max_sweeps = DEFAULT_MAX_SWEEPS if problem.max_iters is None else problem.max_iters
@@ -122,7 +124,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
             if loss <= tol:
                 status, message = "converged", f"infidelity <= {tol:g}"
                 break
-            if trace[-2] - trace[-1] < 1e-15:
+            if trace[-2] - trace[-1] < MONOTONE_TOL:
                 status, message = "stalled", "sweep update vanished above tolerance"
                 break
 

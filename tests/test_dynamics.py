@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from optpulse.dynamics import (
+    SUPEROPERATOR_BLOCK,
     ControlSignal,
+    _lindblad_factors,
+    _lindblad_generators,
+    _lindblad_superoperators,
     _matmul,
     _propagate,
     _stacked_hamiltonians,
@@ -501,6 +505,25 @@ JUMP_TERMS = {
 }
 
 
+def random_open_system(rng, n_qubits, n_jumps, n_slices, dt):
+    """A damped model with a random drive, its signal and a random rho0."""
+    terms, jump_terms = PAULI_TERMS[n_qubits], JUMP_TERMS[n_qubits]
+    model = SystemModel(
+        n_qubits=n_qubits,
+        dt=dt,
+        drift=tuple((rng.uniform(-2, 2), op) for op in rng.choice(terms, 2)),
+        control=tuple((f"d{i}", op) for i, op in enumerate(rng.choice(terms, 2))),
+        collapse=tuple(
+            (rng.uniform(0.01, 2.0), op) for op in rng.choice(jump_terms, n_jumps)
+        ),
+    )
+    samples = {ch: rng.uniform(-3, 3, n_slices) for ch in model.channels}
+    dim = model.dim
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = a @ a.conj().T
+    return model, ControlSignal.from_samples(samples, dt), rho0 / np.trace(rho0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_qubits=st.sampled_from([1, 2, 3]),
@@ -515,22 +538,8 @@ def test_lindblad_matches_dense_liouvillian_exponential(
     n_qubits, n_jumps, n_slices, seed, dt
 ):
     rng = np.random.default_rng(seed)
-    terms, jump_terms = PAULI_TERMS[n_qubits], JUMP_TERMS[n_qubits]
-    model = SystemModel(
-        n_qubits=n_qubits,
-        dt=dt,
-        drift=tuple((rng.uniform(-2, 2), op) for op in rng.choice(terms, 2)),
-        control=tuple((f"d{i}", op) for i, op in enumerate(rng.choice(terms, 2))),
-        collapse=tuple(
-            (rng.uniform(0.01, 2.0), op) for op in rng.choice(jump_terms, n_jumps)
-        ),
-    )
-    samples = {ch: rng.uniform(-3, 3, n_slices) for ch in model.channels}
-    sig = ControlSignal.from_samples(samples, dt)
-    dim = model.dim
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho0 = a @ a.conj().T
-    rho0 /= np.trace(rho0)
+    model, sig, rho0 = random_open_system(rng, n_qubits, n_jumps, n_slices, dt)
+    samples, dim = sig.samples, model.dim
     times, rhos = lindblad_evolve(model, sig, rho0)
     assert len(rhos) == n_slices + 1
     assert np.allclose(times, np.arange(n_slices + 1) * dt)
@@ -545,6 +554,33 @@ def test_lindblad_matches_dense_liouvillian_exponential(
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_qubits=st.sampled_from([1, 2]),
+    n_jumps=st.integers(0, 4),
+    n_slices=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(0.01, 0.5),
+)
+# more slices than one superoperator block holds, at d = 2 and at d = 4
+@example(n_qubits=1, n_jumps=2, n_slices=SUPEROPERATOR_BLOCK + 45, seed=2, dt=0.2)
+@example(n_qubits=2, n_jumps=3, n_slices=SUPEROPERATOR_BLOCK + 1, seed=3, dt=0.1)
+def test_stacked_superoperators_match_the_factor_form(
+    n_qubits, n_jumps, n_slices, seed, dt
+):
+    rng = np.random.default_rng(seed)
+    model, sig, rho0 = random_open_system(rng, n_qubits, n_jumps, n_slices, dt)
+    gens, jumps, substeps = _lindblad_generators(model, sig)
+    stacked = _lindblad_superoperators(gens, jumps, substeps, dt, rho0)
+    factored = _lindblad_factors(gens, jumps, substeps, dt, rho0)
+    assert len(stacked) == len(factored) == n_slices + 1
+    for rho, ref in zip(stacked, factored):
+        assert np.max(np.abs(rho - ref)) <= 1e-12
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
 def test_lindblad_rejects_envelope_signal():
     model = x_model()
     sig = ControlSignal.from_envelopes({"dx": lambda t: 0.1}, duration=1.0, dt=model.dt)
@@ -552,25 +588,42 @@ def test_lindblad_rejects_envelope_signal():
         lindblad_evolve(model, sig, np.array([1.0, 0.0]))
 
 
-def test_lindblad_fails_fast_on_pathological_amplitude():
+def damped_drive(n_qubits, dt, amplitude, n_slices):
+    """An X0 drive of one amplitude on an n-qubit model with decay on qubit 0."""
     model = SystemModel(
-        n_qubits=1, dt=0.2, control=(("dx", "X0"),), collapse=((0.1, "SM0"),)
+        n_qubits=n_qubits, dt=dt, control=(("dx", "X0"),), collapse=((0.1, "SM0"),)
     )
-    sig = ControlSignal.from_samples({"dx": np.full(50, 1e7)}, model.dt)
+    signal = ControlSignal.from_samples({"dx": np.full(n_slices, amplitude)}, dt)
+    return model, signal, np.eye(model.dim)[0]
+
+
+def test_lindblad_fails_fast_on_pathological_amplitude():
+    model, sig, ground = damped_drive(1, 0.2, 1e7, 50)
     start = time.perf_counter()
     with pytest.raises(DynamicsError, match="substeps"):
-        lindblad_evolve(model, sig, np.array([1.0, 0.0]))
+        lindblad_evolve(model, sig, ground)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_two_qubit_lindblad_fails_fast_on_pathological_amplitude():
+    model, sig, ground = damped_drive(2, 0.2, 1e7, 50)
+    start = time.perf_counter()
+    with pytest.raises(DynamicsError, match="substeps"):
+        lindblad_evolve(model, sig, ground)
     assert time.perf_counter() - start < 1.0
 
 
 def test_lindblad_rejects_an_overflowing_substep_count():
     # the norm bound overflows to inf, which has no integer substep count
-    model = SystemModel(
-        n_qubits=1, dt=0.1, control=(("dx", "X0"),), collapse=((0.05, "SM0"),)
-    )
-    sig = ControlSignal.from_samples({"dx": np.full(3, 1e200)}, model.dt)
+    model, sig, ground = damped_drive(1, 0.1, 1e200, 3)
     with pytest.raises(DynamicsError, match="substeps"):
-        lindblad_evolve(model, sig, np.array([1.0, 0.0]))
+        lindblad_evolve(model, sig, ground)
+
+
+def test_two_qubit_lindblad_rejects_an_overflowing_substep_count():
+    model, sig, ground = damped_drive(2, 0.1, 1e200, 3)
+    with pytest.raises(DynamicsError, match="substeps"):
+        lindblad_evolve(model, sig, ground)
 
 
 @pytest.mark.parametrize(
