@@ -413,26 +413,25 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 
 def _embed(mat: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Lift a k-qubit gate matrix into the full 2^n space (LSB convention)."""
-    dim = 1 << n_qubits
-    k = len(targets)
+    """Lift a k-qubit gate matrix into the full 2^n space (LSB convention).
+
+    Entry (row, col) is ``mat[local(row), local(col)]`` where row and col
+    agree on every other qubit, and zero elsewhere. It is written through
+    one strided view of the result with an axis per bit: one per other
+    qubit q, stepping row and col together ((dim + 1) 2^q entries), then the
+    targets' row bits and column bits, high local bit first, as
+    ``mat.reshape((2,) * 2k)`` lays them out. A zero of ``mat``, -0.0
+    included, leaves the result's +0.
+    """
+    dim, k = 1 << n_qubits, len(targets)
     full = np.zeros((dim, dim), dtype=complex)
-    mask = 0
-    for t in targets:
-        mask |= 1 << t
-    for col in range(dim):
-        loc = 0
-        for i, t in enumerate(targets):
-            loc |= ((col >> t) & 1) << i
-        rest = col & ~mask
-        for loc_row in range(1 << k):
-            amp = mat[loc_row, loc]
-            if amp == 0:
-                continue
-            row = rest
-            for i, t in enumerate(targets):
-                row |= ((loc_row >> i) & 1) << t
-            full[row, col] = amp
+    steps = [(dim + 1) << q for q in range(n_qubits) if q not in targets]
+    steps += [dim << t for t in reversed(targets)]
+    steps += [1 << t for t in reversed(targets)]
+    strides = [full.itemsize * step for step in steps]
+    view = np.ndarray((2,) * (n_qubits + k), complex, full, 0, strides)
+    local = mat.reshape((2,) * (2 * k))
+    np.copyto(view, local, where=local != 0)
     return full
 
 

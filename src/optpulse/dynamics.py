@@ -56,8 +56,11 @@ HERMITICITY_TOL = 1e-8
 IMAG_SAMPLE_TOL = 1e-12
 UNITARITY_TOL = 1e-9  # stricter than the 1e-7 contract; keeps engines in step
 MAX_STEP_HALVINGS = 12
-MAX_LINDBLAD_SUBSTEPS = 1024  # per slice; more means the drive outruns dt
-MAX_TAYLOR_TERMS = 24  # ample: at norm 1/2, term 17 is 2^-17/17! < 1e-20
+MAX_LINDBLAD_SUBSTEPS = 512  # per slice; more means the drive outruns dt
+# ample: at substep norm 1 term k is at most 1/k!, below round-off (eps) from
+# k = 18, and the Frobenius stop over a superoperator block, at most
+# sqrt(256 * 16)/k!, from k = 20
+MAX_TAYLOR_TERMS = 24
 # Lindblad slices up to this dimension take stacked d^2 x d^2 exponentials;
 # at d = 8 the 64 x 64 superoperator products cost about 5x the factor form
 MAX_SUPEROPERATOR_DIM = 4
@@ -639,7 +642,7 @@ def lindblad_evolve(
     rho_{n+1} = exp(L_n dt) rho_n. With J_j = sqrt(gamma_j) L_j and
     G_n = -i H_n - sum_j J_j^+ J_j / 2, the generator is
     L_n(rho) = G_n rho + rho G_n^+ + sum_j J_j rho J_j^+. Each slice splits
-    into substeps whose a-priori generator norm is at most 1/2; a slice that
+    into substeps whose a-priori generator norm is at most 1; a slice that
     would need more than ``MAX_LINDBLAD_SUBSTEPS`` substeps, or an unbounded
     number, raises ``DynamicsError`` before either kernel runs. The kernel
     is chosen by d: up to ``MAX_SUPEROPERATOR_DIM`` levels every slice's
@@ -680,7 +683,12 @@ def _lindblad_generators(
 
     The guard both Lindblad kernels share: it checks the signal and raises
     ``DynamicsError`` when a slice needs more than ``MAX_LINDBLAD_SUBSTEPS``
-    substeps of generator norm at most 1/2, or an unbounded number.
+    substeps of a-priori generator norm at most 1, or an unbounded number.
+    At norm 1 every Taylor term from the second on is at most half the one
+    before it, and a slice's series stops on round-off after about 14 terms,
+    where substeps of norm 1/2 would take two of about 11: substeps times
+    terms is the cost to cut (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).
     """
     d = model.dim
     hams = _slice_hamiltonians(model, signal)
@@ -690,7 +698,7 @@ def _lindblad_generators(
     jumps_dag = jumps.conj().swapaxes(-1, -2)
     gens = -1j * hams - 0.5 * (jumps_dag @ jumps).sum(axis=0)
     bound = 2.0 * _norm_bound(gens) + np.sum(_norm_bound(jumps) ** 2)
-    substeps = np.maximum(1.0, np.ceil(2.0 * bound * signal.dt))
+    substeps = np.maximum(1.0, np.ceil(bound * signal.dt))
     if not np.all(substeps <= MAX_LINDBLAD_SUBSTEPS):  # NaN and inf fail too
         raise DynamicsError(
             f"drive too strong for dt={signal.dt}: a slice needs "
@@ -709,7 +717,7 @@ def _lindblad_superoperators(
     has the d^2 x d^2 Liouvillian L_n = G_n kron I + I kron conj(G_n)
     + sum_j J_j kron conj(J_j). Scaling and squaring (Moler and Van Loan,
     SIAM Rev. 45, 3 (2003)): with 2^s at least the largest substep count,
-    h = dt / 2^s keeps every ||h L_n|| <= 1/2, one stacked Taylor series
+    h = dt / 2^s keeps every ||h L_n|| <= 1, one stacked Taylor series
     gives every exp(h L_n) and s stacked squarings give exp(dt L_n). The
     series stops once a term's Frobenius norm over the stack, which bounds
     each of its entries, is below round-off, or after ``MAX_TAYLOR_TERMS``
@@ -801,9 +809,9 @@ def _lindblad_substep(
     ``left`` is (d (m+2), d) with row i (m+2) + a holding row i of A_a;
     ``right`` is ((m+2) d, d) with the B_a stacked. left r, read as
     (d, (m+2) d), holds the A_a r side by side, so its product with
-    ``right`` sums the A_a r B_a. The caller keeps ||h L||_2 <= 1/2, so
-    each term is at most half the one before it; the sum stops once a term
-    is below round-off of rho.
+    ``right`` sums the A_a r B_a. The caller keeps ||h L||_2 <= 1, so term
+    k is at most 1/k times the one before it, half or less from the second
+    on; the sum stops once a term is below round-off of rho.
     """
     d = rho.shape[0]
     floor = _EPS**2 * np.vdot(rho, rho).real
@@ -882,11 +890,12 @@ def trajectory_csv(
         header += [f"<X{q}>", f"<Y{q}>", f"<Z{q}>", f"p_excited{suffix}"]
     header += list(extra.keys())
     lines = [", ".join(header)]
+    row_format = ", ".join(["%.12g"] * len(header))
     for t, row_values in zip(times, values.tolist()):
         row = [t]
         for q in range(n_qubits):
             x, y, z = row_values[3 * q : 3 * q + 3]
             row += [x, y, z, (1.0 - z) / 2.0]
         row += row_values[3 * n_qubits :]
-        lines.append(", ".join(f"{v:.12g}" for v in row))
+        lines.append(row_format % tuple(row))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Circuit parser and unitary construction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optpulse.circuits import (
+    GATE_SIGNATURES,
     Circuit,
     Gate,
+    _embed,
     circuit_unitary,
     eval_parametric,
     gate_matrix,
@@ -17,6 +20,7 @@ from optpulse.circuits import (
     parse_circuit,
 )
 from optpulse.errors import CircuitError, CircuitSyntaxError
+from optpulse.model import _SINGLE_QUBIT_OPS
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -299,3 +303,82 @@ def test_qubit_cap_enforced():
 def test_circuit_validates_target_range():
     with pytest.raises(CircuitError):
         Circuit(1, (Gate("X", (1,)),), ())
+
+
+def reference_embed(mat, targets, n_qubits):
+    """The per-column loop that _embed replaced: every nonzero entry of mat
+    is copied to its place, and every other entry stays +0."""
+    dim = 1 << n_qubits
+    k = len(targets)
+    full = np.zeros((dim, dim), dtype=complex)
+    mask = 0
+    for t in targets:
+        mask |= 1 << t
+    for col in range(dim):
+        loc = 0
+        for i, t in enumerate(targets):
+            loc |= ((col >> t) & 1) << i
+        rest = col & ~mask
+        for loc_row in range(1 << k):
+            amp = mat[loc_row, loc]
+            if amp == 0:
+                continue
+            row = rest
+            for i, t in enumerate(targets):
+                row |= ((loc_row >> i) & 1) << t
+            full[row, col] = amp
+    return full
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):  # signed zeros compare equal above
+        assert np.array_equal(
+            np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
+        )
+
+
+EMBED_FACTORS = [
+    (name, qubit, n)
+    for n in range(1, 5)
+    for name in _SINGLE_QUBIT_OPS
+    for qubit in range(n)
+]
+
+
+@pytest.mark.parametrize("name, qubit, n_qubits", EMBED_FACTORS)
+def test_embedded_factor_matches_the_per_column_loop(name, qubit, n_qubits):
+    op = _SINGLE_QUBIT_OPS[name]
+    assert_same_bits(
+        _embed(op, (qubit,), n_qubits), reference_embed(op, (qubit,), n_qubits)
+    )
+
+
+EMBED_GATES = [
+    Gate(name, targets, (theta,) if n_params else ())
+    for name, (k, n_params) in GATE_SIGNATURES.items()
+    for targets in itertools.permutations(range(4), k)
+    for theta in ((0.0, 0.7, -2.1, math.pi) if n_params else (None,))
+]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_embedded_gates_match_the_per_column_loop(n_qubits):
+    # all targets in both orders; at theta = 0 Rx has -0.0 imaginary zeros
+    # and Ry a -0.0 real zero, which the loop leaves as +0
+    gates = [g for g in EMBED_GATES if max(g.targets) < n_qubits]
+    assert gates
+    for gate in gates:
+        mat = gate_matrix(gate)
+        assert_same_bits(
+            _embed(mat, gate.targets, n_qubits),
+            reference_embed(mat, gate.targets, n_qubits),
+        )
+        circuit = Circuit(n_qubits, (gate,), ())
+        assert_same_bits(
+            circuit_unitary(circuit),
+            reference_embed(mat, gate.targets, n_qubits)
+            @ np.eye(1 << n_qubits, dtype=complex),
+        )
+

@@ -249,6 +249,77 @@ def test_simulate_t1_reduces_excitation(tmp_path, fixtures, capsys):
     assert p_damped < p_closed
 
 
+def dense_t1_trajectory(model, pulse, t1):
+    """<X>, <Y>, <Z> per qubit after each slice from 0: the column-stacked
+    Liouvillian of each slice, exponentiated by scipy, with decay 1/t1 on
+    every qubit; operators are Kronecker products, qubit 0 the last factor."""
+    from scipy.linalg import expm
+
+    n, dt = model["n_qubits"], model["dt"]
+    paulis = {
+        "I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+        "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1]),
+        "SM": np.array([[0, 1], [0, 0]]),
+    }
+
+    def op(spec):
+        mat = np.eye(1 << n, dtype=complex)
+        for factor in spec.split("*"):
+            name, qubit = factor[:-1], int(factor[-1])
+            mat = mat @ np.kron(
+                np.kron(np.eye(1 << (n - 1 - qubit)), paulis[name]), np.eye(1 << qubit)
+            )
+        return mat
+
+    eye = np.eye(1 << n)
+    drift = sum(term["coef"] * op(term["op"]) for term in model["drift"])
+    controls = {c["channel"]: op(c["op"]) for c in model["control"]}
+    decay = 0
+    for q in range(n):
+        sm = op(f"SM{q}")
+        l2 = sm.conj().T @ sm
+        decay = decay + (np.kron(sm.conj(), sm) - 0.5 * np.kron(eye, l2)
+                         - 0.5 * np.kron(l2.T, eye)) / t1
+    vec = np.eye(1 << (2 * n))[0]
+    observables = [op(f"{p}{q}") for q in range(n) for p in "XYZ"]
+    rows = []
+    samples = {i["channel"]: [s[0] for s in i["samples"]] for i in pulse["instructions"]}
+    n_slices = len(next(iter(samples.values())))
+    for k in range(n_slices + 1):
+        rho = vec.reshape(1 << n, -1, order="F")
+        rows.append([np.trace(o @ rho).real for o in observables])
+        if k < n_slices:
+            ham = drift + sum(samples[ch][k] * controls[ch] for ch in controls)
+            sup = -1j * (np.kron(eye, ham) - np.kron(ham.T, eye)) + decay
+            vec = expm(sup * dt) @ vec
+    return np.array(rows)
+
+
+def test_simulate_t1_on_three_qubits_matches_a_dense_liouvillian(
+    tmp_path, fixtures, capsys
+):
+    # eight levels: the Lindblad factor kernel, on slices of 2 and 3 substeps
+    model = json.loads((fixtures / "model_3q.json").read_text())
+    rng = np.random.default_rng(3)
+    pulse = {"dt": model["dt"], "instructions": [
+        {"channel": c["channel"], "t0": 0,
+         "samples": [[float(v), 0.0] for v in rng.uniform(-3, 3, 12)]}
+        for c in model["control"]
+    ]}
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(pulse))
+    code, stdout, _ = run(
+        capsys, "simulate", path, fixtures / "model_3q.json", "--t1", "20"
+    )
+    assert code == 0
+    header, rows = read_csv(stdout)
+    table = np.array(rows)
+    assert np.allclose(table[:, 0], np.arange(13) * model["dt"], atol=1e-12, rtol=0)
+    paulis = [i for i, name in enumerate(header) if name.startswith("<")]
+    exact = dense_t1_trajectory(model, pulse, 20.0)
+    assert np.max(np.abs(table[:, paulis] - exact)) <= 1e-9
+
+
 def test_simulate_initial_state_and_observables(h_pulse, fixtures, capsys):
     code, stdout, _ = run(
         capsys,

@@ -8,13 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from optpulse import dynamics
 from optpulse.dynamics import (
+    _EPS,
+    MAX_TAYLOR_TERMS,
     SUPEROPERATOR_BLOCK,
     ControlSignal,
     _lindblad_factors,
     _lindblad_generators,
     _lindblad_superoperators,
     _matmul,
+    _norm_bound,
     _propagate,
     _stacked_hamiltonians,
     evolve_continuous,
@@ -624,6 +628,102 @@ def test_two_qubit_lindblad_rejects_an_overflowing_substep_count():
     model, sig, ground = damped_drive(2, 0.1, 1e200, 3)
     with pytest.raises(DynamicsError, match="substeps"):
         lindblad_evolve(model, sig, ground)
+
+
+def dt_for_substeps(model, samples, substeps, side):
+    """A dt that puts the largest slice's bound * dt just below (side -1) or
+    just above (+1) ``substeps``; the bound does not depend on dt."""
+    sig = ControlSignal.from_samples(samples, model.dt)
+    gens, jumps, _ = _lindblad_generators(model, sig)
+    bound = 2.0 * _norm_bound(gens) + np.sum(_norm_bound(jumps) ** 2)
+    return substeps * (1.0 + side * 1e-9) / np.max(bound)
+
+
+def decaying_chain(n_qubits, dt):
+    """ZZ chain, X and Y drives and decay on every qubit."""
+    return SystemModel(
+        n_qubits=n_qubits,
+        dt=dt,
+        drift=tuple((0.5, f"Z{q}*Z{q + 1}") for q in range(n_qubits - 1)),
+        control=tuple(
+            (f"d{a}{q}", f"{a.upper()}{q}") for q in range(n_qubits) for a in "xy"
+        ),
+        collapse=tuple((0.05 * (q + 1), f"SM{q}") for q in range(n_qubits)),
+    )
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+@pytest.mark.parametrize("n_qubits", [3, 4])
+def test_factor_kernel_substeps_match_dense_liouvillian_exponential(
+    monkeypatch, n_qubits, substeps, side
+):
+    rng = np.random.default_rng(n_qubits)
+    model = decaying_chain(n_qubits, 1.0)
+    samples = {ch: rng.uniform(-1, 1, 3) for ch in model.channels}
+    dt = dt_for_substeps(model, samples, substeps, side)
+    model = decaying_chain(n_qubits, dt)
+    sig = ControlSignal.from_samples(samples, dt)
+    counts = _lindblad_generators(model, sig)[2]
+    assert counts.max() == substeps + (side > 0)
+    # every substep's series: the squared norms np.vdot gives, rho's first
+    norms, series, vdot = [], [], np.vdot
+    substep = dynamics._lindblad_substep
+
+    def recording_vdot(a, b):
+        norms.append(vdot(a, b).real)
+        return norms[-1]
+
+    def recorded_substep(*args):
+        norms.clear()
+        rho = substep(*args)
+        series.append(list(norms))
+        return rho
+
+    monkeypatch.setattr(np, "vdot", recording_vdot)
+    monkeypatch.setattr(dynamics, "_lindblad_substep", recorded_substep)
+    _, rhos = lindblad_evolve(model, sig, np.eye(model.dim)[0])
+    monkeypatch.undo()
+    assert len(series) == counts.sum()
+    for rho_norm, *terms in series:
+        # stopped on its round-off floor, before the cap
+        assert len(terms) < MAX_TAYLOR_TERMS
+        assert terms[-1] <= _EPS**2 * rho_norm < min(terms[:-1])
+    drift, controls = model.drift_matrix(), model.control_matrices()
+    vec = np.eye(model.dim**2)[0]  # |0><0|, column-stacked
+    for n, rho in enumerate(rhos[1:]):
+        ham = drift + sum(samples[ch][n] * controls[ch] for ch in model.channels)
+        vec = expm(liouvillian(ham, model.collapse_terms()) * dt) @ vec
+        assert np.max(np.abs(rho - vec.reshape(model.dim, -1, order="F"))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 3])
+def test_lindblad_guard_takes_512_substeps_of_norm_one_and_no_more(n_qubits):
+    # a slice takes at most 512 substeps of norm 1: bound * dt <= 512
+    model, sig, _ = damped_drive(n_qubits, 1.0, 2.0, 1)
+    under = dt_for_substeps(model, sig.samples, 512, -1)
+    over = dt_for_substeps(model, sig.samples, 512, 1)
+    model, sig, ground = damped_drive(n_qubits, under, 2.0, 1)
+    assert _lindblad_generators(model, sig)[2].tolist() == [512]
+    _, rhos = lindblad_evolve(model, sig, ground)
+    ham = 2.0 * model.control_matrices()["dx"]
+    sup = liouvillian(ham, model.collapse_terms()) * under
+    exact = (expm(sup) @ np.eye(model.dim**2)[0]).reshape(model.dim, -1, order="F")
+    assert np.max(np.abs(rhos[-1] - exact)) <= 1e-10
+    model, sig, ground = damped_drive(n_qubits, over, 2.0, 1)
+    with pytest.raises(DynamicsError, match="needs 513 Lindblad substeps"):
+        lindblad_evolve(model, sig, ground)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 3])
+def test_lindblad_takes_a_finite_bound_above_half_the_float_range(n_qubits):
+    # bound 1e308 and dt 1e-306 need 100 substeps; the count must come from
+    # bound * dt, since twice the bound overflows
+    model, sig, ground = damped_drive(n_qubits, 1e-306, 5e307, 1)
+    assert _lindblad_generators(model, sig)[2].tolist() == [100]
+    _, rhos = lindblad_evolve(model, sig, ground)
+    # exp(-i a dt X0) with a dt = 50; the decay is negligible over 1e-306
+    assert abs(rhos[-1][0, 0] - np.cos(50.0) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize(
