@@ -167,18 +167,15 @@ def cmd_simulate(args) -> int:
             raise DynamicsError(f"--t1 must be positive, got {args.t1}")
         decay = tuple((1.0 / args.t1, f"SM{q}") for q in range(model.n_qubits))
         model = replace(model, collapse=model.collapse + decay)
-    missing = sorted(set(program.channels) - set(model.channels))
-    if missing:
-        raise ModelError(f"pulse channel(s) {missing} not present in the model")
-    if abs(program.dt - model.dt) > 1e-12 * max(1.0, model.dt):
-        raise ModelError(
-            f"pulse dt {program.dt} does not match model dt {model.dt}"
-        )
     psi0 = _basis_state(args.initial_state or "0" * model.n_qubits, model.n_qubits)
     extra = {}
     for label in filter(None, (s.strip() for s in (args.observables or "").split(","))):
         extra[label] = build_operator(label, model.n_qubits)
-    if program.total_duration == 0:
+    if program.total_duration == 0:  # no channels, and no engine checks the dt
+        if abs(program.dt - model.dt) > 1e-12 * max(1.0, model.dt):
+            raise ModelError(
+                f"pulse dt {program.dt} does not match model dt {model.dt}"
+            )
         times = np.array([0.0])
         states = [np.outer(psi0, psi0.conj()) if model.has_dissipation else psi0]
     elif model.has_dissipation:

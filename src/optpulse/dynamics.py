@@ -89,6 +89,18 @@ def _check_grid(slices: float, dim: int, error: type[Exception]) -> None:
         )
 
 
+def _sample_count(duration: float, dt: float, dim: int, error: type[Exception]) -> int:
+    """The number of dt slices that tile ``duration``; raise ``error`` unless
+    they stay within the grid limit of a dim-level system (``_check_grid``)
+    and their total is ``duration`` to 1e-9 relative. Both times must be
+    positive and finite."""
+    _check_grid(float(duration) / float(dt), dim, error)
+    n = int(round(duration / dt))
+    if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, duration):
+        raise error(f"horizon {duration} does not tile into samples of dt={dt}")
+    return n
+
+
 @dataclass(frozen=True)
 class ControlSignal:
     """Per-channel drive over [0, duration], sampled or analytic.
@@ -147,12 +159,7 @@ class ControlSignal:
                 f"duration and dt must be positive and finite, got {duration} "
                 f"and {dt}"
             )
-        _check_grid(float(duration) / float(dt), 1, DynamicsError)
-        n = int(round(duration / dt))
-        if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
-            raise DynamicsError(
-                f"duration {duration} is not an integer multiple of dt={dt}"
-            )
+        n = _sample_count(duration, dt, 1, DynamicsError)
         return cls(dt=float(dt), n_samples=n, envelopes=dict(envelopes))
 
     @property
@@ -380,30 +387,22 @@ def _stacked_hamiltonians(
 
     Qubit stacks (d = 2) come out with the slice axis contiguous (Fortran
     order), the layout of the 2x2 path; larger ones in C order for eigh.
-    ``out``, laid out so, is overwritten when given.
+    ``out``, laid out so, is overwritten when given. A drive that overflows
+    a slice Hamiltonian raises ``DynamicsError``, before any exponential or
+    Taylor series sees it, and leaves no RuntimeWarning.
     """
     d = drift.shape[0]
-    if d == 2:
-        # row 2j + i of ops.T.reshape(4, C) is entry (i, j) of every op, so
-        # the (4, N) product read as [j, i, n] and transposed is [n, i, j]
-        rows = None if out is None else out.T.reshape(4, -1)
-        hams = np.matmul(ops.T.reshape(4, -1), amps, out=rows).reshape(2, 2, -1).T
-    else:
-        rows = None if out is None else out.reshape(-1, d * d)
-        hams = np.matmul(amps.T, ops.reshape(len(ops), d * d), out=rows)
-        hams = hams.reshape(-1, d, d)
-    hams += drift
-    return hams
-
-
-def _finite_hamiltonians(
-    drift: np.ndarray, ops: np.ndarray, amps: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``_stacked_hamiltonians`` for the engines: a drive that overflows a
-    slice Hamiltonian raises ``DynamicsError``, before any exponential or
-    Taylor series sees it, and leaves no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
-        hams = _stacked_hamiltonians(drift, ops, amps, out)
+        if d == 2:
+            # row 2j + i of ops.T.reshape(4, C) is entry (i, j) of every op, so
+            # the (4, N) product read as [j, i, n] and transposed is [n, i, j]
+            rows = None if out is None else out.T.reshape(4, -1)
+            hams = np.matmul(ops.T.reshape(4, -1), amps, out=rows).reshape(2, 2, -1).T
+        else:
+            rows = None if out is None else out.reshape(-1, d * d)
+            hams = np.matmul(amps.T, ops.reshape(len(ops), d * d), out=rows)
+            hams = hams.reshape(-1, d, d)
+        hams += drift
     if not np.isfinite(hams).all():
         raise DynamicsError("the drive overflows: a slice Hamiltonian is not finite")
     return hams
@@ -465,7 +464,7 @@ def _propagate(
 ) -> _Propagation:
     """The propagation of (C, N) amplitudes into ``out``, or into new buffers."""
     out = out or _Propagation(amps.shape[1], drift.shape[0])
-    hams = _finite_hamiltonians(drift, ops, amps, out.hams)
+    hams = _stacked_hamiltonians(drift, ops, amps, out.hams)
     out.umats, out.evals, out.evecs = slice_propagators(
         hams, dt, (out.umats, out.evals, out.evecs), out.work
     )
@@ -513,7 +512,7 @@ def _signal_amplitudes(model: SystemModel, signal: ControlSignal) -> np.ndarray:
 def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Stack of H(t_n) per slice, (N, dim, dim); checks the sampled signal."""
     amps = _signal_amplitudes(model, signal)
-    return _finite_hamiltonians(model.drift_matrix(), model.control_stack, amps)
+    return _stacked_hamiltonians(model.drift_matrix(), model.control_stack, amps)
 
 
 def _closed_propagation(model: SystemModel, signal: ControlSignal) -> _Propagation:

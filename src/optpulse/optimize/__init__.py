@@ -8,7 +8,9 @@ amplitude-bound; GOAT adds control-funcs, control-params and
 initial-parameters. get_optimizer rejects any other key, and
 Optimizer.build_problem is the only code that turns options into a
 ControlProblem. A ready ControlProblem passed to optimize() takes only
-GOAT's envelope keys. No key is accepted and then ignored.
+GOAT's envelope keys. No key is accepted and then ignored. Every method
+ends in a ``problem.Minimum``, and ``OptimResult.of`` is the one builder
+that turns it into the OptimResult a method returns.
 """
 
 from __future__ import annotations
@@ -162,12 +164,7 @@ def _goat_start(
     for ch, func in zip(channels, funcs):
         for term in parse_control_func(func):
             terms.append((ch, term))
-    spec = GoatEnvelopeSpec(terms=tuple(terms), param_names=tuple(names))
-    if x0 is None:
-        raise OptimizationError(
-            "control-funcs with trainable parameters needs initial-parameters"
-        )
-    return spec, x0
+    return GoatEnvelopeSpec(terms=tuple(terms), param_names=tuple(names)), x0
 
 
 @dataclass(frozen=True)

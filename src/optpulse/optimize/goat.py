@@ -333,22 +333,10 @@ def goat_optimize(
     # a copy of the parameters that later edits of optimal_params cannot reach
     best = found.x.copy()
     values, _ = evaluate(best, np.arange(problem.n_samples) * problem.dt)
-    samples = {ch: row.astype(complex) for ch, row in zip(spec.channels, values)}
 
     def envelope(row: int) -> Callable[[float], float]:
         return lambda t: float(evaluate(best, np.array([t], dtype=float))[0][row, 0])
 
     envelopes = {ch: envelope(i) for i, ch in enumerate(spec.channels)}
-    return OptimResult(
-        method="GOAT",
-        status=found.status,
-        optimal_params=found.x,
-        final_infidelity=float(found.loss),
-        iterations=iterations,
-        evaluations=evaluations,
-        trace=tuple(trace),
-        synthesized_samples=samples,
-        dt=problem.dt,
-        message=found.message,
-        envelopes=envelopes,
-    )
+    found = found._replace(iterations=iterations, evaluations=evaluations, trace=trace)
+    return OptimResult.of("GOAT", found, spec.channels, values, problem.dt, envelopes)

@@ -59,20 +59,5 @@ def grape_optimize(problem: ControlProblem) -> OptimResult:
     bound = problem.amplitude_bound if problem.amplitude_bound > 0 else np.inf
     x0 = initial_amplitudes(problem).ravel()
     found = minimize(_objective(problem), x0, -bound, bound, tol, max_iters)
-    amps = found.x.reshape(-1, problem.n_samples)
-    samples = {
-        ch: amps[i].astype(complex)
-        for i, ch in enumerate(problem.model.channels)
-    }
-    return OptimResult(
-        method="GRAPE",
-        status=found.status,
-        optimal_params=found.x,
-        final_infidelity=found.loss,
-        iterations=found.iterations,
-        evaluations=found.evaluations,
-        trace=tuple(found.trace),
-        synthesized_samples=samples,
-        dt=problem.dt,
-        message=found.message,
-    )
+    rows = found.x.reshape(-1, problem.n_samples)
+    return OptimResult.of("GRAPE", found, problem.model.channels, rows, problem.dt)

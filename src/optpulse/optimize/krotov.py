@@ -34,6 +34,7 @@ from ..dynamics import _propagate, _slice_step, _times_inverse
 from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
+    Minimum,
     OptimResult,
     _trace_loss,
     clip_amplitudes,
@@ -66,7 +67,6 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
     """
     tol = DEFAULT_TOL if problem.tol is None else problem.tol
     max_sweeps = DEFAULT_MAX_SWEEPS if problem.max_iters is None else problem.max_iters
-    channels = problem.model.channels
     n = problem.n_samples
     dt = problem.dt
     d = problem.dim
@@ -128,16 +128,5 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
                 status, message = "stalled", "sweep update vanished above tolerance"
                 break
 
-    samples = {ch: amps[i].astype(complex) for i, ch in enumerate(channels)}
-    return OptimResult(
-        method="krotov",
-        status=status,
-        optimal_params=amps.ravel().copy(),
-        final_infidelity=loss,
-        iterations=sweeps,
-        evaluations=attempts,
-        trace=tuple(trace),
-        synthesized_samples=samples,
-        dt=dt,
-        message=message,
-    )
+    found = Minimum(status, message, amps.ravel(), loss, sweeps, attempts, trace)
+    return OptimResult.of("krotov", found, problem.model.channels, amps, dt)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dynamics import (
-    _check_grid, _matmul, _propagate, _Propagation, _times_inverse,
+    _matmul, _propagate, _Propagation, _sample_count, _times_inverse,
 )
 from ..errors import OptimizationError
 from ..model import SystemModel
@@ -114,13 +114,7 @@ class ControlProblem:
                 "initial-guess must map channels to sample arrays, got "
                 f"{self.initial_guess!r}"
             )
-        dt = self.model.dt
-        _check_grid(float(self.max_time) / dt, self.model.dim, OptimizationError)
-        n = int(round(self.max_time / dt))
-        if n < 1 or abs(n * dt - self.max_time) > 1e-9 * max(1.0, self.max_time):
-            raise OptimizationError(
-                f"horizon {self.max_time} does not tile into samples of dt={dt}"
-            )
+        n = _sample_count(self.max_time, self.dt, self.dim, OptimizationError)
         object.__setattr__(self, "n_samples", n)
 
     @property
@@ -134,15 +128,20 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Outcome of one optimize() run.
+    """Outcome of one optimize() run, built by ``OptimResult.of``.
 
     status is one of 'converged' (hit tol), 'max-iters', or 'stalled' (no
     update lowers the loss any more above tol). trace holds the
-    per-iteration infidelity, starting with the initial guess. evaluations
-    counts objective evaluations: every line-search trial, GOAT's checks on
-    the finer grid and Krotov's rejected sweeps included.
-    synthesized_samples are ready for pulse emission; GOAT results
-    additionally carry the analytic envelopes at the optimal parameters.
+    per-iteration infidelity, starting with the initial guess, and ends at
+    final_infidelity. GRAPE and Krotov trace iterations + 1 losses. GOAT
+    traces iterations plus one loss per grid it ran: each refinement run
+    starts its trace segment with its start loss on the finer grid.
+    evaluations, never fewer than iterations, counts objective
+    evaluations: every line-search trial, GOAT's checks on the finer grid
+    and Krotov's rejected sweeps included. synthesized_samples map each
+    emitted channel to n_samples complex samples with zero imaginary part,
+    ready for pulse emission; GOAT results additionally carry the analytic
+    envelopes at the optimal parameters.
     """
 
     method: str
@@ -158,6 +157,29 @@ class OptimResult:
     envelopes: dict[str, Callable[[float], float]] | None = field(
         default=None, compare=False
     )
+
+    @classmethod
+    def of(
+        cls, method: str, found: Minimum, channels: tuple[str, ...],
+        rows: np.ndarray, dt: float,
+        envelopes: dict[str, Callable[[float], float]] | None = None,
+    ) -> OptimResult:
+        """The result of a run that ended in ``found``, with rows[i] the real
+        samples of channels[i]."""
+        samples = {ch: row.astype(complex) for ch, row in zip(channels, rows)}
+        return cls(
+            method=method,
+            status=found.status,
+            optimal_params=found.x,
+            final_infidelity=float(found.loss),
+            iterations=found.iterations,
+            evaluations=found.evaluations,
+            trace=tuple(found.trace),
+            synthesized_samples=samples,
+            dt=dt,
+            message=found.message,
+            envelopes=envelopes,
+        )
 
     @property
     def converged(self) -> bool:

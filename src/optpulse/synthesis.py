@@ -161,11 +161,6 @@ def compile_circuit(
             f"{circuit.free_params}; bind them before compiling"
         )
     target = circuit_unitary(circuit)
-    if circuit.n_qubits != model.n_qubits:
-        raise OptimizationError(
-            f"circuit acts on {circuit.n_qubits} qubit(s), model has "
-            f"{model.n_qubits}"
-        )
     result = get_optimizer(method, opts).optimize(model=model, target=target)
     instructions = tuple(
         PulseInstruction(channel=ch, t0=0, samples=tuple(samples))

@@ -371,11 +371,30 @@ def test_simulate_observable_with_a_sign_inside_a_product(h_pulse, fixtures, cap
 
 
 def test_simulate_channel_mismatch_exits_2(h_pulse, fixtures, capsys):
-    code, _, stderr = run(
-        capsys, "simulate", h_pulse, fixtures / "model_1q_x_nodrift.json"
+    for flags in ([], ["--t1", "20"]):  # closed, and the Lindblad engine
+        code, _, stderr = run(
+            capsys, "simulate", h_pulse, fixtures / "model_1q_x_nodrift.json", *flags
+        )
+        assert code == 2
+        assert "dy" in stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--t1", "20"]], ids=["closed", "t1"])
+@pytest.mark.parametrize(
+    "instructions",
+    ["[]", '[{"channel": "dx", "t0": 0, "samples": [[0.1, 0], [0.2, 0]]}]'],
+    ids=["empty", "sampled"],
+)
+def test_simulate_dt_mismatch_exits_2(tmp_path, fixtures, capsys, instructions, flags):
+    # the model's dt is 0.2: an empty program is checked by simulate itself,
+    # a sampled one by the engine that runs it
+    pulse = tmp_path / "dt.json"
+    pulse.write_text(f'{{"dt": 0.1, "instructions": {instructions}}}')
+    code, stdout, stderr = run(
+        capsys, "simulate", pulse, fixtures / "model_1q_x_nodrift.json", *flags
     )
     assert code == 2
-    assert "dy" in stderr
+    assert stdout == "" and "dt" in stderr and "0.1" in stderr
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])

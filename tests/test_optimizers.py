@@ -16,7 +16,7 @@ from optpulse.dynamics import (
     piecewise_propagator,
     slice_propagators,
 )
-from optpulse.errors import OptimizationError
+from optpulse.errors import DynamicsError, OptimizationError
 from optpulse.model import SystemModel, load_model
 from optpulse.optimize import (
     ControlProblem,
@@ -116,6 +116,31 @@ def test_problem_rejects_non_unitary_target():
 def test_problem_rejects_bad_horizon():
     with pytest.raises(OptimizationError):
         x_problem(max_time=10.1)  # 10.1 / 0.2 = 50.5
+
+
+@pytest.mark.parametrize(
+    "duration, n",
+    [
+        (10.1, None),  # 50.5 slices
+        (0.05, None),  # rounds to no slice at all
+        (10.0 + 0.9e-8, 50),  # within 1e-9 * duration of 50 slices
+        (10.0 + 1.1e-8, None),  # just outside it
+        (10.0 - 1.1e-8, None),
+        (0.2, 1),
+    ],
+)
+def test_problem_and_signal_tile_a_horizon_alike(duration, n):
+    # one rule for both: OptimizationError on the problem, DynamicsError on
+    # the signal
+    if n is None:
+        with pytest.raises(OptimizationError, match="does not tile"):
+            x_problem(max_time=duration)
+        with pytest.raises(DynamicsError, match="does not tile"):
+            ControlSignal.from_envelopes({"dx": lambda t: 0.1}, duration, 0.2)
+    else:
+        assert x_problem(max_time=duration).n_samples == n
+        signal = ControlSignal.from_envelopes({"dx": lambda t: 0.1}, duration, 0.2)
+        assert signal.n_samples == n
 
 
 def test_problem_deduces_sample_count():
@@ -621,15 +646,20 @@ def test_goat_default_family_leaves_the_plateau_on_a_drifted_qubit(fixtures):
     assert amplitude * sigma * np.sqrt(2 * np.pi) == pytest.approx(np.pi / 2, rel=0.02)
 
 
-def test_goat_builds_each_grid_objective_once(monkeypatch):
-    # a drifted qubit on which the first run's result moves on the finer
-    # grid, so GOAT refines once: runs on 2 and 4 substeps, each checked on
-    # the grid twice as fine, and the check's objective is the next run's
+def refining_problem():
+    """A drifted qubit on which GOAT's first result moves on the finer grid,
+    so GOAT refines once."""
     model = SystemModel(
         n_qubits=1, dt=1.0, drift=((3.0, "Z0"),),
         control=(("dx", "X0"), ("dy", "Y0")),
     )
-    problem = ControlProblem(model=model, target_u=X, max_time=10.0, tol=1e-6)
+    return ControlProblem(model=model, target_u=X, max_time=10.0, tol=1e-6)
+
+
+def test_goat_builds_each_grid_objective_once(monkeypatch):
+    # runs on 2 and 4 substeps, each checked on the grid twice as fine, and
+    # the check's objective is the next run's
+    problem = refining_problem()
     grids = []
     original = goat_module._cf4_objective
 
@@ -640,6 +670,52 @@ def test_goat_builds_each_grid_objective_once(monkeypatch):
     monkeypatch.setattr(goat_module, "_cf4_objective", counted)
     goat_optimize(problem)
     assert grids == [SUBSTEPS, 2 * SUBSTEPS, 4 * SUBSTEPS]
+
+
+def _dy_only(problem):
+    spec = GoatEnvelopeSpec(
+        terms=(("dy", GaussianTerm("a", 5.0, 2.0)),), param_names=("a",)
+    )
+    return goat_optimize(problem, spec=spec, initial_parameters=np.array([0.1]))
+
+
+@pytest.mark.parametrize(
+    "run, build, emitted",
+    [
+        (grape_optimize, x_problem, ("dx",)),
+        (krotov_optimize, x_problem, ("dx",)),
+        (grape_optimize, refining_problem, ("dx", "dy")),
+        (krotov_optimize, refining_problem, ("dx", "dy")),
+        (goat_optimize, x_problem, ("dx",)),
+        (goat_optimize, refining_problem, ("dx", "dy")),
+        (_dy_only, refining_problem, ("dy",)),
+    ],
+    ids=[
+        "GRAPE", "krotov", "GRAPE-drifted", "krotov-drifted", "GOAT",
+        "GOAT-refining", "GOAT-one-channel",
+    ],
+)
+def test_every_method_keeps_the_result_contract(monkeypatch, run, build, emitted):
+    runs = []  # GOAT's minimizer runs, one per grid
+
+    def counted(*args):
+        runs.append(args)
+        return problem_module.minimize(*args)
+
+    monkeypatch.setattr(goat_module, "minimize", counted)
+    problem = build()
+    result = run(problem)
+    assert result.trace[-1] == result.final_infidelity
+    assert result.evaluations >= result.iterations
+    assert tuple(result.synthesized_samples) == emitted
+    for row in result.synthesized_samples.values():
+        assert row.dtype == complex and row.shape == (problem.n_samples,)
+        assert not np.any(row.imag)
+    # each GOAT run starts its trace segment with its start loss on its grid
+    grids = len(runs) if result.method == "GOAT" else 1
+    assert len(result.trace) == result.iterations + grids
+    if run is goat_optimize and build is refining_problem:
+        assert len(runs) == 2  # the contract covers a refined run too
 
 
 def test_goat_width_floor():
