@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -165,8 +164,9 @@ def cmd_simulate(args) -> int:
     if args.t1 is not None:
         if not args.t1 > 0:
             raise DynamicsError(f"--t1 must be positive, got {args.t1}")
-        decay = tuple((1.0 / args.t1, f"SM{q}") for q in range(model.n_qubits))
-        model = replace(model, collapse=model.collapse + decay)
+        model = model.with_terms(
+            collapse=((1.0 / args.t1, f"SM{q}") for q in range(model.n_qubits))
+        )
     psi0 = _basis_state(args.initial_state or "0" * model.n_qubits, model.n_qubits)
     extra = {}
     for label in filter(None, (s.strip() for s in (args.observables or "").split(","))):

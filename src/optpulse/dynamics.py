@@ -7,17 +7,21 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
   exponentials for sampled (piecewise-constant) signals, closed systems
   only. Both run ``_propagate``, the one propagation core, which the
   GRAPE, GOAT and Krotov optimizers share: slice exponentials from one
-  stacked eigendecomposition (``slice_propagators``), then every partial
-  product by a pairwise recursion (``ordered_products``), about 2 log2(N)
-  stacked matmuls, in buffers a ``_Propagation`` owns. Qubit stacks (d = 2)
-  take a path of plain elementwise arithmetic: the eigendecomposition in
-  closed form and every stacked 2x2 product written out (``_matmul``),
-  since numpy spends one BLAS call per matrix on a stacked matmul. Their
-  (N, 2, 2) stacks keep the slice index as the contiguous axis (Fortran
-  order), so each elementwise operation runs over one entry of every
-  slice at once; larger stacks stay in C order for eigh and BLAS. Krotov's
-  sweep, which sets each slice's amplitudes only after propagating the
-  slice before, steps one slice at a time through ``_slice_step`` instead.
+  stacked call (``slice_propagators``), then every partial product by a
+  pairwise recursion (``ordered_products``), about 2 log2(N) stacked
+  matmuls, in buffers a ``_Propagation`` owns. Larger systems take their
+  exponentials from one stacked eigendecomposition. Qubit stacks (d = 2)
+  take a path of plain elementwise arithmetic and form no
+  eigendecomposition: each slice exponential comes from the su(2)
+  exponential map, e^{-i h0 dt}(cos(theta) I - i s h.sigma)
+  (``_su2_propagators``), and every stacked 2x2 product is written out
+  (``_matmul``), since numpy spends one BLAS call per matrix on a stacked
+  matmul. Their (N, 2, 2) stacks keep the slice index as the contiguous
+  axis (Fortran order), so each elementwise operation runs over one entry
+  of every slice at once; larger stacks stay in C order for eigh and BLAS.
+  Krotov's sweep, which sets each slice's amplitudes only after
+  propagating the slice before, steps one slice at a time through
+  ``_slice_step`` instead.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
   unitarity defect meets tolerance. It shares no exponential with the other
@@ -212,55 +216,109 @@ def _empty(shape: tuple[int, ...], dtype=complex, buffer=None, offset=0) -> np.n
 
 
 def slice_propagators(
-    hams: np.ndarray, dt: float, out: tuple | None = None, work: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    hams: np.ndarray, dt: float, out: np.ndarray | None = None,
+    work: tuple | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """exp(-i H dt) for one Hermitian H or a stack of them.
 
-    Returns (umats, evals, evecs) with H = evecs diag(evals) evecs^+ per
-    slice and evals ascending. Qubit stacks (d = 2) take their
-    eigendecomposition in closed form (``_eigh2``) and come back with the
-    slice axis contiguous, whatever the input's layout; larger ones come
-    from one stacked eigh, in C order, which allocates its evals and evecs.
-    Only the lower triangle of H is read; Hermiticity is the caller's
-    guarantee. ``out`` = (umats, evals, evecs) and ``work`` = (phases,
-    left, right), stacks shaped like evals and like H, are overwritten
-    when given and allocated when not.
+    Returns (umats, evals, evecs). Qubit stacks (d = 2) take the su(2)
+    exponential map (``_su2_propagators``) and come back with the slice axis
+    contiguous, whatever the input's layout; they return no
+    eigendecomposition, so evals and evecs are None. Larger ones come from
+    one stacked eigh, in C order: H = evecs diag(evals) evecs^+ per slice,
+    evals ascending. Only the lower triangle of H is read; Hermiticity is
+    the caller's guarantee. ``out``, the umats stack, and the stacks of
+    ``work`` are overwritten when given and allocated when not: for qubits
+    ``work`` = (coords, phases) as ``_su2_propagators`` fills them, else
+    (phases, left, right), shaped like evals and like H.
     """
-    umats, evals, evecs = out or (None, None, None)
-    phases, left, right = work or (None, None, None)
     if hams.shape[-1] == 2:
-        evals, evecs = _eigh2(hams, None if out is None else out[1:])
-    else:
-        evals, evecs = np.linalg.eigh(hams)
+        if hams.ndim == 2:  # one matrix, as a stack of one
+            return slice_propagators(hams[None], dt)[0][0], None, None
+        return _su2_propagators(hams, dt, out, *(work or ())), None, None
+    phases, left, right = work or (None, None, None)
+    evals, evecs = np.linalg.eigh(hams)
     phases = np.multiply(-1j, evals, out=phases)
     phases *= dt
     np.exp(phases, out=phases)
     left = np.multiply(evecs, phases[..., None, :], out=left)
     right = np.conjugate(evecs, out=right).swapaxes(-1, -2)
-    return _matmul(left, right, umats), evals, evecs
+    return _matmul(left, right, out), evals, evecs
 
 
-def _eigh2(hams: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of Hermitian 2x2 matrices in closed form, from the lower triangle.
+def _su2_propagators(
+    hams: np.ndarray, dt: float, out: np.ndarray | None = None,
+    coords: np.ndarray | None = None, phases: np.ndarray | None = None,
+) -> np.ndarray:
+    """exp(-i H dt) of an (N, 2, 2) Hermitian stack by the su(2) exponential map.
 
-    With H = [[a, b*], [b, c]], mean m = (a + c)/2, half-difference
-    h = (a - c)/2, r = hypot(h, |b|) and t = arctan2(|b|, h)/2, the
-    eigenvalues are m - r <= m + r, with eigenvectors (-sin t, e^{i arg b}
-    cos t) and (cos t, e^{i arg b} sin t). The phase comes from arg b, not
-    b/|b|, which overflows when |b| is subnormal; b = 0 gives phase 1.
-    Both results are in Fortran order, the slice axis contiguous, and are
-    written into ``out`` = (evals, evecs) when given.
+    The lower triangle [[a, .], [b, c]] reads as H = h0 I + h.sigma with
+    h0 = (a + c)/2 and h = (Re b, Im b, (a - c)/2). With r = |h|, a hypot
+    chain, theta = r dt and s = sin(theta)/r (s = dt at r = 0),
+
+        exp(-i H dt) = e^{-i h0 dt} (cos(theta) I - i s h.sigma),
+
+    written entry by entry into ``out``, the slice axis contiguous, and
+    returned. ``phases`` receives e^{-i h0 dt} and the rows of ``coords``
+    hx, hy, hz, cos(theta), s, x = max(theta, eps) and sin(x), what the
+    exact gradient reads of each slice (``problem._gradient_from_state``).
+    All three are overwritten when given, coords shaped (7, N) and phases
+    (N,). A slice whose exponent
+    overflows raises ``DynamicsError``, and leaves no RuntimeWarning.
     """
-    a, c, b = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 1, 0]
-    mean, half, mod = 0.5 * (a + c), 0.5 * (a - c), np.abs(b)
-    radius = np.hypot(half, mod)
-    t = 0.5 * np.arctan2(mod, half)
-    cos, sin, phase = np.cos(t), np.sin(t), np.exp(1j * np.angle(b))
-    evals, evecs = out or (_empty(hams.shape[:-1], float), _empty(hams.shape))
-    evals[..., 0], evals[..., 1] = mean - radius, mean + radius
-    evecs[..., 0, 0], evecs[..., 0, 1] = -sin, cos
-    evecs[..., 1, 0], evecs[..., 1, 1] = phase * cos, phase * sin
-    return evals, evecs
+    a, c, b = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+    if coords is None:
+        coords, phases = np.empty((7, len(hams))), np.empty(len(hams), complex)
+    umats = _empty(hams.shape) if out is None else out
+    u00, u01, u10, u11 = (umats[:, i, j] for i in (0, 1) for j in (0, 1))
+    hx, hy, hz, cos, s, x, sin = coords
+    # Every product below has a real factor: numpy may round a complex
+    # product by the array's layout and length, and then a slice would not
+    # come out the same in every stack. u00 is scratch until U is written.
+    np.copyto(u00, b)  # b in the contiguous layout of the rows
+    np.copyto(hx, u00.real)
+    np.copyto(hy, u00.imag)
+    # halved before they are combined, so a finite H gives finite h0 and hz
+    angle = np.multiply(c, 0.5, out=x)
+    np.multiply(a, 0.5, out=hz)
+    hz -= angle
+    angle += a * 0.5  # h0, then -h0 dt
+    # r = hypot(hypot(hx, hy), hz), each hypot the modulus of a complex
+    # number: numpy's is overflow-safe, and several times faster than np.hypot
+    np.abs(u00, out=sin)
+    np.copyto(u00.real, sin)
+    np.copyto(u00.imag, hz)
+    with np.errstate(over="ignore"):
+        theta = np.abs(u00, out=sin)
+        theta *= dt
+        angle *= -dt
+    if not (np.isfinite(theta).all() and np.isfinite(angle).all()):
+        raise DynamicsError("the drive overflows: a slice exponent is not finite")
+    if angle.any():
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
+    else:  # traceless slices, as on every model without an identity term
+        phases.fill(1.0)
+    np.cos(theta, out=cos)
+    # sin(x)/x rounds to 1 for x below eps, so x = max(theta, eps) gives
+    # s = dt at theta = 0 without a division by zero
+    np.maximum(theta, _EPS, out=x)
+    np.sin(x, out=sin)
+    np.divide(sin, x, out=s)
+    s *= dt
+    # with p = e^{-i h0 dt} and q = -i p: U00, U11 = p cos(theta) +- s hz q,
+    # U10, U01 = s hx q +- s hy p
+    q = np.multiply(phases, -1j)  # exact: a swap and a sign
+    sp, sq = np.multiply(phases, s), np.multiply(q, s, out=q)
+    np.multiply(phases, cos, out=u00)
+    np.multiply(sq, hz, out=u01)
+    np.subtract(u00, u01, out=u11)
+    u00 += u01
+    np.multiply(sq, hx, out=u10)
+    sp *= hy
+    np.subtract(u10, sp, out=u01)
+    u10 += sp
+    return umats
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -414,47 +472,59 @@ class _Propagation:
 
     ``_propagate`` overwrites them, so an owner that propagates on one grid
     again and again allocates them once. Fields after each ``_propagate``:
-      hams (N,d,d), umats (N,d,d), evals (N,d), evecs (N,d,d),
+      hams (N,d,d), umats (N,d,d),
       fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
-      total = fwd[N].
-    Stacks are laid out like umats: for d = 2 with the slice axis
-    contiguous. Slice exponentials come from one stacked
-    ``slice_propagators`` call and the products from ``ordered_products``.
-    The backward products U_{N-1}...U_n are total fwd[n]^-1 by unitarity,
-    so they are never formed (see ``_times_inverse``). The gradient's own
-    stacks are allocated at its first use, so an objective that is only
-    checked never holds them.
+      total = fwd[N],
+    and what the exact gradient reads of each slice: for qubits the su(2)
+    coordinates, coords (7,N), and the phases e^{-i h0 dt}, phases (N,)
+    (``_su2_propagators``); for d > 2 the eigendecomposition, evals (N,d)
+    and evecs (N,d,d), which eigh allocates on every call. Stacks are laid
+    out like umats: for d = 2 with the slice axis contiguous. Slice
+    exponentials come from one ``slice_propagators`` call and the products
+    from ``ordered_products``. The backward products U_{N-1}...U_n are
+    total fwd[n]^-1 by unitarity, so they are never formed (see
+    ``_times_inverse``). The gradient's own stacks are allocated at its
+    first use, so an objective that is only checked never holds them.
     """
 
     def __init__(self, n: int, d: int):
-        # only the qubit path writes evals and evecs in place; eigh has no
-        # out=, so larger stacks take the ones each call returns
-        eig = (((n, d), float),) if d == 2 else ()
-        stacks, self.fwd, phases, *evals = _block(
-            ((4 + len(eig), n, d, d), complex), ((n + 1, d, d), complex),
-            ((n, d), complex), *eig,
+        qubit = d == 2
+        coords = (((7, n), float),) if qubit else ()
+        stacks, self.fwd, phases, *coords = _block(
+            ((4, n, d, d), complex), ((n + 1, d, d), complex),
+            ((n,) if qubit else (n, d), complex), *coords,
         )
-        self.hams, self.umats, left, right, *evecs = stacks
-        self.work = (phases, left, right)
-        self.evecs, self.evals = (evecs[0], evals[0]) if eig else (None, None)
+        self.hams, self.umats, left, right = stacks
+        # the exponentials' scratch: eigh's phases and the factors of
+        # V e^{-i w dt} V^+, or the qubit path's coordinates and phases
+        self.work = (coords[0], phases) if qubit else (phases, left, right)
+        self.evals = self.evecs = None
         self.fwd[0] = _identity(d)
         self.total = self.fwd[-1]
-        # the products' scratch lives in the exponentials' left and right
-        # factors, spent once umats is formed
+        # the products' scratch lives in the stacks left and right, spent
+        # once umats is formed or, on qubits, never used before
+        self.scratch = (left, right)
         self.product_work = _product_work(n, d, left, right)
         self.gradient_work = None
 
     def gradient_buffers(self) -> tuple[np.ndarray, ...]:
-        """(a, half_sum, half_diff, phi, vh, c, w1, w2, w3) for the gradient.
+        """(c, w1, w2, w3) for C_n and, for d > 2, (a, half_sum, half_diff,
+        phi, vh) for the eigenbasis sandwich.
 
-        w1, w2 and w3 are the propagation's hams and scratch, spent by the
-        time a gradient is formed; the rest is allocated at the first one.
+        w1, w2 and w3 are the propagation's hams and product scratch, spent
+        by the time a gradient is formed; the rest is allocated at the first
+        one.
         """
         if self.gradient_work is None:
             n, d = self.umats.shape[:2]
-            real, stack = ((n, d, d), float), ((n, d, d), complex)
-            allocated = _block(((n, d), float), real, real, stack, stack, stack)
-            self.gradient_work = (*allocated, self.hams, *self.work[1:])
+            stack = ((n, d, d), complex)
+            if d == 2:
+                allocated = _block(stack)
+            else:
+                real = ((n, d, d), float)
+                allocated = _block(stack, ((n, d), float), real, real, stack, stack)
+            work = (self.hams, *self.scratch)
+            self.gradient_work = (allocated[0], *work, *allocated[1:])
         return self.gradient_work
 
 
@@ -465,9 +535,7 @@ def _propagate(
     """The propagation of (C, N) amplitudes into ``out``, or into new buffers."""
     out = out or _Propagation(amps.shape[1], drift.shape[0])
     hams = _stacked_hamiltonians(drift, ops, amps, out.hams)
-    out.umats, out.evals, out.evecs = slice_propagators(
-        hams, dt, (out.umats, out.evals, out.evecs), out.work
-    )
+    out.umats, out.evals, out.evecs = slice_propagators(hams, dt, out.umats, out.work)
     ordered_products(out.umats, out.fwd[1:], out.product_work)
     return out
 
@@ -484,7 +552,7 @@ def _slice_step(
     operators. One product gives H, one LAPACK eigh its eigenbasis, and
     u = (V e^{-i w dt}) V^+ is applied to psi straight into ``out``, which
     must not overlap psi. Qubits take the same eigh: on a single matrix it
-    costs fewer numpy calls than the closed form of the stacks. Only the
+    costs fewer numpy calls than the su(2) map of the stacks. Only the
     lower triangle of H is read.
     """
     ham = (amps @ op_flat).reshape(drift.shape)

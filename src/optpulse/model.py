@@ -18,10 +18,11 @@ hbar = 1 throughout; coefficients are angular frequencies per time unit.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -131,13 +132,24 @@ class SystemModel:
         if len(set(channels)) != len(channels):
             dupes = sorted({c for c in channels if channels.count(c) > 1})
             raise ModelError(f"duplicate channel id(s): {dupes}")
-        for rate, expr in self.collapse:
+        zeros = np.zeros((1, self.dim, self.dim), dtype=complex)
+        object.__setattr__(self, "_drift", zeros[0])
+        object.__setattr__(self, "_controls", zeros[:0])
+        object.__setattr__(self, "_collapse", ())
+        self._add_terms(self.drift, self.control, self.collapse)
+
+    def _add_terms(self, drift, control, collapse) -> None:
+        """Build and check the operators of the given terms and add them to
+        the model's: the drift terms into H_drift, the control and collapse
+        operators after the ones it has. The arrays are replaced, not
+        written, since callers may share them."""
+        for rate, expr in collapse:
             if not 0 <= rate < np.inf:
                 raise ModelError(
                     f"collapse rate of {expr!r} must be finite and >= 0, got {rate}"
                 )
-        drift = np.zeros((self.dim, self.dim), dtype=complex)
-        for coef, expr in self.drift:
+        total = self._drift.copy()
+        for coef, expr in drift:
             if not np.isfinite(coef):
                 raise ModelError(f"drift coefficient of {expr!r} is {coef}")
             op = build_operator(expr, self.n_qubits)
@@ -146,11 +158,11 @@ class SystemModel:
                 raise ModelError(
                     f"drift operator {expr!r} is not a finite Hermitian matrix"
                 )
-            drift += coef * op
-        if not np.isfinite(drift).all():
+            total += coef * op
+        if not np.isfinite(total).all():
             raise ModelError("drift Hamiltonian overflows")
-        controls = np.zeros((len(self.control), self.dim, self.dim), dtype=complex)
-        for i, (ch, expr) in enumerate(self.control):
+        controls = np.zeros((len(control), self.dim, self.dim), dtype=complex)
+        for i, (ch, expr) in enumerate(control):
             op = build_operator(expr, self.n_qubits)
             if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
                 raise ModelError(
@@ -158,18 +170,31 @@ class SystemModel:
                     "Hermitian matrix"
                 )
             controls[i] = op
-        collapse = []
-        for rate, expr in self.collapse:
+        controls = np.concatenate([self._controls, controls])
+        jumps = []
+        for rate, expr in collapse:
             op = build_operator(expr, self.n_qubits)
             if not np.isfinite(op).all():
                 raise ModelError(f"collapse operator {expr!r} is not finite")
-            collapse.append((rate, op))
+            jumps.append((rate, op))
         # built once per model; callers share the arrays, so freeze them
-        for arr in (drift, controls, *(op for _, op in collapse)):
+        for arr in (total, controls, *(op for _, op in jumps)):
             arr.flags.writeable = False
-        object.__setattr__(self, "_drift", drift)
+        object.__setattr__(self, "_drift", total)
         object.__setattr__(self, "_controls", controls)
-        object.__setattr__(self, "_collapse", tuple(collapse))
+        object.__setattr__(self, "_collapse", self._collapse + tuple(jumps))
+
+    def with_terms(self, drift=(), collapse=()) -> SystemModel:
+        """This model with ``drift`` (coefficient, expression) and
+        ``collapse`` (rate, expression) terms appended: equal to
+        ``dataclasses.replace`` with the longer tuples, and with the same
+        operators, but only the new terms are built."""
+        drift, collapse = tuple(drift), tuple(collapse)
+        model = copy.copy(self)  # shares the built operators
+        object.__setattr__(model, "drift", self.drift + drift)
+        object.__setattr__(model, "collapse", self.collapse + collapse)
+        model._add_terms(drift, (), collapse)
+        return model
 
     @property
     def dim(self) -> int:
@@ -280,5 +305,4 @@ def apply_detuning(
         return model
     if qubits is None:
         qubits = tuple(range(model.n_qubits))
-    extra = tuple((-delta * omega0 / 2.0, f"Z{q}") for q in qubits)
-    return replace(model, drift=model.drift + extra)
+    return model.with_terms(drift=((-delta * omega0 / 2.0, f"Z{q}") for q in qubits))

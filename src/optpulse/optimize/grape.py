@@ -2,9 +2,10 @@
 
 GRAPE is ``problem.sampled_objective`` with the slice amplitudes as the
 parameters: its parametrization is a reshape of the flat channel-major
-vector, and its vjp a ravel. The gradient is the exact eigenbasis
-derivative of each slice exponential rather than the first-order
-commutator approximation, and the backward products follow from the
+vector, and its vjp a ravel. The gradient is the exact derivative of
+each slice exponential (by the su(2) map on qubits, in the slice
+eigenbasis on larger systems) rather than the first-order commutator
+approximation, and the backward products follow from the
 forward ones by unitarity. The amplitudes go to ``problem.minimize``, the
 numpy L-BFGS minimizer GOAT uses too, with the box +-amplitude-bound.
 """

@@ -20,7 +20,7 @@ lambda is a power of two. The slice then goes through the dynamics core's
 one-slice step, ``dynamics._slice_step``: one product for H, one LAPACK
 eigh and two products, written straight into the sweep's forward stack.
 Qubit slices take that eigh too; only the core's sampled stacks take the
-closed-form 2x2 eigendecomposition. The first sweep starts from the
+su(2) exponential map. The first sweep starts from the
 stacked ``dynamics._propagate``; an accepted sweep keeps the forward
 products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
 costates come from them by unitarity (``_costates``), with no backward loop.

@@ -320,6 +320,45 @@ def test_simulate_t1_on_three_qubits_matches_a_dense_liouvillian(
     assert np.max(np.abs(table[:, paulis] - exact)) <= 1e-9
 
 
+def test_simulate_builds_each_operator_once(tmp_path, fixtures, capsys, monkeypatch):
+    # model_3q.json has 2 drift and 6 control terms; --lo-delta adds a Z and
+    # --t1 an SM term per qubit: 14 operators, each built once
+    from optpulse import model as model_module
+
+    built = []
+    original = model_module.build_operator
+
+    def counted(expression, n_qubits):
+        built.append(expression)
+        return original(expression, n_qubits)
+
+    monkeypatch.setattr(model_module, "build_operator", counted)
+    model = json.loads((fixtures / "model_3q.json").read_text())
+    pulse = {"dt": model["dt"], "instructions": [
+        {"channel": c["channel"], "t0": 0, "samples": [[0.3, 0.0]] * 4}
+        for c in model["control"]
+    ]}
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(pulse))
+    code, stdout, _ = run(
+        capsys, "simulate", path, fixtures / "model_3q.json",
+        "--t1", "20", "--lo-delta", "0.01",
+    )
+    assert code == 0 and stdout.count("\n") == 6
+    expected = [t["op"] for t in model["drift"]] + [c["op"] for c in model["control"]]
+    expected += [f"Z{q}" for q in range(3)] + [f"SM{q}" for q in range(3)]
+    assert built == expected
+
+
+@pytest.mark.parametrize("t1", ["0", "-1", "nan"])
+def test_simulate_non_positive_t1_exits_2(h_pulse, fixtures, capsys, t1):
+    code, stdout, stderr = run(
+        capsys, "simulate", h_pulse, fixtures / "model_1q_xy.json", f"--t1={t1}"
+    )
+    assert code == 2
+    assert stdout == "" and f"--t1 must be positive, got {float(t1)}" in stderr
+
+
 def test_simulate_initial_state_and_observables(h_pulse, fixtures, capsys):
     code, stdout, _ = run(
         capsys,
@@ -582,6 +621,32 @@ def test_bind_rejects_anything_but_a_number(fixtures, capsys, raw):
     )
     assert code == 2
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "binds, message",
+    [
+        (["theta"], "bad --bind entry 'theta' (want name=value)"),
+        (["theta=pi", "phi=1"], "--bind names ['phi'] are not circuit parameters"),
+        (["phi=1,theta=pi"], "--bind names ['phi'] are not circuit parameters"),
+    ],
+    ids=["no-equals", "unknown-name", "unknown-name-in-a-list"],
+)
+def test_bind_errors_exit_2(fixtures, capsys, binds, message):
+    argv = ["unitary", fixtures / "rx_theta.xasm"]
+    for bind in binds:
+        argv += ["--bind", bind]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and message in stderr
+
+
+def test_bind_missing_value_exits_2(tmp_path, capsys):
+    circuit = tmp_path / "two.xasm"
+    circuit.write_text("Rx(q[0], theta);\nRz(q[0], phi);\n")
+    code, stdout, stderr = run(capsys, "unitary", circuit, "--bind", "theta=pi")
+    assert code == 2
+    assert stdout == "" and "missing --bind value(s) for ['phi']" in stderr
 
 
 # ------------------------------------------------------------------- sweep

@@ -124,9 +124,12 @@ def test_slice_propagators_unitary_and_exact(dim, n_slices, seed, scale, dt):
     hams = scale * (a + a.conj().swapaxes(1, 2)) / 2
     umats, evals, evecs = slice_propagators(hams, dt)
     eye = np.eye(dim)
-    for h, u, w, v in zip(hams, umats, evals, evecs):
+    for h, u in zip(hams, umats):
         assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
         assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
+    # qubits take the su(2) map, which forms no eigendecomposition
+    assert (evals is None and evecs is None) == (dim == 2)
+    for h, w, v in zip(hams, evals, evecs) if dim > 2 else ():
         assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10 * max(1.0, scale)
     # a single matrix takes the same path as a stack of one
     assert np.array_equal(slice_propagators(hams[0], dt)[0], umats[0])
@@ -161,23 +164,37 @@ def test_qubit_closed_form_matches_eigh_and_expm(ham):
     h = np.asarray(ham, dtype=complex)
     scale = max(1.0, np.max(np.abs(h)))
     dt = 0.7 / scale
-    umats, evals, evecs = slice_propagators(h[None], dt)
-    u, w, v = umats[0], evals[0], evecs[0]
+    umats = slice_propagators(h[None], dt)[0]
+    u = umats[0]
     eye = np.eye(2)
-    assert np.max(np.abs(w - np.linalg.eigh(h)[0])) <= 1e-10 * scale
-    assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10 * scale
-    assert np.max(np.abs(v.conj().T @ v - eye)) <= 1e-12
+    w, v = np.linalg.eigh(h)
+    assert np.max(np.abs(u - (v * np.exp(-1j * dt * w)) @ v.conj().T)) <= 1e-10
     assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
     assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
     # like eigh, only the lower triangle is read
     junk = h.copy()
     junk[0, 1] = 5.0 - 3.0j
     junk[[0, 1], [0, 1]] += [2.0j, -1.0j]
-    for a, b in zip(slice_propagators(junk[None], dt), (umats, evals, evecs)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(slice_propagators(junk[None], dt)[0], umats)
     # a single matrix takes the same path as a stack of one
-    for a, b in zip(slice_propagators(h, dt), (umats, evals, evecs)):
-        assert np.array_equal(a, b[0])
+    assert np.array_equal(slice_propagators(h, dt)[0], u)
+
+
+@pytest.mark.parametrize(
+    "drift, amp",
+    [
+        (np.zeros((2, 2)), 1e308),
+        (1e308 * np.eye(2), 0.0),
+        (np.diag([1e308, -1e308]), 0.0),
+    ],
+    ids=["theta", "phase", "diagonal-spread"],
+)
+def test_qubit_slice_exponent_overflow_raises(drift, amp):
+    # finite slice Hamiltonians whose theta = |h| dt or h0 dt overflows; a
+    # RuntimeWarning would fail the test as an error
+    ops = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+    with pytest.raises(DynamicsError, match="a slice exponent is not finite"):
+        _propagate(drift.astype(complex), ops, np.full((1, 3), amp), 10.0)
 
 
 def _sequential_products(umats):
@@ -262,8 +279,9 @@ def test_qubit_stacks_keep_the_slice_axis_contiguous(c_order):
     assert hams.strides[0] == hams.itemsize
     if c_order:
         hams = np.ascontiguousarray(hams)
-    for arr in slice_propagators(hams, 0.1):
-        assert arr.strides[0] == arr.itemsize
+    umats, evals, evecs = slice_propagators(hams, 0.1)
+    assert umats.strides[0] == umats.itemsize
+    assert evals is None and evecs is None
     fwd = _propagate(0.3 * Z, ops, amps, 0.1).fwd
     assert fwd.shape == (51, 2, 2) and fwd.strides[0] == fwd.itemsize
     # larger stacks stay in C order for eigh and BLAS
@@ -615,6 +633,20 @@ def test_two_qubit_lindblad_fails_fast_on_pathological_amplitude():
     with pytest.raises(DynamicsError, match="substeps"):
         lindblad_evolve(model, sig, ground)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "rho0, message",
+    [
+        (np.diag([0.5, 0.25]), "rho0 must have unit trace"),
+        (np.array([[0.5, 0.2], [0.1, 0.5]]), "rho0 must be Hermitian"),
+    ],
+    ids=["trace", "hermitian"],
+)
+def test_lindblad_rejects_an_invalid_rho0(rho0, message):
+    model, sig, _ = damped_drive(1, 0.1, 0.5, 3)
+    with pytest.raises(DynamicsError, match=message):
+        lindblad_evolve(model, sig, rho0)
 
 
 def test_lindblad_rejects_an_overflowing_substep_count():

@@ -303,6 +303,37 @@ def test_apply_detuning_adds_z_drift():
     assert detuned.channels == m.channels
 
 
+def test_with_terms_equals_replace_and_builds_only_the_new_terms(monkeypatch):
+    from dataclasses import replace
+
+    from optpulse import model as model_module
+
+    m = parse_model(dict(MODEL_DOC))
+    drift, collapse = ((0.3, "Z0"), (-0.2, "X0")), ((0.05, "SM0"),)
+    built = []
+    original = model_module.build_operator
+
+    def counted(expression, n_qubits):
+        built.append(expression)
+        return original(expression, n_qubits)
+
+    monkeypatch.setattr(model_module, "build_operator", counted)
+    extended = m.with_terms(drift=drift, collapse=collapse)
+    assert built == ["Z0", "X0", "SM0"]
+    fresh = replace(m, drift=m.drift + drift, collapse=m.collapse + collapse)
+    assert extended == fresh
+    assert np.array_equal(extended.drift_matrix(), fresh.drift_matrix())
+    assert np.array_equal(extended.control_stack, fresh.control_stack)
+    for (rate, op), (fresh_rate, fresh_op) in zip(
+        extended.collapse_terms(), fresh.collapse_terms(), strict=True
+    ):
+        assert rate == fresh_rate and np.array_equal(op, fresh_op)
+    # the model it came from is unchanged
+    assert m == parse_model(dict(MODEL_DOC)) and not m.has_dissipation
+    with pytest.raises(ModelError, match="collapse rate"):
+        m.with_terms(collapse=((-1.0, "SM0"),))
+
+
 def test_bad_json_text_is_a_model_error():
     with pytest.raises(ModelError):
         parse_model("{not json")

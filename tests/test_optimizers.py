@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optpulse.circuits import circuit_unitary, parse_circuit
@@ -40,6 +40,7 @@ from optpulse.optimize.goat import (
     parse_control_func,
 )
 from optpulse.optimize.problem import (
+    SU2_SERIES_BELOW,
     _gradient_from_state,
     _trace_loss,
     clip_amplitudes,
@@ -400,7 +401,9 @@ def test_grape_gradient_matches_finite_differences():
 
 def _loop_gradient(state, ops, target, dt):
     """d(loss)/d(amps) from explicit forward and backward product loops, one
-    slice derivative V ((V^+ (-i dt Op_c) V) o Phi) V^+ per slice and channel."""
+    slice derivative V ((V^+ (-i dt Op_c) V) o Phi) V^+ per slice and channel.
+    Qubit slices take their eigenbasis from np.linalg.eigh of the slice
+    Hamiltonian, which the gradient under test never forms."""
     n, d = state.umats.shape[0], target.shape[0]
     fwd = [np.eye(d, dtype=complex)]
     for u in state.umats:
@@ -412,7 +415,11 @@ def _loop_gradient(state, ops, target, dt):
     overlap = np.trace(target.conj().T @ fwd[n])
     grad = np.zeros((len(ops), n))
     for k in range(n):
-        a, v = state.evals[k] * dt, state.evecs[k]
+        if state.evals is None:  # the qubit path keeps no eigendecomposition
+            w, v = np.linalg.eigh(state.hams[k])
+        else:
+            w, v = state.evals[k], state.evecs[k]
+        a = w * dt
         phi = np.exp(-0.5j * (a[:, None] + a[None, :])) * np.sinc(
             (a[:, None] - a[None, :]) / (2 * np.pi)
         )
@@ -476,6 +483,83 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
         reference = _loop_gradient(*case)
         error = np.max(np.abs(_gradient_from_state(*case) - reference))
         assert error <= 1e-12 * np.max(np.abs(reference))
+
+
+def _qubit_case(seed, n_channels, n_slices, drifted, scale, theta, coupling, gaps):
+    """Random 2x2 drift and controls, amplitudes and a dt that puts the
+    largest slice's theta = |h| dt at ``theta``, with a random target."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return scale * (a + a.conj().T) / 2
+
+    drift = hermitian() if drifted else np.zeros((2, 2), dtype=complex)
+    ops = np.array([hermitian() for _ in range(n_channels)])
+    if coupling == "subnormal":
+        ops[:, 1, 0] = 3e-310 - 2e-310j
+        ops[:, 0, 1] = 3e-310 + 2e-310j
+    amps = rng.uniform(-1.0, 1.0, (n_channels, n_slices))
+    if gaps:  # zero-amplitude slices; theta = 0 there on a drift-free model
+        amps[:, ::2] = 0.0
+    hams = drift + np.einsum("cn,cij->nij", amps, ops)
+    eigvals = np.linalg.eigvalsh(hams)
+    radius = np.max(eigvals[:, 1] - eigvals[:, 0]) / 2  # max |h|
+    dt = theta / radius if radius > 0 else 0.1
+    target = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    return drift, ops, amps, dt, hams, target
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_channels=st.integers(1, 2),
+    n_slices=st.integers(1, 6),
+    drifted=st.booleans(),
+    scale=st.sampled_from([1.0, 1e6]),
+    theta=st.floats(1e-4, 3.0),
+    coupling=st.sampled_from(["random", "subnormal"]),
+    gaps=st.booleans(),
+)
+# theta = 0 on every slice; then either side of the series switch at 1e-2
+@example(seed=1, n_channels=1, n_slices=4, drifted=False, scale=1.0, theta=1e-3,
+         coupling="random", gaps=True)
+@example(seed=2, n_channels=2, n_slices=5, drifted=True, scale=1.0,
+         theta=SU2_SERIES_BELOW * 0.99, coupling="random", gaps=False)
+@example(seed=3, n_channels=2, n_slices=5, drifted=True, scale=1.0,
+         theta=SU2_SERIES_BELOW * 1.01, coupling="random", gaps=False)
+@example(seed=4, n_channels=1, n_slices=3, drifted=True, scale=1e6, theta=2.0,
+         coupling="subnormal", gaps=True)
+def test_qubit_kernels_match_expm_the_loop_reference_and_finite_differences(
+    seed, n_channels, n_slices, drifted, scale, theta, coupling, gaps
+):
+    from scipy.linalg import expm
+
+    drift, ops, amps, dt, hams, target = _qubit_case(
+        seed, n_channels, n_slices, drifted, scale, theta, coupling, gaps
+    )
+    state = _propagate(drift, ops, amps, dt)
+    for h, u in zip(hams, state.umats):
+        assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
+    reference = _loop_gradient(state, ops, target, dt)  # reads state.hams
+    grad = _gradient_from_state(state, ops, target, dt)
+    # relative to the larger of the gradient and dt ||Op||, a bound on each
+    # entry's terms: the reference sums the global phase's terms too, and
+    # they cancel only to round-off of that size when the gradient is small
+    bound = max(np.max(np.abs(reference)), dt * np.max(np.linalg.norm(ops, 2, (1, 2))))
+    assert np.max(np.abs(grad - reference)) <= 1e-12 * bound
+
+    def loss(a):
+        return _trace_loss(_propagate(drift, ops, a, dt).total, target)[1]
+
+    step = 1e-6 / (scale * dt)  # moves each slice's theta by about 1e-6
+    fd = np.zeros_like(amps)
+    for index in np.ndindex(amps.shape):
+        up, down = amps.copy(), amps.copy()
+        up[index] += step
+        down[index] -= step
+        fd[index] = (loss(up) - loss(down)) / (2 * step)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * bound
 
 
 def test_grape_reaches_x_gate():
@@ -648,12 +732,25 @@ def test_goat_default_family_leaves_the_plateau_on_a_drifted_qubit(fixtures):
 
 def refining_problem():
     """A drifted qubit on which GOAT's first result moves on the finer grid,
-    so GOAT refines once."""
+    so GOAT refines once.
+
+    The target is what two Gaussians of width 1.2 give, sampled on a grid
+    32 times as fine, so GOAT converges: its first run stops at infidelity
+    4.4e-7, whose loss moves by 1.7e-8 on the finer grid. A target such as
+    X, which the default envelopes cannot reach, leaves GOAT stalled on a
+    plateau, where the last bits of the gradient decide whether the stalled
+    point moves on the finer grid.
+    """
     model = SystemModel(
         n_qubits=1, dt=1.0, drift=((3.0, "Z0"),),
         control=(("dx", "X0"), ("dy", "Y0")),
     )
-    return ControlProblem(model=model, target_u=X, max_time=10.0, tol=1e-6)
+    fine = replace(model, dt=model.dt / 32)
+    t = (np.arange(320) + 0.5) * fine.dt
+    gauss = np.exp(-((t - 5.0) ** 2) / (2 * 1.2**2))
+    signal = ControlSignal.from_samples({"dx": 0.5 * gauss, "dy": 0.1 * gauss}, fine.dt)
+    target = piecewise_propagator(fine, signal)
+    return ControlProblem(model=model, target_u=target, max_time=10.0, tol=1e-6)
 
 
 def test_goat_builds_each_grid_objective_once(monkeypatch):
