@@ -124,14 +124,16 @@ class _Token(NamedTuple):
 
 
 _TOKENS = (
-    r"(?P<newline>\n)|(?P<space>{})|(?P<number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[^\W\d]\w*)|(?P<symbol>[-+*/()\[\],;])|(?P<bad>.)"
+    r"(?P<newline>\n)|(?P<space>{0})|(?P<number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[^\W\d]\w*)|(?P<symbol>[-+*/()\[\],;{1}])|(?P<bad>.)"
 )
 # Only circuit source has // comments. Circuit text and angles are spaced by
 # blanks, tabs and line breaks; operator expressions by any Unicode whitespace.
-_CIRCUIT_LEXER = re.compile(r"(?P<comment>//[^\n]*)|" + _TOKENS.format(r"[ \t\r]+"))
-_ANGLE_LEXER = re.compile(_TOKENS.format(r"[ \t\r]+"))
-_OPERATOR_LEXER = re.compile(_TOKENS.format(r"[^\S\n]+"))
+# GOAT's envelope templates (optimize/goat.py) add ^ to the symbols.
+_CIRCUIT_LEXER = re.compile(r"(?P<comment>//[^\n]*)|" + _TOKENS.format(r"[ \t\r]+", ""))
+_ANGLE_LEXER = re.compile(_TOKENS.format(r"[ \t\r]+", ""))
+_OPERATOR_LEXER = re.compile(_TOKENS.format(r"[^\S\n]+", ""))
+_TEMPLATE_LEXER = re.compile(_TOKENS.format(r"[^\S\n]+", "^"))
 _new_token = tuple.__new__  # skips the NamedTuple constructor's Python frame
 
 

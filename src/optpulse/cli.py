@@ -5,9 +5,9 @@ program -> trajectory CSV), ``unitary`` (circuit -> matrix dump), ``sweep``
 (parametric circuit -> per-value summary CSV).
 
 Exit codes: 0 success, 1 I/O failure, 2 parse/validation error,
-3 optimizer non-convergence. Every file output gets a run manifest written
-alongside it; re-running the recorded command reproduces the output
-byte-identically.
+3 optimizer non-convergence, after ``compile`` or ``sweep`` writes its
+output. Every file output gets a run manifest written alongside it;
+re-running the recorded command reproduces the output byte-identically.
 """
 
 from __future__ import annotations
@@ -123,19 +123,22 @@ def _optimizer_options(args) -> dict:
     return opts
 
 
+def _best_effort(circuit: Circuit, model, args, opts: dict, label: str = ""):
+    """(program, result, converged) of compile_circuit; a run that missed the
+    acceptance threshold gives the best-effort program its error carries, and
+    a warning."""
+    try:
+        return (*compile_circuit(circuit, model, args.method, opts), True)
+    except TransformError as exc:
+        print(f"warning: {label}{exc}", file=sys.stderr)
+        return exc.program, exc.result, False
+
+
 def cmd_compile(args) -> int:
     circuit = _bind_circuit(_load_circuit(args.circuit), args.bind)
     model = load_model(args.model)
     opts = _optimizer_options(args)
-    converged = True
-    try:
-        program, result = compile_circuit(circuit, model, args.method, opts)
-    except TransformError as exc:
-        if exc.program is None:
-            raise
-        program, result = exc.program, exc.result
-        converged = False
-        print(f"warning: {exc}", file=sys.stderr)
+    program, result, converged = _best_effort(circuit, model, args, opts)
     output = args.output or (
         os.path.splitext(os.path.basename(args.circuit))[0] + ".pulse.json"
     )
@@ -226,22 +229,17 @@ def cmd_sweep(args) -> int:
     opts = _optimizer_options(args)
     ground = _basis_state("0" * model.n_qubits, model.n_qubits)
     lines = ["value, infidelity, p_excited"]
+    converged = True
     for value in values:
         bound = eval_parametric(circuit, [value])
-        try:
-            program, result = compile_circuit(bound, model, args.method, opts)
-            inf = result.final_infidelity
-        except TransformError as exc:
-            if exc.program is None:
-                raise
-            program, inf = exc.program, exc.infidelity
-            print(f"warning: value {value:g}: {exc}", file=sys.stderr)
+        program, result, ok = _best_effort(bound, model, args, opts, f"value {value:g}: ")
+        converged &= ok
         if program.total_duration == 0:
             p_excited = 0.0
         else:
             _, states = evolve_states(model, program.to_signal(), ground)
             p_excited = 1.0 - abs(np.vdot(ground, states[-1])) ** 2
-        lines.append(f"{value:.12g}, {inf:.12g}, {p_excited:.12g}")
+        lines.append(f"{value:.12g}, {result.final_infidelity:.12g}, {p_excited:.12g}")
     _deliver(
         "\n".join(lines) + "\n",
         args.output,
@@ -250,7 +248,7 @@ def cmd_sweep(args) -> int:
         {"method": args.method, "values": args.values, **opts},
         args.seed,
     )
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
@@ -319,9 +317,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TransformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except OptPulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

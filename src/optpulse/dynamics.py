@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DynamicsError
-from .model import SystemModel, build_operator
+from .model import MAX_SLICE_ENTRIES, SystemModel, build_operator
 
 HERMITICITY_TOL = 1e-8
 IMAG_SAMPLE_TOL = 1e-12
@@ -69,8 +69,6 @@ MAX_TAYLOR_TERMS = 24
 # at d = 8 the 64 x 64 superoperator products cost about 5x the factor form
 MAX_SUPEROPERATOR_DIM = 4
 SUPEROPERATOR_BLOCK = 256  # slices per superoperator stack: 1 MiB at d = 4
-# slices x d^2 of one grid: at most 64 MiB per (N, d, d) complex slice stack
-MAX_SLICE_ENTRIES = 2**22
 _EPS = np.finfo(float).eps
 
 
@@ -918,7 +916,9 @@ def _expectations(operators, states) -> np.ndarray:
         bras = block.conj()[:, None, None, :]
         values = (bras @ ops @ block[:, None, :, None])[..., 0, 0]
     elif block.shape[1:] == (dim, dim):
-        values = np.trace(ops @ block[:, None], axis1=-2, axis2=-1)
+        # Tr(A rho): only the diagonals of the products A rho, d^2 work each,
+        # summed as np.trace sums them, so a Pauli string's value keeps its bits
+        values = np.einsum("kij,tji->tki", ops, block).sum(-1)
     else:
         raise DynamicsError(f"state shape {block.shape[1:]} does not fit dim {dim}")
     residual = np.max(np.abs(values.imag), initial=0.0)

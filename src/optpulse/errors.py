@@ -12,8 +12,13 @@ class CircuitSyntaxError(OptPulseError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
+
+    def within(self, context: str) -> str:
+        """The message with ``context`` put before its position."""
+        return f"{self.message} {context} (line {self.line}, column {self.column})"
 
 
 class CircuitError(OptPulseError):

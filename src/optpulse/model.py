@@ -31,6 +31,10 @@ from .circuits import _OPERATOR_LEXER, _Arithmetic, _embed, _tokenize
 from .errors import CircuitSyntaxError, ModelError
 
 HERMITICITY_TOL = 1e-12
+# slices x d^2 of one grid: at most 64 MiB per (N, d, d) complex slice stack;
+# a model's d = 2^n must leave room for one slice, d^2 <= MAX_SLICE_ENTRIES
+MAX_SLICE_ENTRIES = 2**22
+MAX_QUBITS = (MAX_SLICE_ENTRIES.bit_length() - 1) // 2
 
 _SINGLE_QUBIT_OPS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -93,7 +97,8 @@ class _OperatorParser(_Arithmetic):
 
 
 def build_operator(expression: str, n_qubits: int) -> np.ndarray:
-    """Materialize an operator expression as a dense 2^n x 2^n matrix."""
+    """Materialize an operator expression as a dense 2^n x 2^n matrix; a
+    syntax error is a ModelError ending in (line L, column C)."""
     if n_qubits < 1:
         raise ModelError("n_qubits must be positive")
     try:  # the shared parser's positioned errors become the model's error
@@ -103,7 +108,7 @@ def build_operator(expression: str, n_qubits: int) -> np.ndarray:
             raise tok.error(f"unexpected {tok.text!r}")
     except CircuitSyntaxError as exc:
         raise ModelError(
-            f"{exc} in operator expression {expression!r} on {n_qubits} qubit(s)"
+            exc.within(f"in operator expression {expression!r} on {n_qubits} qubit(s)")
         ) from None
     return parser.lift(matrix)
 
@@ -126,6 +131,11 @@ class SystemModel:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ModelError("n_qubits must be positive")
+        if self.n_qubits > MAX_QUBITS:  # checked before any d x d allocation
+            raise ModelError(
+                f"n_qubits {self.n_qubits} exceeds {MAX_QUBITS}, the most whose "
+                f"d x d slice fits the limit of {MAX_SLICE_ENTRIES} entries"
+            )
         if not 0 < self.dt < np.inf:
             raise ModelError(f"dt must be positive and finite, got {self.dt}")
         channels = [ch for ch, _ in self.control]
@@ -148,28 +158,24 @@ class SystemModel:
                 raise ModelError(
                     f"collapse rate of {expr!r} must be finite and >= 0, got {rate}"
                 )
+
+        def hermitian(expr: str, role: str) -> np.ndarray:
+            op = build_operator(expr, self.n_qubits)
+            # written so that NaN, which every comparison fails, is rejected
+            if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
+                raise ModelError(f"{role} is not a finite Hermitian matrix")
+            return op
+
         total = self._drift.copy()
         for coef, expr in drift:
             if not np.isfinite(coef):
                 raise ModelError(f"drift coefficient of {expr!r} is {coef}")
-            op = build_operator(expr, self.n_qubits)
-            # written so that NaN, which every comparison fails, is rejected
-            if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
-                raise ModelError(
-                    f"drift operator {expr!r} is not a finite Hermitian matrix"
-                )
-            total += coef * op
+            total += coef * hermitian(expr, f"drift operator {expr!r}")
         if not np.isfinite(total).all():
             raise ModelError("drift Hamiltonian overflows")
         controls = np.zeros((len(control), self.dim, self.dim), dtype=complex)
         for i, (ch, expr) in enumerate(control):
-            op = build_operator(expr, self.n_qubits)
-            if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
-                raise ModelError(
-                    f"control operator {expr!r} on channel {ch!r} is not a finite "
-                    "Hermitian matrix"
-                )
-            controls[i] = op
+            controls[i] = hermitian(expr, f"control operator {expr!r} on channel {ch!r}")
         controls = np.concatenate([self._controls, controls])
         jumps = []
         for rate, expr in collapse:

@@ -15,7 +15,6 @@ that turns it into the OptimResult a method returns.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -61,7 +60,6 @@ _METHOD_KEYS = {
     "GOAT": _ENVELOPE_KEYS,
 }
 
-_GATE_TARGET_RE = re.compile(r"([A-Za-z]+?)(\d+)")
 _DEFAULT_SAMPLES = {"GRAPE": 100, "krotov": 100, "GOAT": 1000}
 
 
@@ -70,15 +68,18 @@ def method_names() -> tuple[str, ...]:
 
 
 def parse_target_unitary(value, n_qubits: int) -> np.ndarray:
-    """target-U option: a gate name like "X0"/"H1", an operator expression,
-    or an inline matrix (complex entries or trailing [re, im] pairs)."""
+    """target-U option: an operator expression like "X0*X1" (X, Y and Z are
+    the gates' own matrices; a syntax error ends in (line L, column C)), the
+    Hadamard gate's name "H<qubit>", or an inline matrix (complex entries or
+    trailing [re, im] pairs)."""
     if isinstance(value, str):
         text = value.strip()
-        match = _GATE_TARGET_RE.fullmatch(text)
-        if match and match.group(1) in {"X", "Y", "Z", "H"}:
-            gate = Gate(match.group(1), (int(match.group(2)),), ())
-            circuit = Circuit(n_qubits=n_qubits, gates=(gate,))
-            return circuit_unitary(circuit)
+        if text[:1] == "H" and text[1:].isdecimal():  # one name token H<qubit>
+            try:
+                gate = Gate("H", (int(text[1:]),))
+            except ValueError:  # past int()'s digit limit
+                raise OptimizationError("target-U qubit index too large") from None
+            return circuit_unitary(Circuit(n_qubits, (gate,)), max_qubits=n_qubits)
         return _check_unitary(build_operator(text, n_qubits), f"target-U {value!r}")
     arr = np.asarray(value)
     if arr.ndim == 3 and arr.shape[-1] == 2:  # [re, im] encoding
@@ -153,17 +154,11 @@ def _goat_start(
         raise OptimizationError(
             f"{len(funcs)} control-funcs for {len(channels)} channel(s)"
         )
-    names = []
-    for entry in _as_list(options.get("control-params", [])):
-        # per-channel nesting is allowed: [["a", "s"], ["b"]]
-        if isinstance(entry, (list, tuple)):
-            names.extend(str(p) for p in entry)
-        else:
-            names.append(str(entry))
-    terms = []
-    for ch, func in zip(channels, funcs):
-        for term in parse_control_func(func):
-            terms.append((ch, term))
+    # per-channel nesting is allowed: [["a", "s"], ["b"]]
+    names = [str(p) for entry in _as_list(options.get("control-params", []))
+             for p in _as_list(entry)]
+    terms = [(ch, term) for ch, func in zip(channels, funcs)
+             for term in parse_control_func(func)]
     return GoatEnvelopeSpec(terms=tuple(terms), param_names=tuple(names)), x0
 
 

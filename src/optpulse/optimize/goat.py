@@ -30,13 +30,14 @@ INTEGRATION_TOL the substeps double and the run goes on from that point.
 
 from __future__ import annotations
 
-import re
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import OptimizationError
+from ..circuits import _TEMPLATE_LEXER, _Arithmetic, _tokenize
+from ..errors import CircuitSyntaxError, OptimizationError
 from .problem import ControlProblem, OptimResult, minimize, sampled_objective
 
 DEFAULT_TOL = 1e-5
@@ -99,11 +100,7 @@ class GoatEnvelopeSpec:
 
     @property
     def channels(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for ch, _ in self.terms:
-            if ch not in seen:
-                seen.append(ch)
-        return tuple(seen)
+        return tuple(dict.fromkeys(ch for ch, _ in self.terms))
 
     def evaluator(self) -> Callable[[np.ndarray, np.ndarray], tuple]:
         """evaluate(x, t) -> (values, vjp) with the slot layout resolved once.
@@ -147,62 +144,63 @@ class GoatEnvelopeSpec:
         return evaluate
 
 
-_NUMBER = r"\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
-_IDENT = r"[A-Za-z_]\w*"
-_TERM_RE = re.compile(
-    rf"(?:(?P<amp>{_IDENT}|{_NUMBER})\*)?"
-    rf"exp\(-(?:t\^2|\(t-(?P<cen>{_IDENT}|{_NUMBER})\)\^2)"
-    rf"/\(2\*(?P<sig>{_IDENT}|{_NUMBER})\^2\)\)"
-)
+class _TemplateParser(_Arithmetic):
+    """Templates on the shared token cursor::
 
+        template := term ('+' term)*
+        term     := [slot '*'] 'exp' '(' '-' ('t' | '(' 't' '-' slot ')') '^' '2'
+                    '/' '(' '2' '*' slot '^' '2' ')' ')'
+    """
 
-def _split_terms(text: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+    def gaussian(self) -> GaussianTerm:
+        amplitude, center = 1.0, 0.0
+        if [tok.text for tok in self.tokens[self.pos : self.pos + 2]] != ["exp", "("]:
+            amplitude = self.slot("amplitude")
+            self.next("*")
+        self.expect("exp", "(", "-")
+        if self.accept("("):
+            self.expect("t", "-")
+            center = self.slot("center")
+            self.next(")")
+        else:
+            self.next("t")
+        self.expect("^", "2", "/", "(", "2", "*")
+        width = self.slot("width")
+        self.expect("^", "2", ")", ")")
+        return GaussianTerm(amplitude, center, width)
+
+    def expect(self, *texts: str) -> None:
+        for text in texts:
+            self.next(text)
+
+    def slot(self, what: str) -> float | str:
+        """A name, or a finite number (a positive one for a width)."""
+        tok = self.next()
+        if tok.kind == "name":
+            return tok.text
+        value = float(tok.text) if tok.kind == "number" else math.nan
+        need = "positive" if what == "width" else "finite"
+        if not (math.isfinite(value) and (value > 0.0 or need == "finite")):
+            raise tok.error(f"{what} must be a {need} number or a name, not {tok.text!r}")
+        return value
 
 
 def parse_control_func(text: str) -> list[GaussianTerm]:
-    """Parse a Gaussian-superposition template string into terms.
+    """The Gaussian terms of one control-funcs template (``_TemplateParser``).
 
-    Accepted shapes per '+'-separated term (whitespace ignored):
-    'exp(-t^2/(2*sigma^2))', 'a*exp(-(t-c)^2/(2*s^2))', with each of the
-    amplitude/center/width slots either a number or a parameter name.
+    Each slot is a finite number or a trainable parameter's name. Tokens
+    are those of circuit angles plus '^', separated by any whitespace. An
+    error is an OptimizationError ending in its token's (line L, column C).
     """
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
-        raise OptimizationError("empty control-funcs string")
-    terms = []
-    for part in _split_terms(compact):
-        match = _TERM_RE.fullmatch(part)
-        if match is None:
-            raise OptimizationError(
-                f"cannot parse envelope term {part!r}; expected the form "
-                "'a*exp(-(t-c)^2/(2*s^2))' with numeric or named slots"
-            )
-
-        def slot(raw: str | None, default: float):
-            if raw is None:
-                return default
-            if re.fullmatch(_NUMBER, raw):
-                return float(raw)
-            return raw
-
-        terms.append(
-            GaussianTerm(
-                amplitude=slot(match.group("amp"), 1.0),
-                center=slot(match.group("cen"), 0.0),
-                width=slot(match.group("sig"), 1.0),
-            )
-        )
+    try:
+        parser = _TemplateParser(_tokenize(text, _TEMPLATE_LEXER))
+        terms = [parser.gaussian()]
+        while parser.accept("+"):
+            terms.append(parser.gaussian())
+        if (tok := parser.peek()) is not None:
+            raise tok.error(f"expected '+' or the end, found {tok.text!r}")
+    except CircuitSyntaxError as exc:
+        raise OptimizationError(exc.within(f"in control-funcs {text!r}")) from None
     return terms
 
 
@@ -214,9 +212,7 @@ def default_envelope_spec(
     Start at amplitude 0.1 and width 8*dt, the Gaussian-guess policy shared
     with the other methods' defaults.
     """
-    terms = []
-    names = []
-    inits = []
+    terms, names, inits = [], [], []
     for ch in problem.model.channels:
         a_name, s_name = f"a_{ch}", f"sigma_{ch}"
         terms.append((ch, GaussianTerm(a_name, problem.max_time / 2.0, s_name)))

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -562,6 +563,26 @@ def test_simulate_writes_csv_and_manifest_with_output_flag(
     assert manifest["command"] == "simulate"
 
 
+@pytest.mark.parametrize("n_qubits", [12, 40])
+def test_simulate_oversize_model_exits_2_before_allocating(tmp_path, capsys, n_qubits):
+    # 12 qubits: one 4096 x 4096 slice is past the 2^22-entry limit
+    pulse = tmp_path / "p.json"
+    pulse.write_text(json.dumps({"dt": 0.1, "instructions": [
+        {"channel": "d0", "t0": 0, "samples": [[0.1, 0.0]]}]}))
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"n_qubits": n_qubits, "dt": 0.1,
+                                 "control": [{"channel": "d0", "op": "X0"}]}))
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = run(capsys, "simulate", pulse, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == ""
+    assert f"n_qubits {n_qubits} exceeds 11" in stderr and "Traceback" not in stderr
+    assert peak < 2**20
+
+
 # ----------------------------------------------------------------- unitary
 
 
@@ -664,6 +685,21 @@ def test_sweep_matches_rotation_law(fixtures, capsys):
     for (value, inf, p) in rows:
         assert inf <= 1e-6
         assert p == pytest.approx(np.sin(value / 2) ** 2, abs=0.02)
+
+
+def test_sweep_writes_every_row_then_exits_3_when_a_value_misses(fixtures, capsys):
+    # GOAT's default Gaussian stalls on the drifted qubit: 0.163 and 0.281,
+    # both above the 5e-2 acceptance threshold
+    code, stdout, stderr = run(
+        capsys,
+        "sweep", fixtures / "rx_theta.xasm", fixtures / "model_1q_x.json",
+        "--values", "3.14159,1.0", "--max-time", "10", "--method", "GOAT",
+    )
+    assert code == 3
+    _, rows = read_csv(stdout)
+    assert [row[0] for row in rows] == [3.14159, 1.0]
+    assert all(row[1] > 5e-2 for row in rows)
+    assert stderr.count("warning: value") == 2 and "Traceback" not in stderr
 
 
 def test_sweep_empty_values_gives_header_only(fixtures, capsys):

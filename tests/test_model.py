@@ -1,6 +1,7 @@
 """System model documents and operator expressions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,3 +348,19 @@ def test_bad_json_text_is_a_model_error():
 def test_parse_model_raises_typed_error_on_malformed_fields(patch):
     with pytest.raises(ModelError):
         parse_model({**MODEL_DOC, **patch})
+
+
+@pytest.mark.parametrize("n_qubits", [12, 40])
+def test_oversize_model_rejected_before_any_allocation(n_qubits):
+    # one d x d slice of 12 qubits has 2^24 entries, past the 2^22 limit
+    doc = json.dumps({"n_qubits": n_qubits, "dt": 0.1,
+                      "control": [{"channel": "d0", "op": "X0"}]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=f"n_qubits {n_qubits} exceeds 11"):
+            parse_model(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert parse_model(doc.replace(f'"n_qubits": {n_qubits}', '"n_qubits": 2')).dim == 4

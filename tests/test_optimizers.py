@@ -1,5 +1,6 @@
 """GRAPE, GOAT, and Krotov against finite differences and each other."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -626,6 +627,107 @@ def test_parse_control_func_general_form():
 def test_parse_control_func_rejects_garbage():
     with pytest.raises(OptimizationError):
         parse_control_func("sin(t)")
+
+
+_POSITION = r"\(line \d+, column \d+\)$"
+# "exp" and "t" are names too, and may name a slot
+_NAMES = st.sampled_from(["a", "s", "sigma", "c_1", "_w", "\u03c3", "exp", "t"])
+_SPACES = st.sampled_from(["", " ", "\t", "\n", " \n\t "])
+
+
+def _slots(positive: bool):
+    low = 1e-3 if positive else 0.0
+    numbers = st.floats(low, 1e6, allow_nan=False, allow_infinity=False)
+    return st.one_of(_NAMES, numbers)
+
+
+def _slot_text(slot) -> str:
+    return slot if isinstance(slot, str) else repr(slot)
+
+
+@st.composite
+def _templates(draw):
+    """(template text, its terms): tokens of the grammar joined by random
+    whitespace, numbers written as repr(float), which reads back exactly."""
+    tokens, terms = [], []
+    for i in range(draw(st.integers(1, 3))):
+        amplitude = draw(st.none() | _slots(False))
+        center = draw(st.none() | _slots(False))
+        width = draw(_slots(True))
+        tokens += [] if i == 0 else ["+"]
+        tokens += [] if amplitude is None else [_slot_text(amplitude), "*"]
+        tokens += ["exp", "(", "-"]
+        tokens += ["t"] if center is None else ["(", "t", "-", _slot_text(center), ")"]
+        tokens += ["^", "2", "/", "(", "2", "*", _slot_text(width), "^", "2", ")", ")"]
+        terms.append(GaussianTerm(
+            1.0 if amplitude is None else amplitude,
+            0.0 if center is None else center,
+            width,
+        ))
+    gaps = draw(st.lists(_SPACES, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+    return text, terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_templates())
+def test_parse_control_func_reads_generated_templates(case):
+    text, terms = case
+    assert parse_control_func(text) == terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_templates(), st.data())
+def test_parse_control_func_mutations_parse_or_raise_positioned(case, data):
+    """One character replaced, inserted or deleted: the result parses to
+    finite fixed slots, or is an OptimizationError at a line and column."""
+    text = case[0]
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from("0123456789.eE+-*/^()[],;: \t\natsxp_\u00e9"))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "insert":
+        mutated = text[:at] + char + text[at:]
+    else:
+        mutated = text[:at] + (char if edit == "replace" else "") + text[at + 1:]
+    try:
+        terms = parse_control_func(mutated)
+    except OptimizationError as exc:
+        assert re.search(_POSITION, str(exc)), str(exc)
+        return
+    for term in terms:
+        for slot in (term.amplitude, term.center, term.width):
+            assert isinstance(slot, str) or np.isfinite(slot)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        # whitespace once vanished: these read as amplitude 10, the
+        # parameter "sigma" and a width of inf
+        ("1 0*exp(-t^2/(2*s^2))", "expected '*', found '0'", 1, 3),
+        ("exp(-t^2/(2*sig ma^2))", "expected '^', found 'ma'", 1, 17),
+        ("exp(-t^2/(2*1e999^2))", "width must be a positive number or a name", 1, 13),
+        ("exp(-t^2/(2*0^2))", "width must be a positive number or a name", 1, 13),
+        ("1e999*exp(-t^2/(2*s^2))", "amplitude must be a finite number", 1, 1),
+        ("exp(-(t-+)^2/(2*s^2))", "center must be a finite number or a name, not '+'", 1, 9),
+        ("1.2.3", "bad number literal '1.2.3'", 1, 1),
+        ("sin(t)", "expected '*', found '('", 1, 4),
+        ("exp(-t^2/(2*s^2)) +", "unexpected end of input", 1, 19),
+        ("exp(-t^2/(2*s^2))\n  exp(-t^2/(2*s^2))", "expected '+' or the end", 2, 3),
+        ("", "unexpected end of input", 1, 1),
+    ],
+)
+def test_parse_control_func_errors_are_positioned(text, message, line, column):
+    with pytest.raises(OptimizationError) as err:
+        parse_control_func(text)
+    assert message in str(err.value)
+    assert str(err.value).endswith(f"(line {line}, column {column})")
+
+
+def test_parse_control_func_takes_the_shared_number_rule():
+    assert parse_control_func(".5*exp(-t^2/(2*s^2))") == [GaussianTerm(0.5, 0.0, "s")]
+    terms = parse_control_func("a*exp(-(t - 5)^2/(2*s^2))\n+ 2.*exp(-t ^ 2/(2*1e-1^2))")
+    assert terms == [GaussianTerm("a", 5.0, "s"), GaussianTerm(2.0, 0.0, 0.1)]
 
 
 def _central_differences(objective, x, h=1e-6):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import optpulse
-from optpulse.circuits import parse_circuit
+from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.cli import main
 from optpulse.dynamics import ControlSignal, evolve_continuous
 from optpulse.errors import OptimizationError, UnknownMethodError
-from optpulse.model import SystemModel, load_model
+from optpulse.model import SystemModel, build_operator, load_model
 from optpulse.optimize import (
     ControlProblem,
     get_optimizer,
@@ -199,6 +199,71 @@ def test_goat_initial_parameters_mapping_rejected():
     )
     with pytest.raises(OptimizationError, match="initial-parameters"):
         handle.optimize()
+
+
+GOAT_SPEC_OPTIONS = {
+    "dimension": 2, "target-U": "X0", "control-H": ["X0"], "max-time": 10.0,
+    "control-funcs": ["a*exp(-(t-5)^2/(2*s^2))"], "control-params": ["a", "s"],
+    "initial-parameters": [0.2, 2.0],
+}
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"control-params": ["a", "s", "a"]}, "duplicate trainable parameter names"),
+        ({"control-params": ["a"]}, r"undeclared parameter\(s\) \['s'\]"),
+        ({"control-params": ["a", "s", "b"]}, r"declared parameter\(s\) \['b'\] not used"),
+        (
+            {"control-funcs": ["a*exp(-(t-5)^2/(2*s^2))", "exp(-t^2/(2*s^2))"]},
+            r"2 control-funcs for 1 channel\(s\)",
+        ),
+        ({"control-funcs": None}, "control-params needs control-funcs"),
+        ({"control-funcs": None, "control-params": None}, "GOAT needs an envelope spec"),
+        ({"initial-parameters": ["0.2", "wide"]}, "initial-parameters must be numbers"),
+        (
+            {"initial-parameters": {"a": 0.2, "s": 2.0}},
+            "initial-parameters must be a list in control-params order",
+        ),
+    ],
+)
+def test_goat_spec_messages(options, message):
+    """Each message of the GOAT envelope keys; None drops a key."""
+    opts = {k: v for k, v in {**GOAT_SPEC_OPTIONS, **options}.items() if v is not None}
+    with pytest.raises(OptimizationError, match=message):
+        get_optimizer("GOAT", opts).optimize()
+
+
+@pytest.mark.parametrize(
+    "value, message, column",
+    [
+        ("X0 +", "unexpected end of input", 4),
+        ("X0 H0", "unexpected 'H0'", 4),
+        ("X0^2", "unexpected character '^'", 3),
+        ("Q0", "unknown operator 'Q0'", 1),
+    ],
+)
+def test_target_unitary_syntax_errors_are_positioned(value, message, column):
+    with pytest.raises(optpulse.OptPulseError) as err:
+        parse_target_unitary(value, 1)
+    assert message in str(err.value)
+    assert str(err.value).endswith(f"(line 1, column {column})")
+
+
+def test_target_unitary_gate_names_match_the_gates():
+    for name in "XYZH":
+        for qubit in range(2):
+            gate = parse_circuit(f"{name}(q[{qubit}]);", n_qubits=2)
+            assert np.array_equal(
+                parse_target_unitary(f" {name}{qubit} ", 2), circuit_unitary(gate)
+            )
+    with pytest.raises(optpulse.CircuitError, match="out of range"):
+        parse_target_unitary("H2", 2)
+    # past circuit_unitary's default cap of 4 qubits, as "X4" is
+    hadamard = (build_operator("X4", 5) + build_operator("Z4", 5)) / np.sqrt(2)
+    assert np.allclose(parse_target_unitary("H4", 5), hadamard)
+    with pytest.raises(OptimizationError, match="qubit index too large"):
+        parse_target_unitary("H" + "1" * 5000, 2)  # past int()'s digit limit
 
 
 def test_compiler_path_accepts_external_problem():
