@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CircuitError, CircuitSyntaxError
+from .limits import check_qubit_count
 
 # name -> (number of target qubits, number of angle parameters)
 GATE_SIGNATURES: dict[str, tuple[int, int]] = {
@@ -40,8 +41,6 @@ GATE_SIGNATURES: dict[str, tuple[int, int]] = {
     "CPhase": (2, 1),
     "Swap": (2, 0),
 }
-
-DEFAULT_QUBIT_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -297,12 +296,13 @@ class _CircuitParser(_Arithmetic):
 def parse_angle(text: str) -> float:
     """Value of one angle expression of the dialect, e.g. ``3*pi/4``.
 
-    Comments belong to circuit source only: ``pi//2`` is an error here.
+    Comments belong to circuit source only: ``pi//2`` is an error here. An
+    error is a CircuitSyntaxError at the offending token, a name included.
     """
     parser = _CircuitParser(_tokenize(text, _ANGLE_LEXER))
     value = parser.angle()
-    if parser.peek() is not None or isinstance(value, _Token):
-        raise CircuitError(f"cannot parse numeric value {text!r}")
+    if (tok := value if isinstance(value, _Token) else parser.peek()) is not None:
+        raise tok.error(f"cannot parse numeric value {text!r}: unexpected {tok.text!r}")
     return value
 
 
@@ -318,20 +318,12 @@ def parse_circuit(source: str, n_qubits: int | None = None) -> Circuit:
     gates: list[Gate] = []
     max_index = -1
     for name, targets, angles in statements:
-        if name.text not in GATE_SIGNATURES:
-            raise name.error(f"unknown gate {name.text!r}")
-        n_targets, n_params = GATE_SIGNATURES[name.text]
-        if len(targets) != n_targets or len(angles) != n_params:
-            raise name.error(
-                f"{name.text} expects {n_targets} qubit(s) and {n_params} angle(s), "
-                f"got {len(targets)} and {len(angles)}"
-            )
         for idx, tok in targets:
             if n_qubits is not None and idx >= n_qubits:
                 raise tok.error(f"qubit index {idx} out of range for {n_qubits} qubits")
             max_index = max(max_index, idx)
         params = [a.text if isinstance(a, _Token) else a for a in angles]
-        try:
+        try:  # a bad name, arity or target set is an error at the name
             gates.append(Gate(name.text, tuple([i for i, _ in targets]), tuple(params)))
         except CircuitError as exc:
             raise name.error(str(exc)) from exc
@@ -437,20 +429,17 @@ def _embed(mat: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.ndarr
     return full
 
 
-def circuit_unitary(circuit: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Total unitary of a concrete circuit: product of embedded gate matrices.
 
     Gates apply left to right in program order, i.e. the first gate acts
-    first: ``U = U_last @ ... @ U_first``.
+    first: ``U = U_last @ ... @ U_first``. A model's qubit limit holds.
     """
     if not circuit.is_concrete:
         raise CircuitError(
             f"circuit has free parameters {circuit.free_params}; bind them first"
         )
-    if circuit.n_qubits > max_qubits:
-        raise CircuitError(
-            f"{circuit.n_qubits} qubits exceed the dense-unitary cap of {max_qubits}"
-        )
+    check_qubit_count(circuit.n_qubits, CircuitError)
     dim = 1 << circuit.n_qubits
     total = np.eye(dim, dtype=complex)
     for gate in circuit.gates:

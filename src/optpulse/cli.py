@@ -35,6 +35,7 @@ from .errors import (
     OptPulseError,
     TransformError,
 )
+from .limits import dt_matches
 from .model import apply_detuning, build_operator, load_model
 from .synthesis import compile_circuit, emit_program, load_program
 
@@ -175,7 +176,7 @@ def cmd_simulate(args) -> int:
     for label in filter(None, (s.strip() for s in (args.observables or "").split(","))):
         extra[label] = build_operator(label, model.n_qubits)
     if program.total_duration == 0:  # no channels, and no engine checks the dt
-        if abs(program.dt - model.dt) > 1e-12 * max(1.0, model.dt):
+        if not dt_matches(program.dt, model.dt):
             raise ModelError(
                 f"pulse dt {program.dt} does not match model dt {model.dt}"
             )
@@ -202,13 +203,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_unitary(args) -> int:
-    circuit = _bind_circuit(_load_circuit(args.circuit), args.bind)
-    if not circuit.is_concrete:
-        raise CircuitError(
-            f"circuit has free parameter(s) {list(circuit.free_params)}; "
-            "bind them with --bind name=value"
-        )
-    u = circuit_unitary(circuit)
+    u = circuit_unitary(_bind_circuit(_load_circuit(args.circuit), args.bind))
     for row in u:
         print("  ".join(_format_complex(z) for z in row))
     return EXIT_OK

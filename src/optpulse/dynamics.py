@@ -54,11 +54,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DynamicsError
-from .model import MAX_SLICE_ENTRIES, SystemModel, build_operator
+from .limits import (
+    EXPECTATION_IMAG_TOL, OBSERVABLE_HERMITICITY_TOL, ORACLE_UNITARITY_TOL, STATE_TOL,
+    check_grid, check_positive_finite, dt_matches, hermitian_defect, imag_negligible,
+    sample_count,
+)
+from .model import SystemModel, build_operator
 
-HERMITICITY_TOL = 1e-8
-IMAG_SAMPLE_TOL = 1e-12
-UNITARITY_TOL = 1e-9  # stricter than the 1e-7 contract; keeps engines in step
 MAX_STEP_HALVINGS = 12
 MAX_LINDBLAD_SUBSTEPS = 512  # per slice; more means the drive outruns dt
 # ample: at substep norm 1 term k is at most 1/k!, below round-off (eps) from
@@ -80,37 +82,14 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _check_grid(slices: float, dim: int, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``slices`` slices of a dim-level system stay
-    within ``MAX_SLICE_ENTRIES``; checked on the float count, so an infinite
-    or oversize grid fails before any int() of it or allocation."""
-    if not slices * dim**2 <= MAX_SLICE_ENTRIES:  # NaN and inf fail too
-        raise error(
-            f"{slices:.4g} slices of a {dim}-level system exceed the limit of "
-            f"{MAX_SLICE_ENTRIES} slices x d^2"
-        )
-
-
-def _sample_count(duration: float, dt: float, dim: int, error: type[Exception]) -> int:
-    """The number of dt slices that tile ``duration``; raise ``error`` unless
-    they stay within the grid limit of a dim-level system (``_check_grid``)
-    and their total is ``duration`` to 1e-9 relative. Both times must be
-    positive and finite."""
-    _check_grid(float(duration) / float(dt), dim, error)
-    n = int(round(duration / dt))
-    if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, duration):
-        raise error(f"horizon {duration} does not tile into samples of dt={dt}")
-    return n
-
-
 @dataclass(frozen=True)
 class ControlSignal:
     """Per-channel drive over [0, duration], sampled or analytic.
 
     Exactly one of ``samples`` (channel -> complex array, one value per dt)
     and ``envelopes`` (channel -> callable of t) is set. All channels share
-    ``n_samples`` and ``dt``; duration = n_samples * dt. The engines take
-    at most ``MAX_SLICE_ENTRIES`` slices x d^2 of the model they run on.
+    ``n_samples`` and ``dt``; duration = n_samples * dt. The engines take at
+    most ``limits.MAX_SLICE_ENTRIES`` slices x d^2 of the model they run on.
     """
 
     dt: float
@@ -119,8 +98,7 @@ class ControlSignal:
     envelopes: Mapping[str, Callable[[float], complex]] | None = None
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise DynamicsError(f"dt must be positive and finite, got {self.dt}")
+        check_positive_finite(self.dt, "dt", DynamicsError)
         if self.n_samples < 1:
             raise DynamicsError("signal must cover at least one sample")
         if (self.samples is None) == (self.envelopes is None):
@@ -156,12 +134,9 @@ class ControlSignal:
     ) -> "ControlSignal":
         if not envelopes:
             raise DynamicsError("analytic signal needs at least one envelope")
-        if not (0 < duration < np.inf and 0 < dt < np.inf):
-            raise DynamicsError(
-                f"duration and dt must be positive and finite, got {duration} "
-                f"and {dt}"
-            )
-        n = _sample_count(duration, dt, 1, DynamicsError)
+        check_positive_finite(duration, "duration", DynamicsError)
+        check_positive_finite(dt, "dt", DynamicsError)
+        n = sample_count(duration, dt, 1, DynamicsError)
         return cls(dt=float(dt), n_samples=n, envelopes=dict(envelopes))
 
     @property
@@ -180,23 +155,13 @@ class ControlSignal:
 
 def _check_signal(model: SystemModel, signal: ControlSignal) -> None:
     """The signal drives only model channels, on a grid within the limit."""
-    _check_grid(signal.n_samples, model.dim, DynamicsError)
+    check_grid(signal.n_samples, model.dim, DynamicsError)
     unknown = set(signal.channels) - set(model.channels)
     if unknown:
         raise DynamicsError(
             f"signal channel(s) {sorted(unknown)} not present in the model "
             f"(has {list(model.channels)})"
         )
-
-
-def _real_samples(signal: ControlSignal, channel: str) -> np.ndarray:
-    arr = signal.samples[channel]
-    if np.max(np.abs(arr.imag), initial=0.0) > IMAG_SAMPLE_TOL:
-        raise DynamicsError(
-            f"channel {channel!r} has complex samples but no quadrature "
-            "partner is declared; imaginary parts must be zero"
-        )
-    return arr.real
 
 
 def _empty(shape: tuple[int, ...], dtype=complex, buffer=None, offset=0) -> np.ndarray:
@@ -565,13 +530,18 @@ def _signal_amplitudes(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     if not signal.is_sampled:
         raise DynamicsError("this engine needs a sampled signal")
     _check_signal(model, signal)
-    if abs(signal.dt - model.dt) > 1e-12 * max(1.0, model.dt):
+    if not dt_matches(signal.dt, model.dt):
         raise DynamicsError(
             f"signal dt={signal.dt} does not match model dt={model.dt}"
         )
     amps = np.zeros((len(model.channels), signal.n_samples))
-    for ch in signal.channels:
-        amps[model.channels.index(ch)] = _real_samples(signal, ch)
+    for ch, samples in signal.samples.items():
+        if not imag_negligible(samples):
+            raise DynamicsError(
+                f"channel {ch!r} has complex samples but no quadrature "
+                "partner is declared; imaginary parts must be zero"
+            )
+        amps[model.channels.index(ch)] = samples.real
     return amps
 
 
@@ -581,12 +551,16 @@ def _slice_hamiltonians(model: SystemModel, signal: ControlSignal) -> np.ndarray
     return _stacked_hamiltonians(model.drift_matrix(), model.control_stack, amps)
 
 
-def _closed_propagation(model: SystemModel, signal: ControlSignal) -> _Propagation:
-    """The core's propagation of a sampled signal on a closed-system model."""
-    if model.has_dissipation:
+def _check_closed(model: SystemModel) -> None:
+    if model.has_dissipation:  # the one guard of the closed-system engines
         raise DynamicsError(
             "model has collapse operators; use lindblad_evolve for open systems"
         )
+
+
+def _closed_propagation(model: SystemModel, signal: ControlSignal) -> _Propagation:
+    """The core's propagation of a sampled signal on a closed-system model."""
+    _check_closed(model)
     amps = _signal_amplitudes(model, signal)
     return _propagate(model.drift_matrix(), model.control_stack, amps, signal.dt)
 
@@ -609,7 +583,7 @@ def evolve_states(
         raise DynamicsError(f"state dim {psi.size} != model dim {model.dim}")
     if not np.all(np.isfinite(psi)):
         raise DynamicsError("initial state has non-finite entries")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_TOL:
         raise DynamicsError("initial state is not normalized")
     # numpy picks matmul kernels by stride: apply a compact copy of the products
     states = [psi.copy(), *(np.copy(_closed_propagation(model, signal).fwd[1:]) @ psi)]
@@ -629,29 +603,24 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     """Integrate dU/dt = -i H(t) U with fixed-step RK3 over the signal.
 
     The step starts at dt/10 and is halved until the unitarity defect of
-    the result is within ``UNITARITY_TOL``; running out of halvings, or a
-    non-finite result, raises.
-    Sampled signals are integrated slice by slice with the Hamiltonian
-    frozen inside each slice, so RK stages never straddle a sample
-    discontinuity.
+    the result is within ``limits.ORACLE_UNITARITY_TOL``; running out of
+    halvings, or a non-finite result, raises. Steps tile each slice, and a
+    sampled signal's Hamiltonian is frozen inside each slice, so RK stages
+    never straddle a sample discontinuity.
     """
-    if model.has_dissipation:
-        raise DynamicsError(
-            "model has collapse operators; use lindblad_evolve for open systems"
-        )
+    _check_closed(model)
     _check_signal(model, signal)
-    tau = signal.duration
     drift = model.drift_matrix()
     controls = model.control_matrices()
     chans = signal.channels
     eye = np.eye(model.dim, dtype=complex)
-    h0 = signal.dt / 10.0
+    hams = _slice_hamiltonians(model, signal) if signal.is_sampled else None
 
     def hamiltonian(t: float) -> np.ndarray:
         h = drift.copy()
         for ch in chans:
             value = complex(signal.envelopes[ch](t))
-            if abs(value.imag) > IMAG_SAMPLE_TOL * max(1.0, abs(value)):
+            if not imag_negligible(value):
                 raise DynamicsError(
                     f"channel {ch!r} envelope is complex at t={t}; no "
                     "quadrature partner is declared"
@@ -659,41 +628,26 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
             h += value.real * controls[ch]
         return h
 
-    def integrate_smooth(h_trial: float) -> np.ndarray:
-        def rhs(t: float, u: np.ndarray) -> np.ndarray:
-            return -1j * (hamiltonian(t) @ u)
-
-        n_steps = max(1, int(np.ceil(tau / h_trial - 1e-12)))
-        h = tau / n_steps
-        u = eye.copy()
-        for k in range(n_steps):
-            u = _rk3_step(rhs, k * h, u, h)
-        return u
-
-    def integrate_sliced(h_trial: float) -> np.ndarray:
-        per_slice = max(1, int(np.ceil(signal.dt / h_trial - 1e-12)))
+    def integrate(per_slice: int) -> np.ndarray:
         h = signal.dt / per_slice
         u = eye.copy()
-        for n, h_slice in enumerate(_slice_hamiltonians(model, signal)):
-            def rhs(t: float, v: np.ndarray, hs=h_slice) -> np.ndarray:
-                return -1j * (hs @ v)
+        for n in range(signal.n_samples):
+            def rhs(t: float, v: np.ndarray, hs=None if hams is None else hams[n]):
+                return -1j * ((hamiltonian(t) if hs is None else hs) @ v)
 
-            t0 = n * signal.dt
             for k in range(per_slice):
-                u = _rk3_step(rhs, t0 + k * h, u, h)
+                u = _rk3_step(rhs, n * signal.dt + k * h, u, h)
         return u
 
-    integrate = integrate_sliced if signal.is_sampled else integrate_smooth
-    for _ in range(MAX_STEP_HALVINGS + 1):
-        u = integrate(h0)
+    for halvings in range(MAX_STEP_HALVINGS + 1):
+        u = integrate(10 << halvings)
         if not np.all(np.isfinite(u)):  # no smaller step mends NaN or inf
             raise DynamicsError("RK3 propagator has non-finite entries")
         defect = np.max(np.abs(u.conj().T @ u - eye))
-        if defect <= UNITARITY_TOL:
+        if defect <= ORACLE_UNITARITY_TOL:
             return u
-        h0 /= 2.0
     raise DynamicsError(
-        f"step floor reached; unitarity defect {defect:.3e} > {UNITARITY_TOL:.1e}"
+        f"step floor reached; unitarity defect {defect:.3e} > {ORACLE_UNITARITY_TOL:.1e}"
     )
 
 
@@ -726,9 +680,9 @@ def lindblad_evolve(
     if not np.all(np.isfinite(rho_init)):
         raise DynamicsError("rho0 has non-finite entries")
     trace = complex(np.trace(rho_init))
-    if abs(trace - 1.0) > 1e-9:
+    if not abs(trace - 1.0) <= STATE_TOL:
         raise DynamicsError("rho0 must have unit trace")
-    if np.max(np.abs(rho_init - rho_init.conj().T)) > 1e-9:
+    if not hermitian_defect(rho_init) <= STATE_TOL:
         raise DynamicsError("rho0 must be Hermitian")
 
     gens, jumps, substeps = _lindblad_generators(model, signal)
@@ -907,8 +861,7 @@ def _expectations(operators, states) -> np.ndarray:
         raise DynamicsError(f"observable shape {ops.shape[1:]} is not square")
     if not np.all(np.isfinite(ops)):
         raise DynamicsError("observable has non-finite entries")
-    asymmetry = np.max(np.abs(ops - ops.conj().swapaxes(1, 2)), initial=0.0)
-    if not asymmetry <= HERMITICITY_TOL:
+    if not hermitian_defect(ops) <= OBSERVABLE_HERMITICITY_TOL:
         raise DynamicsError("observable is not Hermitian")
     dim = ops.shape[1]
     # stacked matmuls sum in the same order as one op @ state at a time
@@ -922,7 +875,7 @@ def _expectations(operators, states) -> np.ndarray:
     else:
         raise DynamicsError(f"state shape {block.shape[1:]} does not fit dim {dim}")
     residual = np.max(np.abs(values.imag), initial=0.0)
-    if not residual <= 1e-9:
+    if not residual <= EXPECTATION_IMAG_TOL:
         raise DynamicsError(f"expectation has imaginary residual {residual:.3e}")
     return values.real + 0.0  # turns -0.0, which prints as "-0", into 0.0
 

@@ -29,12 +29,9 @@ import numpy as np
 
 from .circuits import _OPERATOR_LEXER, _Arithmetic, _embed, _tokenize
 from .errors import CircuitSyntaxError, ModelError
-
-HERMITICITY_TOL = 1e-12
-# slices x d^2 of one grid: at most 64 MiB per (N, d, d) complex slice stack;
-# a model's d = 2^n must leave room for one slice, d^2 <= MAX_SLICE_ENTRIES
-MAX_SLICE_ENTRIES = 2**22
-MAX_QUBITS = (MAX_SLICE_ENTRIES.bit_length() - 1) // 2
+from .limits import (
+    OPERATOR_HERMITICITY_TOL, check_positive_finite, check_qubit_count, hermitian_defect,
+)
 
 _SINGLE_QUBIT_OPS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -99,8 +96,7 @@ class _OperatorParser(_Arithmetic):
 def build_operator(expression: str, n_qubits: int) -> np.ndarray:
     """Materialize an operator expression as a dense 2^n x 2^n matrix; a
     syntax error is a ModelError ending in (line L, column C)."""
-    if n_qubits < 1:
-        raise ModelError("n_qubits must be positive")
+    check_qubit_count(n_qubits, ModelError)
     try:  # the shared parser's positioned errors become the model's error
         parser = _OperatorParser(_tokenize(expression, _OPERATOR_LEXER), n_qubits)
         matrix = parser.expression()
@@ -129,15 +125,8 @@ class SystemModel:
     collapse: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ModelError("n_qubits must be positive")
-        if self.n_qubits > MAX_QUBITS:  # checked before any d x d allocation
-            raise ModelError(
-                f"n_qubits {self.n_qubits} exceeds {MAX_QUBITS}, the most whose "
-                f"d x d slice fits the limit of {MAX_SLICE_ENTRIES} entries"
-            )
-        if not 0 < self.dt < np.inf:
-            raise ModelError(f"dt must be positive and finite, got {self.dt}")
+        check_qubit_count(self.n_qubits, ModelError)
+        check_positive_finite(self.dt, "dt", ModelError)
         channels = [ch for ch, _ in self.control]
         if len(set(channels)) != len(channels):
             dupes = sorted({c for c in channels if channels.count(c) > 1})
@@ -161,8 +150,7 @@ class SystemModel:
 
         def hermitian(expr: str, role: str) -> np.ndarray:
             op = build_operator(expr, self.n_qubits)
-            # written so that NaN, which every comparison fails, is rejected
-            if not np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL:
+            if not hermitian_defect(op) <= OPERATOR_HERMITICITY_TOL:
                 raise ModelError(f"{role} is not a finite Hermitian matrix")
             return op
 

@@ -71,7 +71,7 @@ def parse_target_unitary(value, n_qubits: int) -> np.ndarray:
     """target-U option: an operator expression like "X0*X1" (X, Y and Z are
     the gates' own matrices; a syntax error ends in (line L, column C)), the
     Hadamard gate's name "H<qubit>", or an inline matrix (complex entries or
-    trailing [re, im] pairs)."""
+    trailing [re, im] pairs), whose shape ControlProblem checks."""
     if isinstance(value, str):
         text = value.strip()
         if text[:1] == "H" and text[1:].isdecimal():  # one name token H<qubit>
@@ -79,16 +79,12 @@ def parse_target_unitary(value, n_qubits: int) -> np.ndarray:
                 gate = Gate("H", (int(text[1:]),))
             except ValueError:  # past int()'s digit limit
                 raise OptimizationError("target-U qubit index too large") from None
-            return circuit_unitary(Circuit(n_qubits, (gate,)), max_qubits=n_qubits)
+            return circuit_unitary(Circuit(n_qubits, (gate,)))
         return _check_unitary(build_operator(text, n_qubits), f"target-U {value!r}")
     arr = np.asarray(value)
     if arr.ndim == 3 and arr.shape[-1] == 2:  # [re, im] encoding
         arr = arr[..., 0] + 1j * arr[..., 1]
-    mat = _check_unitary(arr, "target-U matrix")
-    dim = 2**n_qubits
-    if mat.shape != (dim, dim):
-        raise OptimizationError(f"target-U matrix shape {mat.shape} != ({dim}, {dim})")
-    return mat
+    return _check_unitary(arr, "target-U matrix")
 
 
 def _require(options: Mapping, key: str):

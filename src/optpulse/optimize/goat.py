@@ -40,8 +40,6 @@ from ..circuits import _TEMPLATE_LEXER, _Arithmetic, _tokenize
 from ..errors import CircuitSyntaxError, OptimizationError
 from .problem import ControlProblem, OptimResult, minimize, sampled_objective
 
-DEFAULT_TOL = 1e-5
-DEFAULT_MAX_ITERS = 500
 SUBSTEPS = 2  # CF4 steps per model sample period
 INTEGRATION_TOL = 1e-8
 MAX_SUBSTEP_DOUBLINGS = 8
@@ -286,8 +284,7 @@ def goat_optimize(
             f"initial-parameters has {x0.size} entries, spec trains "
             f"{len(spec.param_names)}"
         )
-    tol = DEFAULT_TOL if problem.tol is None else problem.tol
-    max_iters = DEFAULT_MAX_ITERS if problem.max_iters is None else problem.max_iters
+    tol, max_iters = problem.stopping("GOAT")
 
     channels = problem.model.channels
     unknown = set(spec.channels) - set(channels)

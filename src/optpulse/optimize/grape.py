@@ -23,9 +23,6 @@ from .problem import (
     sampled_objective,
 )
 
-DEFAULT_TOL = 1e-4
-DEFAULT_MAX_ITERS = 1000
-
 
 def _objective(problem: ControlProblem):
     """The sampled objective over flat channel-major amplitudes."""
@@ -55,8 +52,7 @@ def grape_optimize(problem: ControlProblem) -> OptimResult:
     (default 1e-4), the iteration cap (default 1000, status 'max-iters'),
     or when no step lowers the loss ('stalled').
     """
-    tol = DEFAULT_TOL if problem.tol is None else problem.tol
-    max_iters = DEFAULT_MAX_ITERS if problem.max_iters is None else problem.max_iters
+    tol, max_iters = problem.stopping("GRAPE")
     bound = problem.amplitude_bound if problem.amplitude_bound > 0 else np.inf
     x0 = initial_amplitudes(problem).ravel()
     found = minimize(_objective(problem), x0, -bound, bound, tol, max_iters)

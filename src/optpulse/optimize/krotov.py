@@ -41,8 +41,6 @@ from .problem import (
     initial_amplitudes,
 )
 
-DEFAULT_TOL = 1e-4
-DEFAULT_MAX_SWEEPS = 200
 MONOTONE_TOL = 1e-10
 MAX_LAMBDA_DOUBLINGS = 60
 INITIAL_LAMBDA = 1.0
@@ -65,8 +63,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
     the loss by less than ``MONOTONE_TOL``, the slack that accepts a sweep,
     so round-off cannot decide when a plateau stalls.
     """
-    tol = DEFAULT_TOL if problem.tol is None else problem.tol
-    max_sweeps = DEFAULT_MAX_SWEEPS if problem.max_iters is None else problem.max_iters
+    tol, max_sweeps = problem.stopping("krotov")
     n = problem.n_samples
     dt = problem.dt
     d = problem.dim

@@ -28,14 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import (
-    _matmul, _propagate, _Propagation, _sample_count, _times_inverse,
-)
+from ..dynamics import _EPS, _matmul, _propagate, _Propagation, _times_inverse
 from ..errors import OptimizationError
+from ..limits import LOSS_UNITARITY_TOL, check_positive_finite, sample_count
 from ..model import SystemModel
 
-UNITARITY_TOL = 1e-8
-EPS = np.finfo(float).eps
 LBFGS_MEMORY = 10
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 WOLFE = 0.9  # curvature constant: the slope must rise to WOLFE times its start
@@ -44,6 +41,8 @@ MAX_LINE_EVALS = 30
 # form loses about eps / theta^2 to cancellation, the series' first omitted
 # term, theta^6 / 45360, is below 1e-16 there
 SU2_SERIES_BELOW = 1e-2
+# each method's tol and max-iters when the problem sets none
+STOP_DEFAULTS = {"GRAPE": (1e-4, 1000), "krotov": (1e-4, 200), "GOAT": (1e-5, 500)}
 
 
 def _check_unitary(u: np.ndarray, label: str) -> np.ndarray:
@@ -53,8 +52,8 @@ def _check_unitary(u: np.ndarray, label: str) -> np.ndarray:
     eye = np.eye(mat.shape[0])
     # NaN and inf fail as well; the product is not formed from them
     finite = np.all(np.isfinite(mat))
-    if not (finite and np.max(np.abs(mat.conj().T @ mat - eye)) <= UNITARITY_TOL):
-        raise OptimizationError(f"{label} is not unitary to {UNITARITY_TOL:.0e}")
+    if not (finite and np.max(np.abs(mat.conj().T @ mat - eye)) <= LOSS_UNITARITY_TOL):
+        raise OptimizationError(f"{label} is not unitary to {LOSS_UNITARITY_TOL:.0e}")
     return mat
 
 
@@ -82,7 +81,7 @@ class ControlProblem:
 
     amplitude_bound 0 means unbounded. The horizon must tile into slices of
     the model's dt; n_samples, their number, is derived from the two, and
-    n_samples x d^2 may not exceed ``dynamics.MAX_SLICE_ENTRIES``.
+    n_samples x d^2 may not exceed ``limits.MAX_SLICE_ENTRIES``.
     """
 
     model: SystemModel
@@ -103,12 +102,11 @@ class ControlProblem:
                 f"{self.model.dim}"
             )
         object.__setattr__(self, "target_u", target)
-        if not 0 < self.max_time < np.inf:
+        check_positive_finite(self.max_time, "max-time", OptimizationError)
+        if not self.amplitude_bound >= 0:  # NaN too, which every bound test passes
             raise OptimizationError(
-                f"max-time must be positive and finite, got {self.max_time}"
+                f"amplitude-bound must be >= 0, got {self.amplitude_bound}"
             )
-        if self.amplitude_bound < 0:
-            raise OptimizationError("amplitude-bound must be >= 0")
         if self.seed < 0:
             raise OptimizationError(f"seed must be >= 0, got {self.seed}")
         if self.max_iters is not None and self.max_iters < 0:
@@ -118,8 +116,14 @@ class ControlProblem:
                 "initial-guess must map channels to sample arrays, got "
                 f"{self.initial_guess!r}"
             )
-        n = _sample_count(self.max_time, self.dt, self.dim, OptimizationError)
+        n = sample_count(self.max_time, self.dt, self.dim, OptimizationError)
         object.__setattr__(self, "n_samples", n)
+
+    def stopping(self, method: str) -> tuple[float, int]:
+        """(tol, max-iters): the problem's, else ``STOP_DEFAULTS[method]``."""
+        tol, max_iters = STOP_DEFAULTS[method]
+        tol = tol if self.tol is None else self.tol
+        return tol, max_iters if self.max_iters is None else self.max_iters
 
     @property
     def dt(self) -> float:
@@ -303,7 +307,7 @@ def _eigenbasis_gradient(
     # y = pi (half_diff / pi), and sin(y) / y with 1 where y = 0
     half_diff /= np.pi
     half_diff *= np.pi
-    np.copyto(half_diff, EPS, where=half_diff == 0)
+    np.copyto(half_diff, _EPS, where=half_diff == 0)
     phi *= np.divide(np.sin(half_diff, out=half_sum), half_diff, out=half_sum)
     v = state.evecs
     vh = np.conjugate(v, out=vh).swapaxes(1, 2)
@@ -418,7 +422,7 @@ def minimize(
         for _ in range(MAX_LINE_EVALS):
             trial = np.clip(x + step * d, lower, upper)
             decrease = grad @ (trial - x)
-            if np.array_equal(trial, last) or not -decrease > EPS * abs(loss):
+            if np.array_equal(trial, last) or not -decrease > _EPS * abs(loss):
                 break  # the path stopped moving, or the gain is below rounding
             evaluations += 1
             last, (trial_loss, trial_grad) = trial, fun(trial)
@@ -440,7 +444,7 @@ def minimize(
             status, message = "stalled", "no step lowers the loss any more"
             break
         s, y = found[0] - x, np.where(free, found[2] - grad, 0.0)
-        if s @ y > EPS * (y @ y):
+        if s @ y > _EPS * (y @ y):
             pairs = pairs[1 - LBFGS_MEMORY:] + [(s, y, s @ y)]
         x, loss, grad = found
         trace.append(loss)

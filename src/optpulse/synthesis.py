@@ -23,14 +23,9 @@ from numbers import Integral
 import numpy as np
 
 from .circuits import Circuit, circuit_unitary
-from .dynamics import MAX_SLICE_ENTRIES, ControlSignal
-from .errors import (
-    CircuitError,
-    LibraryError,
-    OptimizationError,
-    PulseError,
-    TransformError,
-)
+from .dynamics import ControlSignal
+from .errors import LibraryError, OptimizationError, PulseError, TransformError
+from .limits import MAX_SLICE_ENTRIES, check_positive_finite, dt_matches
 from .model import SystemModel
 from .optimize import get_optimizer
 
@@ -72,8 +67,7 @@ class PulseProgram:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise PulseError(f"dt must be positive, got {self.dt}")
+        check_positive_finite(self.dt, "dt", PulseError)
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "metadata", dict(self.metadata))
         windows: dict[str, list[tuple[int, int]]] = {}
@@ -155,12 +149,8 @@ def compile_circuit(
         accept = float("nan")
     if not accept >= 0:  # also rejects NaN, against which every loss passes
         raise OptimizationError(f"accept-threshold must be a number >= 0, got {raw!r}")
-    if not circuit.is_concrete:
-        raise CircuitError(
-            "circuit has unbound parameters "
-            f"{circuit.free_params}; bind them before compiling"
-        )
-    target = circuit_unitary(circuit)
+    # the target acts on every qubit of the model, as the identity on idle ones
+    target = circuit_unitary(Circuit(model.n_qubits, circuit.gates, circuit.free_params))
     result = get_optimizer(method, opts).optimize(model=model, target=target)
     instructions = tuple(
         PulseInstruction(channel=ch, t0=0, samples=tuple(samples))
@@ -187,8 +177,7 @@ class PulseLibrary:
     """Map from (gate name, target qubits) to a pulse-program fragment."""
 
     def __init__(self, dt: float, model: SystemModel | None = None):
-        if not dt > 0:
-            raise LibraryError(f"dt must be positive, got {dt}")
+        check_positive_finite(dt, "dt", LibraryError)
         self.dt = dt
         self.model = model
         self._entries: dict[tuple[str, tuple[int, ...]], PulseProgram] = {}
@@ -196,7 +185,7 @@ class PulseLibrary:
     def add(
         self, name: str, targets: tuple[int, ...], fragment: PulseProgram
     ) -> None:
-        if abs(fragment.dt - self.dt) > 1e-12 * max(1.0, self.dt):
+        if not dt_matches(fragment.dt, self.dt):
             raise LibraryError(
                 f"fragment dt {fragment.dt} does not match library dt {self.dt}"
             )

@@ -168,6 +168,18 @@ def test_parse_angle_rejects_a_non_finite_value(text):
         parse_angle(text)
 
 
+@pytest.mark.parametrize(
+    "text, token, column", [("pi 2", "2", 4), ("1)", ")", 2), ("theta", "theta", 1)]
+)
+def test_parse_angle_errors_are_positioned_at_the_offending_token(text, token, column):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_angle(text)
+    assert str(err.value) == (
+        f"cannot parse numeric value {text!r}: unexpected {token!r} "
+        f"(line 1, column {column})"
+    )
+
+
 def test_missing_parenthesis_is_a_syntax_error():
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("X q[0];")
@@ -220,7 +232,7 @@ def test_gates_compose_left_to_right():
 
 
 def test_qubit_zero_is_least_significant():
-    u0 = circuit_unitary(parse_circuit("X(q[0]);"), max_qubits=2)
+    u0 = circuit_unitary(parse_circuit("X(q[0]);"))
     u1 = circuit_unitary(parse_circuit("X(q[1]);"))
     # 1-qubit circuit on q[0] stays 2x2; embed by parsing with a 2-qubit gate
     assert u0.shape == (2, 2)
@@ -296,8 +308,9 @@ def test_unitary_of_unbound_circuit_rejected():
 
 
 def test_qubit_cap_enforced():
-    with pytest.raises(CircuitError):
-        circuit_unitary(parse_circuit("X(q[6]);"))
+    # a dense unitary has the qubit limit of a model, 11
+    with pytest.raises(CircuitError, match="n_qubits 12 exceeds 11"):
+        circuit_unitary(parse_circuit("X(q[11]);"))
 
 
 def test_circuit_validates_target_range():

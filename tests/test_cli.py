@@ -52,6 +52,38 @@ def test_compile_writes_pulse_and_manifest(tmp_path, fixtures, capsys):
     assert list(manifest) == sorted(manifest)
 
 
+def test_compile_targets_every_qubit_of_the_model(tmp_path, fixtures, capsys):
+    code, stdout, _ = run(
+        capsys,
+        "compile", fixtures / "x.xasm", fixtures / "model_2q_12ch.json",
+        "--max-time", "10", "-o", tmp_path / "x.pulse.json",
+    )
+    assert code == 0 and "[converged]" in stdout
+    # the fifth qubit of a model past the old 4-qubit cap; the idle qubits
+    # have no drift, so the identity there is reachable
+    model = tmp_path / "model_5q.json"
+    model.write_text(json.dumps({"n_qubits": 5, "dt": 0.2,
+                                 "control": [{"channel": "d4", "op": "X4"}]}))
+    source = tmp_path / "x4.xasm"
+    source.write_text("X(q[4]);\n")
+    code, stdout, _ = run(
+        capsys, "compile", source, model, "--method", "krotov",
+        "--max-time", "10", "-o", tmp_path / "x4.pulse.json",
+    )
+    assert code == 0 and "[converged]" in stdout
+
+
+def test_compile_past_the_models_last_qubit_exits_2(tmp_path, fixtures, capsys):
+    source = tmp_path / "x2.xasm"
+    source.write_text("X(q[2]);\n")
+    code, stdout, stderr = run(
+        capsys, "compile", source, fixtures / "model_2q_12ch.json",
+        "--max-time", "10", "-o", tmp_path / "x2.pulse.json",
+    )
+    assert code == 2 and stdout == ""
+    assert "out of range for 2 qubit(s)" in stderr
+
+
 def test_compile_unknown_method_exits_2_with_list(tmp_path, fixtures, capsys):
     code, _, stderr = run(
         capsys,
@@ -360,6 +392,18 @@ def test_simulate_non_positive_t1_exits_2(h_pulse, fixtures, capsys, t1):
     assert stdout == "" and f"--t1 must be positive, got {float(t1)}" in stderr
 
 
+@pytest.mark.parametrize("state", ["2", "10"])
+def test_simulate_rejects_an_initial_state_of_the_wrong_alphabet_or_length(
+    h_pulse, fixtures, capsys, state
+):
+    code, stdout, stderr = run(
+        capsys,
+        "simulate", h_pulse, fixtures / "model_1q_xy.json", "--initial-state", state,
+    )
+    assert code == 2 and stdout == ""
+    assert f"initial state must be 1 characters of 0/1, got {state!r}" in stderr
+
+
 def test_simulate_initial_state_and_observables(h_pulse, fixtures, capsys):
     code, stdout, _ = run(
         capsys,
@@ -642,6 +686,20 @@ def test_bind_rejects_anything_but_a_number(fixtures, capsys, raw):
     )
     assert code == 2
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("raw, column", [("pi 2", 4), ("1)", 2), ("theta", 1)])
+def test_angle_values_exit_2_at_the_offending_token(fixtures, capsys, raw, column):
+    circuit = fixtures / "rx_theta.xasm"
+    for argv in (
+        ["unitary", circuit, "--bind", f"theta={raw}"],
+        ["sweep", circuit, fixtures / "model_1q_x_nodrift.json", "--values", raw,
+         "--max-time", "10"],
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert f"cannot parse numeric value {raw!r}" in stderr
+        assert stderr.rstrip().endswith(f"(line 1, column {column})")
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,38 @@ def test_signal_rejects_non_finite_time_scales(build):
         build()
 
 
+def test_closed_engines_refuse_a_model_with_collapse_terms():
+    model = SystemModel(
+        n_qubits=1, dt=0.2, control=(("dx", "X0"),), collapse=((0.05, "SM0"),)
+    )
+    signal = ControlSignal.from_samples({"dx": [0.1] * 4}, model.dt)
+    engines = (
+        lambda: piecewise_propagator(model, signal),
+        lambda: evolve_states(model, signal, [1.0, 0.0]),
+        lambda: evolve_continuous(model, signal),
+    )
+    for engine in engines:
+        with pytest.raises(DynamicsError, match="use lindblad_evolve"):
+            engine()
+
+
+def test_a_drive_without_a_quadrature_partner_must_be_real():
+    # the imaginary part may be round-off of the value: 1e-12 relative,
+    # absolute below 1
+    model = x_model()
+    cases = ((1e6 + 1e-7j, True), (0.5 + 1e-11j, False), (2 + 1e-11j, False))
+    for value, accepted in cases:
+        signal = ControlSignal.from_samples({"dx": [value]}, model.dt)
+        if accepted:
+            piecewise_propagator(model, signal)
+        else:
+            with pytest.raises(DynamicsError, match="imaginary parts must be zero"):
+                piecewise_propagator(model, signal)
+    signal = ControlSignal.from_envelopes({"dx": lambda t: 0.1 + 1e-9j}, 0.2, model.dt)
+    with pytest.raises(DynamicsError, match="envelope is complex"):
+        evolve_continuous(model, signal)
+
+
 def test_signal_past_the_grid_limit_raises_before_any_slice_is_formed():
     # a duration / dt that overflows to inf
     with pytest.raises(DynamicsError, match="slices x d"):

@@ -115,6 +115,13 @@ def test_problem_rejects_non_unitary_target():
         x_problem(target_u=np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("bound", [-0.1, float("nan")])
+def test_problem_rejects_a_negative_or_nan_amplitude_bound(bound):
+    # NaN would pass every bound test and leave the amplitudes unbounded
+    with pytest.raises(OptimizationError, match="amplitude-bound must be >= 0"):
+        x_problem(amplitude_bound=bound)
+
+
 def test_problem_rejects_bad_horizon():
     with pytest.raises(OptimizationError):
         x_problem(max_time=10.1)  # 10.1 / 0.2 = 50.5

@@ -259,7 +259,7 @@ def test_target_unitary_gate_names_match_the_gates():
             )
     with pytest.raises(optpulse.CircuitError, match="out of range"):
         parse_target_unitary("H2", 2)
-    # past circuit_unitary's default cap of 4 qubits, as "X4" is
+    # a gate on the fifth qubit, as "X4" is
     hadamard = (build_operator("X4", 5) + build_operator("Z4", 5)) / np.sqrt(2)
     assert np.allclose(parse_target_unitary("H4", 5), hadamard)
     with pytest.raises(OptimizationError, match="qubit index too large"):

@@ -244,7 +244,17 @@ def test_parse_rejects_a_t0_over_the_int_digit_limit():
         parse_program(text % ("9" * 5000))
 
 
+def test_parse_rejects_a_non_finite_dt():
+    with pytest.raises(PulseError, match="dt must be positive and finite, got inf"):
+        parse_program('{"dt": Infinity, "instructions": []}')
+
+
 # ---------------------------------------------------------------- library
+
+
+def test_library_rejects_a_non_finite_dt():
+    with pytest.raises(LibraryError, match="dt must be positive and finite, got inf"):
+        PulseLibrary(dt=float("inf"))
 
 
 def frag(channel, n, t0=0):
@@ -397,6 +407,21 @@ def test_transform_rejects_contradictory_sample_count():
 
 
 def test_transform_checks_qubit_count(fixtures):
+    # the target is built on the model's qubits: a gate past the last one raises
     two_qubit_model = parse_model((fixtures / "model_2q_12ch.json").read_text())
-    with pytest.raises(OptimizationError):
-        transform(parse_circuit("X(q[0]);"), two_qubit_model, "GRAPE", {"max-time": 10.0})
+    with pytest.raises(CircuitError, match=r"\(2,\) out of range for 2 qubit"):
+        transform(parse_circuit("X(q[2]);"), two_qubit_model, "GRAPE", {"max-time": 10.0})
+
+
+@pytest.mark.parametrize("method", ["GRAPE", "krotov", "GOAT"])
+def test_circuit_compiles_on_the_models_qubits(fixtures, method):
+    # x.xasm names only q[0]; on two qubits its target is X on q[0], I on q[1]
+    model = parse_model((fixtures / "model_2q_12ch.json").read_text())
+    circuit = parse_circuit((fixtures / "x.xasm").read_text())
+    program, result = compile_circuit(circuit, model, method, {"max-time": 10.0})
+    assert result.converged
+    x = np.array([[0, 1], [1, 0]])
+    resim = infidelity(piecewise_propagator(model, program.to_signal()), np.kron(np.eye(2), x))
+    # GRAPE and Krotov emit the slices they optimized; GOAT's samples differ
+    # from its CF4 steps by discretization error only
+    assert abs(resim - result.final_infidelity) <= (1e-5 if method == "GOAT" else 1e-12)
