@@ -57,7 +57,7 @@ from .errors import DynamicsError
 from .limits import (
     EXPECTATION_IMAG_TOL, OBSERVABLE_HERMITICITY_TOL, ORACLE_UNITARITY_TOL, STATE_TOL,
     check_grid, check_positive_finite, dt_matches, hermitian_defect, imag_negligible,
-    sample_count,
+    sample_count, unitarity_defect,
 )
 from .model import SystemModel, build_operator
 
@@ -72,14 +72,6 @@ MAX_TAYLOR_TERMS = 24
 MAX_SUPEROPERATOR_DIM = 4
 SUPEROPERATOR_BLOCK = 256  # slices per superoperator stack: 1 MiB at d = 4
 _EPS = np.finfo(float).eps
-
-
-@lru_cache(maxsize=16)
-def _identity(d: int) -> np.ndarray:
-    """The d x d identity, one read-only array shared by every caller."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
 
 
 @dataclass(frozen=True)
@@ -366,23 +358,6 @@ def _product_work(
     return levels
 
 
-def _times_inverse(
-    c: np.ndarray, f: np.ndarray, out: np.ndarray | None = None, work=(None,) * 3
-) -> np.ndarray:
-    """c F^-1 for a stack F unitary up to round-off, as (c F^+)(2 - F F^+).
-
-    That is one Newton step from the adjoint towards the inverse, exact to
-    the square of F's unitarity defect; c may be one matrix or a stack.
-    ``out`` and the three stacks of ``work``, shaped like the result, are
-    overwritten when given; out may be c itself.
-    """
-    fh = np.conjugate(f, out=work[0]).swapaxes(-1, -2)
-    left = _matmul(c, fh, work[1])
-    right = _matmul(f, fh, work[2])
-    np.subtract(2.0 * _identity(f.shape[-1]), right, out=right)
-    return _matmul(left, right, out)
-
-
 def _block(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
     """Uninitialised arrays of the given (shape, dtype), laid out as
     ``_empty`` lays them out, carved from one allocation at 64-byte offsets.
@@ -445,9 +420,9 @@ class _Propagation:
     out like umats: for d = 2 with the slice axis contiguous. Slice
     exponentials come from one ``slice_propagators`` call and the products
     from ``ordered_products``. The backward products U_{N-1}...U_n are
-    total fwd[n]^-1 by unitarity, so they are never formed (see
-    ``_times_inverse``). The gradient's own stacks are allocated at its
-    first use, so an objective that is only checked never holds them.
+    total fwd[n]^+, the adjoints of the forward ones by unitarity, so they
+    are never formed. The gradient's own stacks are allocated at its first
+    use, so an objective that is only checked never holds them.
     """
 
     def __init__(self, n: int, d: int):
@@ -462,7 +437,7 @@ class _Propagation:
         # V e^{-i w dt} V^+, or the qubit path's coordinates and phases
         self.work = (coords[0], phases) if qubit else (phases, left, right)
         self.evals = self.evecs = None
-        self.fwd[0] = _identity(d)
+        self.fwd[0] = np.eye(d)
         self.total = self.fwd[-1]
         # the products' scratch lives in the stacks left and right, spent
         # once umats is formed or, on qubits, never used before
@@ -471,7 +446,7 @@ class _Propagation:
         self.gradient_work = None
 
     def gradient_buffers(self) -> tuple[np.ndarray, ...]:
-        """(c, w1, w2, w3) for C_n and, for d > 2, (a, half_sum, half_diff,
+        """(c, w1, w2, w3) for C_n and, for d > 2, (half, half_sum, half_diff,
         phi, vh) for the eigenbasis sandwich.
 
         w1, w2 and w3 are the propagation's hams and product scratch, spent
@@ -613,7 +588,6 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
     drift = model.drift_matrix()
     controls = model.control_matrices()
     chans = signal.channels
-    eye = np.eye(model.dim, dtype=complex)
     hams = _slice_hamiltonians(model, signal) if signal.is_sampled else None
 
     def hamiltonian(t: float) -> np.ndarray:
@@ -630,7 +604,7 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
 
     def integrate(per_slice: int) -> np.ndarray:
         h = signal.dt / per_slice
-        u = eye.copy()
+        u = np.eye(model.dim, dtype=complex)
         for n in range(signal.n_samples):
             def rhs(t: float, v: np.ndarray, hs=None if hams is None else hams[n]):
                 return -1j * ((hamiltonian(t) if hs is None else hs) @ v)
@@ -643,7 +617,7 @@ def evolve_continuous(model: SystemModel, signal: ControlSignal) -> np.ndarray:
         u = integrate(10 << halvings)
         if not np.all(np.isfinite(u)):  # no smaller step mends NaN or inf
             raise DynamicsError("RK3 propagator has non-finite entries")
-        defect = np.max(np.abs(u.conj().T @ u - eye))
+        defect = unitarity_defect(u)
         if defect <= ORACLE_UNITARITY_TOL:
             return u
     raise DynamicsError(
@@ -747,7 +721,7 @@ def _lindblad_superoperators(
     d = rho.shape[0]
     squarings = (int(substeps.max()) - 1).bit_length()
     h = dt / 2**squarings
-    eye = _identity(d)
+    eye = np.eye(d)
     # [a, b, c, e] is row a d + b, column c d + e of the superoperator
     jump_part = jumps[:, :, None, :, None] * jumps.conj()[:, None, :, None, :]
     jump_part = h * jump_part.sum(axis=0)
@@ -759,7 +733,7 @@ def _lindblad_superoperators(
         sup += eye[:, None, :, None] * g.conj()[:, None, :, None, :]
         sup += jump_part
         sup = sup.reshape(len(g), d * d, d * d)
-        term, props = sup, sup + _identity(d * d)
+        term, props = sup, sup + np.eye(d * d)
         for k in range(2, MAX_TAYLOR_TERMS + 1):
             if np.vdot(term, term).real <= _EPS**2:
                 break

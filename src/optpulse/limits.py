@@ -51,6 +51,24 @@ def check_positive_finite(value, what: str, error: type[Exception]) -> None:
         raise error(f"{what} must be positive and finite, got {value}")
 
 
+def check_numbers(values, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` if any of ``values``, read from a JSON document or an
+    options map, is a bool: JSON holds true and false apart from its
+    numbers, but int(), float() and complex() read them as 1 and 0."""
+    if not {bool, np.bool_}.isdisjoint(map(type, values)):  # one pass in C
+        raise error(f"{what} must be a number, got a boolean")
+
+
+def as_type(value, kind: type, what: str, error: type[Exception]):
+    """kind(value) for a value read from a JSON document or an options map:
+    a number (kind float or int) by the rule of ``check_numbers``, text
+    (kind str) only from a str, of which str() would make "None" of null."""
+    if kind is str and not isinstance(value, str):
+        raise error(f"{what} must be a string, got {value!r}")
+    check_numbers((value,), what, error)
+    return kind(value)
+
+
 def dt_matches(dt: float, reference: float) -> bool:
     return abs(dt - reference) <= DT_MATCH_RTOL * max(1.0, reference)
 
@@ -58,6 +76,11 @@ def dt_matches(dt: float, reference: float) -> bool:
 def hermitian_defect(mats: np.ndarray) -> float:
     """max |A - A^+| over a matrix or a stack; NaN with any NaN entry."""
     return float(np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), initial=0.0))
+
+
+def unitarity_defect(mat: np.ndarray) -> float:
+    """max |U^+ U - I| of a square matrix; NaN with any NaN entry."""
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
 
 
 def imag_negligible(values: complex | np.ndarray) -> bool:

@@ -30,7 +30,8 @@ import numpy as np
 from .circuits import _OPERATOR_LEXER, _Arithmetic, _embed, _tokenize
 from .errors import CircuitSyntaxError, ModelError
 from .limits import (
-    OPERATOR_HERMITICITY_TOL, check_positive_finite, check_qubit_count, hermitian_defect,
+    OPERATOR_HERMITICITY_TOL, as_type, check_positive_finite,
+    check_qubit_count, hermitian_defect,
 )
 
 _SINGLE_QUBIT_OPS = {
@@ -241,20 +242,20 @@ def parse_model(document: str | dict) -> SystemModel:
             raise ModelError(f"model document missing required key {key!r}")
     if not isinstance(doc["n_qubits"], int) or isinstance(doc["n_qubits"], bool):
         raise ModelError("n_qubits must be an integer")
+
+    def terms(section: str, key: str, kind: type) -> tuple:
+        """(entry[key], operator expression) of every entry of a section."""
+        return tuple(
+            (as_type(entry[key], kind, key, ModelError),
+             as_type(entry["op"], str, "op", ModelError))
+            for entry in doc.get(section, [])
+        )
+
     try:
-        dt = float(doc["dt"])
-        drift = tuple(
-            (float(entry["coef"]), str(entry["op"]))
-            for entry in doc.get("drift", [])
-        )
-        control = tuple(
-            (str(entry["channel"]), str(entry["op"]))
-            for entry in doc.get("control", [])
-        )
-        collapse = tuple(
-            (float(entry["rate"]), str(entry["op"]))
-            for entry in doc.get("collapse", [])
-        )
+        dt = as_type(doc["dt"], float, "dt", ModelError)
+        drift = terms("drift", "coef", float)
+        control = terms("control", "channel", str)
+        collapse = terms("collapse", "rate", float)
     except (TypeError, KeyError, ValueError) as exc:
         raise ModelError(f"malformed model entry: {exc!r}") from exc
     return SystemModel(

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..circuits import Circuit, Gate, circuit_unitary
 from ..errors import OptimizationError, UnknownMethodError
+from ..limits import as_type, check_numbers
 from ..model import SystemModel, build_operator
 from .goat import (
     GaussianTerm,
@@ -104,7 +105,8 @@ def _standalone_model(options: Mapping, method: str) -> SystemModel:
         raise OptimizationError(
             f"dimension must be a power of two >= 2, got {dim}"
         )
-    ops = [str(x) for x in _as_list(_require(options, "control-H"))]
+    ops = [as_type(x, str, "control-H", OptimizationError)
+           for x in _as_list(_require(options, "control-H"))]
     max_time = float(_require(options, "max-time"))
     dt = float(options.get("dt", max_time / _DEFAULT_SAMPLES[method]))
     control = tuple((f"d{i}", op) for i, op in enumerate(ops))
@@ -131,6 +133,7 @@ def _goat_start(
                 f"got a mapping {dict(inits)!r}"
             )
         try:
+            check_numbers(_as_list(inits), "initial-parameters", OptimizationError)
             x0 = np.asarray([float(v) for v in _as_list(inits)], dtype=float)
         except (TypeError, ValueError):
             raise OptimizationError(
@@ -260,7 +263,7 @@ def get_optimizer(method: str, options: Mapping | None = None) -> Optimizer:
         if key in opts:
             raw = opts[key]
             try:
-                opts[key] = kind(raw)
+                opts[key] = as_type(raw, kind, f"option {key!r}", OptimizationError)
             except (TypeError, ValueError, OverflowError):
                 opts[key] = None
             # a float must survive the cast: 2.5 is no int, nan no float

@@ -23,14 +23,14 @@ Qubit slices take that eigh too; only the core's sampled stacks take the
 su(2) exponential map. The first sweep starts from the
 stacked ``dynamics._propagate``; an accepted sweep keeps the forward
 products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
-costates come from them by unitarity (``_costates``), with no backward loop.
+costates come from their adjoints (``_costates``), with no backward loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dynamics import _propagate, _slice_step, _times_inverse
+from ..dynamics import _matmul, _propagate, _slice_step
 from ..errors import OptimizationError
 from .problem import (
     ControlProblem,
@@ -50,10 +50,10 @@ def _costates(
     fwd: np.ndarray, total: np.ndarray, target: np.ndarray, overlap: complex
 ) -> np.ndarray:
     """chi_k^+ = (g*/d^2) target^+ U_{N-1}...U_k, with U_{N-1}...U_k equal
-    to total fwd[k]^-1 by unitarity."""
+    to total fwd[k]^+ by unitarity."""
     d = target.shape[0]
     boundary = (np.conj(overlap) / d**2) * (target.conj().T @ total)
-    return _times_inverse(boundary, fwd)
+    return _matmul(boundary, fwd.conj().swapaxes(1, 2))
 
 
 def krotov_optimize(problem: ControlProblem) -> OptimResult:

@@ -28,9 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import _EPS, _matmul, _propagate, _Propagation, _times_inverse
+from ..dynamics import _EPS, _matmul, _propagate, _Propagation
 from ..errors import OptimizationError
-from ..limits import LOSS_UNITARITY_TOL, check_positive_finite, sample_count
+from ..limits import (
+    LOSS_UNITARITY_TOL, check_positive_finite, sample_count, unitarity_defect,
+)
 from ..model import SystemModel
 
 LBFGS_MEMORY = 10
@@ -49,10 +51,8 @@ def _check_unitary(u: np.ndarray, label: str) -> np.ndarray:
     mat = np.asarray(u, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise OptimizationError(f"{label} must be square, got shape {mat.shape}")
-    eye = np.eye(mat.shape[0])
     # NaN and inf fail as well; the product is not formed from them
-    finite = np.all(np.isfinite(mat))
-    if not (finite and np.max(np.abs(mat.conj().T @ mat - eye)) <= LOSS_UNITARITY_TOL):
+    if not (np.all(np.isfinite(mat)) and unitarity_defect(mat) <= LOSS_UNITARITY_TOL):
         raise OptimizationError(f"{label} is not unitary to {LOSS_UNITARITY_TOL:.0e}")
     return mat
 
@@ -201,20 +201,19 @@ def _gradient_from_state(
 
     With g = Tr(target^+ total), the loss derivative along a slice
     derivative dU_n is -(2/d^2) Re(conj(g) Tr(C_n dU_n)), where the
-    products after slice n are U_{N-1}...U_{n+1} = total F^-1 with
-    F = fwd[n+1], so C_n = fwd[n] (target^+ total) F^-1. F is unitary only
-    up to a round-off drift that grows with n (1.6e-12 after 4,000 slices
-    that share their eigenvectors), so F^-1 is one Newton step from the
-    adjoint (``_times_inverse``), exact to the square of that drift. The
-    slice derivatives come from the map that formed U_n: the su(2) map for
-    qubits (``_su2_gradient``), the eigenbasis for larger systems
-    (``_eigenbasis_gradient``). Every stack lives in the state's gradient
-    buffers; the returned gradient is a new array.
+    products after slice n are U_{N-1}...U_{n+1} = total F^+ with
+    F = fwd[n+1], the adjoint standing for the inverse by unitarity, so
+    C_n = fwd[n] (target^+ total) F^+. The slice derivatives come from the
+    map that formed U_n: the su(2) map for qubits (``_su2_gradient``), the
+    eigenbasis for larger systems (``_eigenbasis_gradient``). Every stack
+    lives in the state's gradient buffers; the returned gradient is a new
+    array.
     """
     c, *work = state.gradient_buffers()
     boundary = target.conj().T @ state.total
-    c = _matmul(state.fwd[:-1], boundary, c)  # fwd[n] (target^+ total), every n
-    c = _times_inverse(c, state.fwd[1:], c, work[:3])
+    adjoints = np.conjugate(state.fwd[1:], out=work[0]).swapaxes(1, 2)
+    # fwd[n] (target^+ total) fwd[n+1]^+, every n
+    c = _matmul(_matmul(state.fwd[:-1], boundary, work[1]), adjoints, c)
     overlap = complex(boundary.trace())  # as _trace_loss forms it
     if target.shape[0] == 2:
         return _su2_gradient(state, ops, c, overlap, dt)
@@ -295,18 +294,13 @@ def _eigenbasis_gradient(
     channels.
     """
     d = c.shape[-1]
-    w1, w2, w3, a, half_sum, half_diff, phi, vh = work
-    np.multiply(state.evals, dt, out=a)  # (N, d) real
-    np.add(a[:, :, None], a[:, None, :], out=half_sum)
-    half_sum *= 0.5
-    np.subtract(a[:, :, None], a[:, None, :], out=half_diff)
-    half_diff *= 0.5
+    w1, w2, w3, half, half_sum, half_diff, phi, vh = work
+    np.multiply(state.evals, 0.5 * dt, out=half)  # a / 2, (N, d) real
+    np.add(half[:, :, None], half[:, None, :], out=half_sum)
+    np.subtract(half[:, :, None], half[:, None, :], out=half_diff)
     np.multiply(-1j, half_sum, out=phi)
     np.exp(phi, out=phi)
-    # np.sinc(half_diff / pi) in place, rounded as np.sinc rounds it:
-    # y = pi (half_diff / pi), and sin(y) / y with 1 where y = 0
-    half_diff /= np.pi
-    half_diff *= np.pi
+    # sinc in place: sin(y) / y, with y = eps where y = 0, so that it reads 1
     np.copyto(half_diff, _EPS, where=half_diff == 0)
     phi *= np.divide(np.sin(half_diff, out=half_sum), half_diff, out=half_sum)
     v = state.evecs

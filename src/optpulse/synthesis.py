@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -25,7 +26,9 @@ import numpy as np
 from .circuits import Circuit, circuit_unitary
 from .dynamics import ControlSignal
 from .errors import LibraryError, OptimizationError, PulseError, TransformError
-from .limits import MAX_SLICE_ENTRIES, check_positive_finite, dt_matches
+from .limits import (
+    MAX_SLICE_ENTRIES, as_type, check_numbers, check_positive_finite, dt_matches,
+)
 from .model import SystemModel
 from .optimize import get_optimizer
 
@@ -144,7 +147,7 @@ def compile_circuit(
     opts = dict(options or {})
     raw = opts.pop("accept-threshold", DEFAULT_ACCEPT_THRESHOLD)
     try:
-        accept = float(raw)
+        accept = as_type(raw, float, "accept-threshold", OptimizationError)
     except (TypeError, ValueError, OverflowError):
         accept = float("nan")
     if not accept >= 0:  # also rejects NaN, against which every loss passes
@@ -293,15 +296,16 @@ def parse_program(document: str | Mapping) -> PulseProgram:
             if extra:
                 raise PulseError(f"unknown instruction key(s) {sorted(extra)}")
             samples = tuple(complex(re, im) for re, im in entry["samples"])
+            check_numbers(chain.from_iterable(entry["samples"]), "sample", PulseError)
             t0 = entry["t0"]
-            whole = (isinstance(t0, Integral) and not isinstance(t0, bool)) or (
-                isinstance(t0, float) and t0.is_integer()
-            )
+            check_numbers((t0,), "t0", PulseError)
+            whole = isinstance(t0, Integral) or isinstance(t0, float) and t0.is_integer()
             if not whole:
                 raise PulseError(f"t0 must be a whole sample index, got {t0!r}")
-            instructions.append(PulseInstruction(str(entry["channel"]), int(t0), samples))
+            channel = as_type(entry["channel"], str, "channel", PulseError)
+            instructions.append(PulseInstruction(channel, int(t0), samples))
         return PulseProgram(
-            dt=float(doc["dt"]),
+            dt=as_type(doc["dt"], float, "dt", PulseError),
             instructions=tuple(instructions),
             metadata=doc.get("metadata", {}),
         )

@@ -501,6 +501,23 @@ def test_simulate_malformed_pulse_exits_2(tmp_path, fixtures, capsys):
     assert "channel" in stderr
 
 
+def test_json_booleans_exit_2(tmp_path, fixtures, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"n_qubits": 1, "dt": true, "control": [{"channel": "dx", "op": "X0"}]}')
+    code, stdout, stderr = run(
+        capsys, "compile", fixtures / "x.xasm", model, "--max-time", "10",
+        "-o", tmp_path / "x.pulse.json",
+    )
+    assert code == 2 and stdout == "" and "dt must be a number" in stderr
+    pulse = tmp_path / "bool.json"
+    pulse.write_text('{"dt": 0.2, "instructions": [{"channel": "dx", "t0": 0, '
+                     '"samples": [[true, false]]}]}')
+    code, stdout, stderr = run(
+        capsys, "simulate", pulse, fixtures / "model_1q_x_nodrift.json"
+    )
+    assert code == 2 and stdout == "" and "sample must be a number" in stderr
+
+
 def test_simulate_huge_t0_exits_2(tmp_path, fixtures, capsys):
     pulse = tmp_path / "late.json"
     pulse.write_text(

@@ -60,8 +60,34 @@ def random_model_and_signal(rng, n_samples=25):
 
 
 def test_signal_rejects_ragged_channels():
-    with pytest.raises(DynamicsError):
+    with pytest.raises(DynamicsError, match="'b' has 1 samples, expected 2"):
         ControlSignal.from_samples({"a": [1.0, 2.0], "b": [1.0]}, 0.1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ControlSignal(dt=0.1, n_samples=0, samples={"dx": []}),
+         "at least one sample"),
+        (lambda: ControlSignal(dt=0.1, n_samples=1), "samples or envelopes"),
+        (lambda: ControlSignal(dt=0.1, n_samples=1, samples={"dx": [0.1]},
+                               envelopes={"dx": lambda t: 0.1}),
+         "samples or envelopes"),
+        (lambda: ControlSignal.from_samples({"dx": [[0.1, 0.2]]}, 0.1), "1-D array"),
+        (lambda: ControlSignal.from_samples({"dx": [0.1, np.nan]}, 0.1),
+         "non-finite samples"),
+        (lambda: ControlSignal.from_samples({}, 0.1), "at least one channel sample"),
+        (lambda: ControlSignal.from_samples({"dx": []}, 0.1),
+         "at least one channel sample"),
+        (lambda: ControlSignal.from_envelopes({}, duration=1.0, dt=0.1),
+         "at least one envelope"),
+    ],
+    ids=["no-samples", "neither", "both", "2-d", "nan", "no-channel", "empty-channel",
+         "no-envelope"],
+)
+def test_signal_constructors_reject_bad_shapes(build, message):
+    with pytest.raises(DynamicsError, match=message):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -461,8 +487,14 @@ def test_signal_channel_must_exist_in_model():
 def test_signal_dt_must_match_model():
     model = x_model(dt=0.2)
     sig = ControlSignal.from_samples({"dx": np.zeros(5)}, 0.1)
-    with pytest.raises(DynamicsError):
+    with pytest.raises(DynamicsError, match="signal dt=0.1 does not match model dt=0.2"):
         piecewise_propagator(model, sig)
+
+
+def test_sampled_engines_refuse_an_analytic_signal():
+    sig = ControlSignal.from_envelopes({"dx": lambda t: 0.1}, duration=1.0, dt=0.2)
+    with pytest.raises(DynamicsError, match="needs a sampled signal"):
+        piecewise_propagator(x_model(dt=0.2), sig)
 
 
 def test_every_sampled_engine_checks_signal_dt():

@@ -341,12 +341,24 @@ def test_bad_json_text_is_a_model_error():
 
 
 @pytest.mark.parametrize(
-    "patch",
-    [{"dt": "x"}, {"dt": None}, {"drift": [{"coef": "big", "op": "Z0"}]}],
-    ids=["dt-text", "dt-null", "coef-text"],
+    "patch, message",
+    [
+        ({"dt": "x"}, "malformed model entry"),
+        ({"dt": None}, "malformed model entry"),
+        ({"drift": [{"coef": "big", "op": "Z0"}]}, "malformed model entry"),
+        # JSON types: float() read true as 1.0, and str() null as the channel
+        # "None" and 5 as the operator 5 I
+        ({"dt": True}, "dt must be a number"),
+        ({"drift": [{"coef": True, "op": "Z0"}]}, "coef must be a number"),
+        ({"collapse": [{"rate": True, "op": "SM0"}]}, "rate must be a number"),
+        ({"control": [{"channel": None, "op": "X0"}]}, "channel must be a string"),
+        ({"control": [{"channel": "dx", "op": 5}]}, "op must be a string"),
+    ],
+    ids=["dt-text", "dt-null", "coef-text", "dt-true", "coef-true", "rate-true",
+         "channel-null", "op-number"],
 )
-def test_parse_model_raises_typed_error_on_malformed_fields(patch):
-    with pytest.raises(ModelError):
+def test_parse_model_raises_typed_error_on_malformed_fields(patch, message):
+    with pytest.raises(ModelError, match=message):
         parse_model({**MODEL_DOC, **patch})
 
 

@@ -493,6 +493,64 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
         assert error <= 1e-12 * np.max(np.abs(reference))
 
 
+def _constant_drive_case(d, n, seed):
+    """A random drift and two random controls at constant amplitudes on n
+    slices of dt 0.01, and a random unitary target."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return (a + a.conj().T) / 2
+
+    drift, ops = hermitian(), np.array([hermitian(), hermitian()])
+    amps = np.repeat(rng.uniform(-1.0, 1.0, (2, 1)), n, axis=1)
+    target = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return drift, ops, amps, 0.01, target
+
+
+def _constant_drive_reference(drift, ops, amps, dt, target, slices):
+    """The gradient columns of ``slices`` built without optpulse's core: each
+    dU/du_c is the upper-right block of scipy's expm of the Van Loan block
+    [[A, E_c], [0, A]], A = -i H dt, E_c = -i Op_c dt, and every product is
+    a power of the one slice propagator, from its eigendecomposition."""
+    from scipy.linalg import expm
+
+    d, n = drift.shape[0], amps.shape[1]
+    ham = drift + np.tensordot(amps[:, 0], ops, 1)
+    blocks = []
+    for op in ops:
+        block = np.zeros((2 * d, 2 * d), dtype=complex)
+        block[:d, :d] = block[d:, d:] = -1j * dt * ham
+        block[:d, d:] = -1j * dt * op
+        blocks.append(expm(block))
+    lam, vecs = np.linalg.eig(blocks[0][:d, :d])
+    inv = np.linalg.inv(vecs)
+
+    def power(k):
+        return (vecs * lam**k) @ inv
+
+    overlap = np.trace(target.conj().T @ power(n))
+    grad = np.empty((len(ops), len(slices)))
+    for j, k in enumerate(slices):
+        for c, block in enumerate(blocks):
+            dg = np.trace(target.conj().T @ power(n - 1 - k) @ block[:d, d:] @ power(k))
+            grad[c, j] = -2.0 / d**2 * np.real(np.conj(overlap) * dg)
+    return grad
+
+
+@pytest.mark.parametrize("d, n", [(4, 4000), (2, 16000)])
+def test_gradient_matches_an_independent_constant_drive_reference(d, n):
+    # every slice shares its eigenvectors, so the forward products drift from
+    # unitarity coherently: the backward products taken as their adjoints
+    # must still hold the gradient to 1e-10 relative
+    drift, ops, amps, dt, target = _constant_drive_case(d, n, seed=d)
+    state = _propagate(drift, ops, amps, dt)
+    slices = [0, 1, n // 2, n - 2, n - 1]
+    reference = _constant_drive_reference(drift, ops, amps, dt, target, slices)
+    grad = _gradient_from_state(state, ops, target, dt)[:, slices]
+    assert np.max(np.abs(grad - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
 def _qubit_case(seed, n_channels, n_slices, drifted, scale, theta, coupling, gaps):
     """Random 2x2 drift and controls, amplitudes and a dt that puts the
     largest slice's theta = |h| dt at ``theta``, with a random target."""
@@ -821,6 +879,31 @@ def test_goat_drifted_two_channel_resimulates():
     sig = ControlSignal.from_envelopes(res.envelopes, duration=5.0, dt=p.dt)
     u = evolve_continuous(p.model, sig)
     assert abs(infidelity(u, H) - res.final_infidelity) <= 1e-6
+
+
+def test_goat_cf4_steps_converge_at_fourth_order(monkeypatch):
+    # a Z drift and X and Y drives that do not commute with it: each halving
+    # of the CF4 step cuts the change of the total propagator 16 times, where
+    # a second-order mix of the node samples (the weights swapped) cuts it 4
+    p = h_problem(max_time=5.0)
+    spec = GoatEnvelopeSpec(
+        terms=(("dx", GaussianTerm("a", 2.0, 0.7)), ("dy", GaussianTerm(0.5, 3.0, 0.9))),
+        param_names=("a",),
+    )
+    totals = []
+
+    def recording(drift, ops, amps, dt, out=None):
+        state = _propagate(drift, ops, amps, dt)
+        totals.append(state.total)
+        return state
+
+    monkeypatch.setattr(problem_module, "_propagate", recording)
+    for substeps in (1, 2, 4, 8):
+        objective = _cf4_objective(p, spec.evaluator(), p.model.control_stack, substeps)
+        objective(np.array([0.8]), grad=False)
+    changes = [np.max(np.abs(a - b)) for a, b in zip(totals, totals[1:])]
+    for coarse, fine in zip(changes, changes[1:]):
+        assert 12 < coarse / fine < 20
 
 
 def test_goat_default_family_leaves_the_plateau_on_a_drifted_qubit(fixtures):

@@ -281,6 +281,30 @@ def test_option_values_are_type_checked():
         get_optimizer("GRAPE", {"max-iters": 2.5})
 
 
+@pytest.mark.parametrize("key", ["max-time", "seed", "max-iters"])
+def test_option_values_refuse_booleans(key):
+    # float(True) and int(True) read 1.0 and 1
+    with pytest.raises(OptimizationError, match=f"option '{key}' must be a number"):
+        get_optimizer("GRAPE", {key: True})
+
+
+def test_control_h_entries_must_be_strings():
+    # str() read 5 as the operator 5 I
+    options = {"dimension": 2, "target-U": "X0", "control-H": [5, "X0"], "max-time": 10.0}
+    with pytest.raises(OptimizationError, match="control-H must be a string, got 5"):
+        get_optimizer("GRAPE", options).build_problem()
+
+
+def test_goat_initial_parameters_refuse_booleans():
+    options = {
+        "dimension": 2, "target-U": "X0", "control-H": ["X0"], "max-time": 10.0,
+        "control-funcs": ["a*exp(-(t-5)^2/(2*s^2))"],
+        "control-params": ["a", "s"], "initial-parameters": [True, 2.0],
+    }
+    with pytest.raises(OptimizationError, match="initial-parameters must be a number"):
+        get_optimizer("GOAT", options).optimize()
+
+
 def test_options_are_copied_not_aliased():
     opts = {"max-time": 10.0}
     handle = get_optimizer("GRAPE", opts)

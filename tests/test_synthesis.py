@@ -203,19 +203,37 @@ def test_parse_rejects_malformed_documents():
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"dt": 0.1, "instructions": [{"t0": 0, "samples": [[0.1, 0.0]]}]},
-        {"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "samples": [0.1]}]},
-        {"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "samples": 0.1}]},
-        {"dt": 0.1, "instructions": 5},
-        {"dt": "x", "instructions": []},
+        ({"dt": 0.1, "instructions": [{"t0": 0, "samples": [[0.1, 0.0]]}]},
+         "malformed pulse document"),
+        ({"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "samples": [0.1]}]},
+         "malformed pulse document"),
+        ({"dt": 0.1, "instructions": [{"channel": "a", "t0": 0, "samples": 0.1}]},
+         "malformed pulse document"),
+        ({"dt": 0.1, "instructions": 5}, "malformed pulse document"),
+        ({"dt": "x", "instructions": []}, "malformed pulse document"),
+        # JSON types: float() read true as 1.0, complex() the sample as 1+0j,
+        # and str() null as the channel "None"
+        ({"dt": True, "instructions": []}, "dt must be a number"),
+        ({"dt": 0.1, "instructions": [
+            {"channel": "a", "t0": 0, "samples": [[0.1, 0.0], [True, False]]}
+        ]}, "sample must be a number"),
+        ({"dt": 0.1, "instructions": [
+            {"channel": None, "t0": 0, "samples": [[0.1, 0.0]]}
+        ]}, "channel must be a string"),
     ],
-    ids=["no-channel", "scalar-sample", "scalar-samples", "non-list", "dt-text"],
+    ids=["no-channel", "scalar-sample", "scalar-samples", "non-list", "dt-text",
+         "dt-true", "sample-booleans", "channel-null"],
 )
-def test_parse_raises_typed_error_on_malformed_fields(doc):
-    with pytest.raises(PulseError):
+def test_parse_raises_typed_error_on_malformed_fields(doc, message):
+    with pytest.raises(PulseError, match=message):
         parse_program(doc)
+
+
+def test_an_empty_program_has_no_signal():
+    with pytest.raises(PulseError, match="cannot build a signal from an empty program"):
+        PulseProgram(dt=0.1).to_signal()
 
 
 @pytest.mark.parametrize("t0", [1.7, "1", None, True, float("nan"), float("inf")])
@@ -373,7 +391,7 @@ def test_transform_accept_threshold_is_adjustable():
     assert program.metadata["infidelity"] <= 0.9
 
 
-@pytest.mark.parametrize("value", ["x", None, float("nan"), "nan", -1.0, 10**400])
+@pytest.mark.parametrize("value", ["x", None, float("nan"), "nan", -1.0, 10**400, True])
 def test_transform_rejects_bad_accept_threshold(value):
     # NaN would pass every run (loss > nan is False); -1 would fail every run
     with pytest.raises(OptimizationError, match="accept-threshold"):
