@@ -19,9 +19,11 @@ sum_c s_c(t) * Op_c; each covers exactly the signal's [0, n_samples * dt]:
   matmul. Their (N, 2, 2) stacks keep the slice index as the contiguous
   axis (Fortran order), so each elementwise operation runs over one entry
   of every slice at once; larger stacks stay in C order for eigh and BLAS.
-  Krotov's sweep, which sets each slice's amplitudes only after
-  propagating the slice before, steps one slice at a time through
-  ``_slice_step`` instead.
+  The core also forms the exact gradient of the trace infidelity in every
+  slice amplitude (``_Propagation.gradient``), from the derivative of the
+  map that formed each slice; GRAPE and GOAT take it whole. Krotov's
+  sweep, which sets each slice's amplitudes only after propagating the
+  slice before, steps one slice at a time through ``_slice_step`` instead.
 * ``evolve_continuous`` -- fixed-step third-order Runge-Kutta integration of
   dU/dt = -i H(t) U for analytic envelopes, with step halving until the
   unitarity defect meets tolerance. It shares no exponential with the other
@@ -71,6 +73,10 @@ MAX_TAYLOR_TERMS = 24
 # at d = 8 the 64 x 64 superoperator products cost about 5x the factor form
 MAX_SUPEROPERATOR_DIM = 4
 SUPEROPERATOR_BLOCK = 256  # slices per superoperator stack: 1 MiB at d = 4
+# theta below which the su(2) gradient takes f from its series: the closed
+# form loses about eps / theta^2 to cancellation, the series' first omitted
+# term, theta^6 / 45360, is below 1e-16 there
+SU2_SERIES_BELOW = 1e-2
 _EPS = np.finfo(float).eps
 
 
@@ -215,10 +221,9 @@ def _su2_propagators(
 
     written entry by entry into ``out``, the slice axis contiguous, and
     returned. ``phases`` receives e^{-i h0 dt} and the rows of ``coords``
-    hx, hy, hz, cos(theta), s, x = max(theta, eps) and sin(x), what the
-    exact gradient reads of each slice (``problem._gradient_from_state``).
-    All three are overwritten when given, coords shaped (7, N) and phases
-    (N,). A slice whose exponent
+    hx, hy, hz, cos(theta), s, x = max(theta, eps) and sin(x), what
+    ``_su2_gradient`` reads of each slice. All three are overwritten when
+    given, coords shaped (7, N) and phases (N,). A slice whose exponent
     overflows raises ``DynamicsError``, and leaves no RuntimeWarning.
     """
     a, c, b = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
@@ -274,6 +279,100 @@ def _su2_propagators(
     np.subtract(u10, sp, out=u01)
     u10 += sp
     return umats
+
+
+def _su2_gradient(
+    state: _Propagation, ops: np.ndarray, c: np.ndarray, overlap: complex, dt: float
+) -> np.ndarray:
+    """The qubit gradient from the su(2) coordinates of each slice.
+
+    U = e^{-i h0 dt} (cos(theta) I - i s h.sigma) with theta = |h| dt and
+    s = sin(theta)/|h| (``_su2_propagators``). With c0 = Tr C_n,
+    c_k = Tr(C_n sigma_k), hc = sum_k h_k c_k and
+    f = (ds/d|h|) / |h| = dt^3 (theta cos(theta) - sin(theta)) / theta^3,
+
+        Tr(C_n dU/dh0) = -i dt g,
+        Tr(C_n dU/dh_k) = e^{-i h0 dt} (h_k (-dt s c0 - i f hc) - i s c_k).
+
+    The first is g times an imaginary number, so h0, the global phase,
+    drops out of the loss. With w = -(2/d^2) conj(g) e^{-i h0 dt}, the loss
+    derivative along h_k is then real arithmetic on Re(w c0) and the
+    I_k = Im(w c_k):
+
+        h_k (f sum_m h_m I_m - dt s Re(w c0)) + s I_k,
+
+    and one (C, 3) x (3, N) product with the Pauli coefficients of the
+    control operators, read like H from their lower triangles, gives every
+    channel. Below ``SU2_SERIES_BELOW``, f comes from its series
+    dt^3 (-1/3 + theta^2/30 - theta^4/840).
+    """
+    coords, phases = state.work  # as _su2_propagators left them
+    h, (cos, s, x, sin) = coords[:3], coords[3:]
+    # w C_n, its entries as the rows c00, c10, c01, c11 (d = 2)
+    weight = (-0.5 * overlap.conjugate()) * phases
+    wc = c.T.reshape(4, -1) * weight
+    re, im = wc.real, wc.imag
+    along = np.add(re[0], re[3])  # Re(w c0), then the factor of h_k
+    rows = np.empty_like(h)  # I_k, then the loss derivative along h_k
+    np.add(im[1], im[2], out=rows[0])
+    np.subtract(re[2], re[1], out=rows[1])  # c_y = i (c01 - c10)
+    np.subtract(im[0], im[3], out=rows[2])
+    # f / dt^3 = (cos(x) - sin(x)/x) / x^2, divided twice so that no
+    # intermediate overflows
+    f = np.divide(sin, x)
+    np.subtract(cos, f, out=f)
+    f /= x
+    f /= x
+    t2 = np.minimum(x, SU2_SERIES_BELOW)
+    t2 *= t2
+    series = (1.0 / 30.0 - t2 / 840.0) * t2 - 1.0 / 3.0
+    f = np.where(x < SU2_SERIES_BELOW, series, f)
+    f *= dt**3
+    along *= s
+    along *= -dt
+    along += f * (h * rows).sum(axis=0)
+    rows *= s
+    rows += h * along
+    lower, half_z = ops[:, 1, 0], 0.5 * (ops[:, 0, 0] - ops[:, 1, 1]).real
+    return np.stack([lower.real, lower.imag, half_z], 1) @ rows
+
+
+def _eigenbasis_gradient(
+    state: _Propagation, ops: np.ndarray, c: np.ndarray, overlap: complex,
+    dt: float, work: list,
+) -> np.ndarray:
+    """The gradient of a d > 2 system in the slice eigenbasis.
+
+    With H = V diag(w) V^+ and a = w*dt,
+
+        d exp(-i H dt) / du = V ( (V^+ (-i dt Op) V) o Phi ) V^+,
+        Phi_kl = exp(-i(a_k + a_l)/2) * sinc((a_k - a_l)/2),
+
+    which is exact for any dt and degeneracy-safe (sinc handles a_k == a_l).
+    Phi is symmetric, so the overlap derivative Tr(C_n dU_n) equals
+    sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with Q_n = V ((V^+ C_n V) o Phi) V^+:
+    one product per slice, then one (C, d^2) x (d^2, N) product for all
+    channels.
+    """
+    d = c.shape[-1]
+    w1, w2, w3, half, half_sum, half_diff, phi, vh = work
+    np.multiply(state.evals, 0.5 * dt, out=half)  # a / 2, (N, d) real
+    np.add(half[:, :, None], half[:, None, :], out=half_sum)
+    np.subtract(half[:, :, None], half[:, None, :], out=half_diff)
+    np.multiply(-1j, half_sum, out=phi)
+    np.exp(phi, out=phi)
+    # sinc in place: sin(y) / y, with y = eps where y = 0, so that it reads 1
+    np.copyto(half_diff, _EPS, where=half_diff == 0)
+    phi *= np.divide(np.sin(half_diff, out=half_sum), half_diff, out=half_sum)
+    v = state.evecs
+    vh = np.conjugate(v, out=vh).swapaxes(1, 2)
+    _matmul(_matmul(vh, c, w1), v, w2)
+    w2 *= phi
+    q = _matmul(_matmul(v, w2, w3), vh, w1)
+    dg = (-1j * dt) * (
+        ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
+    )
+    return (-2.0 / d**2) * np.real(np.conj(overlap) * dg)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -413,8 +512,8 @@ class _Propagation:
       hams (N,d,d), umats (N,d,d),
       fwd (N+1,d,d) with fwd[n] = U_{n-1}...U_0 and fwd[0] = I,
       total = fwd[N],
-    and what the exact gradient reads of each slice: for qubits the su(2)
-    coordinates, coords (7,N), and the phases e^{-i h0 dt}, phases (N,)
+    and what ``gradient`` reads of each slice: for qubits the su(2)
+    coordinates and the phases e^{-i h0 dt} in ``work``
     (``_su2_propagators``); for d > 2 the eigendecomposition, evals (N,d)
     and evecs (N,d,d), which eigh allocates on every call. Stacks are laid
     out like umats: for d = 2 with the slice axis contiguous. Slice
@@ -422,7 +521,7 @@ class _Propagation:
     from ``ordered_products``. The backward products U_{N-1}...U_n are
     total fwd[n]^+, the adjoints of the forward ones by unitarity, so they
     are never formed. The gradient's own stacks are allocated at its first
-    use, so an objective that is only checked never holds them.
+    use, so a propagation that is only checked never holds them.
     """
 
     def __init__(self, n: int, d: int):
@@ -445,15 +544,25 @@ class _Propagation:
         self.product_work = _product_work(n, d, left, right)
         self.gradient_work = None
 
-    def gradient_buffers(self) -> tuple[np.ndarray, ...]:
-        """(c, w1, w2, w3) for C_n and, for d > 2, (half, half_sum, half_diff,
-        phi, vh) for the eigenbasis sandwich.
+    def gradient(self, ops: np.ndarray, target: np.ndarray, dt: float) -> np.ndarray:
+        """Exact d(loss)/d(amps), shape (C, N), of the trace infidelity
+        L = 1 - |g|^2 / d^2, g = Tr(target^+ total), for the ops and dt of
+        the last propagation.
 
-        w1, w2 and w3 are the propagation's hams and product scratch, spent
-        by the time a gradient is formed; the rest is allocated at the first
-        one.
+        The loss derivative along a slice derivative dU_n is
+        -(2/d^2) Re(conj(g) Tr(C_n dU_n)), where the products after slice n
+        are U_{N-1}...U_{n+1} = total F^+ with F = fwd[n+1], the adjoint
+        standing for the inverse by unitarity, so
+        C_n = fwd[n] (target^+ total) F^+. The slice derivatives come from
+        the map that formed U_n: the su(2) map for qubits
+        (``_su2_gradient``), the eigenbasis for larger systems
+        (``_eigenbasis_gradient``). Every stack lives in the propagation's
+        buffers; the returned gradient is a new array.
         """
         if self.gradient_work is None:
+            # (c, w1, w2, w3) for C_n and, for d > 2, (half, half_sum,
+            # half_diff, phi, vh) for the eigenbasis sandwich; w1, w2 and w3
+            # are hams and the product scratch, spent by the time it is formed
             n, d = self.umats.shape[:2]
             stack = ((n, d, d), complex)
             if d == 2:
@@ -463,7 +572,15 @@ class _Propagation:
                 allocated = _block(stack, ((n, d), float), real, real, stack, stack)
             work = (self.hams, *self.scratch)
             self.gradient_work = (allocated[0], *work, *allocated[1:])
-        return self.gradient_work
+        c, *work = self.gradient_work
+        boundary = target.conj().T @ self.total
+        adjoints = np.conjugate(self.fwd[1:], out=work[0]).swapaxes(1, 2)
+        # fwd[n] (target^+ total) fwd[n+1]^+, every n
+        c = _matmul(_matmul(self.fwd[:-1], boundary, work[1]), adjoints, c)
+        overlap = complex(boundary.trace())
+        if target.shape[0] == 2:
+            return _su2_gradient(self, ops, c, overlap, dt)
+        return _eigenbasis_gradient(self, ops, c, overlap, dt, work)
 
 
 def _propagate(

@@ -19,7 +19,7 @@ slice of length h/2. GOAT is therefore GRAPE's objective
 envelopes at the nodes (``GoatEnvelopeSpec.evaluator``, every term at once)
 -> the CF4 mix -> the slice amplitudes. Every evaluation is exactly
 unitary, and its vjp, the transposed mix and the envelope Jacobian applied
-to GRAPE's exact amplitude gradient, is the exact gradient of the discrete
+to the core's exact amplitude gradient, is the exact gradient of the discrete
 map. The emitted samples and ``OptimResult.envelopes`` come from the same
 evaluator.
 

@@ -2,11 +2,9 @@
 
 GRAPE is ``problem.sampled_objective`` with the slice amplitudes as the
 parameters: its parametrization is a reshape of the flat channel-major
-vector, and its vjp a ravel. The gradient is the exact derivative of
-each slice exponential (by the su(2) map on qubits, in the slice
-eigenbasis on larger systems) rather than the first-order commutator
-approximation, and the backward products follow from the
-forward ones by unitarity. The amplitudes go to ``problem.minimize``, the
+vector, and its vjp a ravel. The propagation core forms the gradient:
+the exact derivative of each slice exponential, not the first-order
+commutator approximation. The amplitudes go to ``problem.minimize``, the
 numpy L-BFGS minimizer GOAT uses too, with the box +-amplitude-bound.
 """
 

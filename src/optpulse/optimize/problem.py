@@ -1,5 +1,5 @@
 """Shared optimizer plumbing: the loss, the problem container, results,
-the sampled objective with its exact gradient, and the minimizer.
+the sampled objective, and the minimizer.
 
 All methods minimize the trace infidelity
 
@@ -11,13 +11,13 @@ global phase drops out through the modulus.
 
 GRAPE and GOAT share one objective, ``sampled_objective``: piecewise-constant
 slice amplitudes propagated by the simulators' core, ``dynamics._propagate``,
-with the exact amplitude gradient of ``_gradient_from_state``. They differ
-only in the parametrization x -> (amps, vjp) that feeds it: GRAPE's is a
-reshape, GOAT's samples its Gaussian envelopes on the CF4 grid. An objective
-owns one ``_Propagation``, the slice-stack buffers of its grid: its first
-evaluation allocates them and every later one overwrites them in place.
-What it returns never aliases them: the loss is a float and each gradient
-a new array, which the minimizer may keep.
+which also forms the exact amplitude gradient. They differ only in the
+parametrization x -> (amps, vjp) that feeds it: GRAPE's is a reshape,
+GOAT's samples its Gaussian envelopes on the CF4 grid. An objective owns
+one propagation of its grid: its first evaluation allocates the buffers
+and every later one overwrites them in place. What it returns never
+aliases them: the loss is a float and each gradient a new array, which
+the minimizer may keep.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dynamics import _EPS, _matmul, _propagate, _Propagation
+from ..dynamics import _EPS, _propagate
 from ..errors import OptimizationError
 from ..limits import (
     LOSS_UNITARITY_TOL, check_positive_finite, sample_count, unitarity_defect,
@@ -39,10 +39,6 @@ LBFGS_MEMORY = 10
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 WOLFE = 0.9  # curvature constant: the slope must rise to WOLFE times its start
 MAX_LINE_EVALS = 30
-# theta below which the su(2) gradient takes f from its series: the closed
-# form loses about eps / theta^2 to cancellation, the series' first omitted
-# term, theta^6 / 45360, is below 1e-16 there
-SU2_SERIES_BELOW = 1e-2
 # each method's tol and max-iters when the problem sets none
 STOP_DEFAULTS = {"GRAPE": (1e-4, 1000), "krotov": (1e-4, 200), "GOAT": (1e-5, 500)}
 
@@ -194,126 +190,6 @@ class OptimResult:
         return self.status == "converged"
 
 
-def _gradient_from_state(
-    state: _Propagation, ops: np.ndarray, target: np.ndarray, dt: float
-) -> np.ndarray:
-    """Exact d(loss)/d(amps), shape (C, N).
-
-    With g = Tr(target^+ total), the loss derivative along a slice
-    derivative dU_n is -(2/d^2) Re(conj(g) Tr(C_n dU_n)), where the
-    products after slice n are U_{N-1}...U_{n+1} = total F^+ with
-    F = fwd[n+1], the adjoint standing for the inverse by unitarity, so
-    C_n = fwd[n] (target^+ total) F^+. The slice derivatives come from the
-    map that formed U_n: the su(2) map for qubits (``_su2_gradient``), the
-    eigenbasis for larger systems (``_eigenbasis_gradient``). Every stack
-    lives in the state's gradient buffers; the returned gradient is a new
-    array.
-    """
-    c, *work = state.gradient_buffers()
-    boundary = target.conj().T @ state.total
-    adjoints = np.conjugate(state.fwd[1:], out=work[0]).swapaxes(1, 2)
-    # fwd[n] (target^+ total) fwd[n+1]^+, every n
-    c = _matmul(_matmul(state.fwd[:-1], boundary, work[1]), adjoints, c)
-    overlap = complex(boundary.trace())  # as _trace_loss forms it
-    if target.shape[0] == 2:
-        return _su2_gradient(state, ops, c, overlap, dt)
-    return _eigenbasis_gradient(state, ops, c, overlap, dt, work)
-
-
-def _su2_gradient(
-    state: _Propagation, ops: np.ndarray, c: np.ndarray, overlap: complex, dt: float
-) -> np.ndarray:
-    """The qubit gradient from the su(2) coordinates of each slice.
-
-    U = e^{-i h0 dt} (cos(theta) I - i s h.sigma) with theta = |h| dt and
-    s = sin(theta)/|h| (``dynamics._su2_propagators``). With c0 = Tr C_n,
-    c_k = Tr(C_n sigma_k), hc = sum_k h_k c_k and
-    f = (ds/d|h|) / |h| = dt^3 (theta cos(theta) - sin(theta)) / theta^3,
-
-        Tr(C_n dU/dh0) = -i dt g,
-        Tr(C_n dU/dh_k) = e^{-i h0 dt} (h_k (-dt s c0 - i f hc) - i s c_k).
-
-    The first is g times an imaginary number, so h0, the global phase,
-    drops out of the loss. With w = -(2/d^2) conj(g) e^{-i h0 dt}, the loss
-    derivative along h_k is then real arithmetic on Re(w c0) and the
-    I_k = Im(w c_k):
-
-        h_k (f sum_m h_m I_m - dt s Re(w c0)) + s I_k,
-
-    and one (C, 3) x (3, N) product with the Pauli coefficients of the
-    control operators, read like H from their lower triangles, gives every
-    channel. Below ``SU2_SERIES_BELOW``, f comes from its series
-    dt^3 (-1/3 + theta^2/30 - theta^4/840).
-    """
-    coords, phases = state.work  # as _su2_propagators left them
-    h, (cos, s, x, sin) = coords[:3], coords[3:]
-    # w C_n, its entries as the rows c00, c10, c01, c11 (d = 2)
-    weight = (-0.5 * overlap.conjugate()) * phases
-    wc = c.T.reshape(4, -1) * weight
-    re, im = wc.real, wc.imag
-    along = np.add(re[0], re[3])  # Re(w c0), then the factor of h_k
-    rows = np.empty_like(h)  # I_k, then the loss derivative along h_k
-    np.add(im[1], im[2], out=rows[0])
-    np.subtract(re[2], re[1], out=rows[1])  # c_y = i (c01 - c10)
-    np.subtract(im[0], im[3], out=rows[2])
-    # f / dt^3 = (cos(x) - sin(x)/x) / x^2, divided twice so that no
-    # intermediate overflows
-    f = np.divide(sin, x)
-    np.subtract(cos, f, out=f)
-    f /= x
-    f /= x
-    t2 = np.minimum(x, SU2_SERIES_BELOW)
-    t2 *= t2
-    series = (1.0 / 30.0 - t2 / 840.0) * t2 - 1.0 / 3.0
-    f = np.where(x < SU2_SERIES_BELOW, series, f)
-    f *= dt**3
-    along *= s
-    along *= -dt
-    along += f * (h * rows).sum(axis=0)
-    rows *= s
-    rows += h * along
-    lower, half_z = ops[:, 1, 0], 0.5 * (ops[:, 0, 0] - ops[:, 1, 1]).real
-    return np.stack([lower.real, lower.imag, half_z], 1) @ rows
-
-
-def _eigenbasis_gradient(
-    state: _Propagation, ops: np.ndarray, c: np.ndarray, overlap: complex,
-    dt: float, work: list,
-) -> np.ndarray:
-    """The gradient of a d > 2 system in the slice eigenbasis.
-
-    With H = V diag(w) V^+ and a = w*dt,
-
-        d exp(-i H dt) / du = V ( (V^+ (-i dt Op) V) o Phi ) V^+,
-        Phi_kl = exp(-i(a_k + a_l)/2) * sinc((a_k - a_l)/2),
-
-    which is exact for any dt and degeneracy-safe (sinc handles a_k == a_l).
-    Phi is symmetric, so the overlap derivative Tr(C_n dU_n) equals
-    sum_kl (-i dt Op_c)[k,l] Q_n[l,k] with Q_n = V ((V^+ C_n V) o Phi) V^+:
-    one product per slice, then one (C, d^2) x (d^2, N) product for all
-    channels.
-    """
-    d = c.shape[-1]
-    w1, w2, w3, half, half_sum, half_diff, phi, vh = work
-    np.multiply(state.evals, 0.5 * dt, out=half)  # a / 2, (N, d) real
-    np.add(half[:, :, None], half[:, None, :], out=half_sum)
-    np.subtract(half[:, :, None], half[:, None, :], out=half_diff)
-    np.multiply(-1j, half_sum, out=phi)
-    np.exp(phi, out=phi)
-    # sinc in place: sin(y) / y, with y = eps where y = 0, so that it reads 1
-    np.copyto(half_diff, _EPS, where=half_diff == 0)
-    phi *= np.divide(np.sin(half_diff, out=half_sum), half_diff, out=half_sum)
-    v = state.evecs
-    vh = np.conjugate(v, out=vh).swapaxes(1, 2)
-    _matmul(_matmul(vh, c, w1), v, w2)
-    w2 *= phi
-    q = _matmul(_matmul(v, w2, w3), vh, w1)
-    dg = (-1j * dt) * (
-        ops.reshape(len(ops), d * d) @ q.swapaxes(1, 2).reshape(len(q), d * d).T
-    )
-    return (-2.0 / d**2) * np.real(np.conj(overlap) * dg)
-
-
 def sampled_objective(
     drift: np.ndarray,
     ops: np.ndarray,
@@ -326,8 +202,8 @@ def sampled_objective(
     parametrize(x) -> (amps, vjp): amps (C, N) drive ops on N slices of
     length dt, and vjp pulls d(loss)/d(amps), shape (C, N), back to x.
     fun(x, grad=False) returns (loss, None) without forming the gradient.
-    fun overwrites one ``_Propagation`` on every call, so it is not
-    reentrant; what it returns does not alias it.
+    fun overwrites one propagation on every call, so it is not reentrant;
+    what it returns does not alias it.
     """
     state = None
 
@@ -338,7 +214,7 @@ def sampled_objective(
         loss = _trace_loss(state.total, target)[1]
         if not grad:
             return loss, None
-        return loss, vjp(_gradient_from_state(state, ops, target, dt))
+        return loss, vjp(state.gradient(ops, target, dt))
 
     return fun
 

@@ -37,7 +37,10 @@ DEFAULT_ACCEPT_THRESHOLD = 5e-2
 
 @dataclass(frozen=True)
 class PulseInstruction:
-    """A complex sample train on one channel, starting at sample index t0."""
+    """A complex sample train on one channel, starting at sample index t0.
+
+    Samples are converted to a tuple of complex unless they already are one,
+    as ``parse_program`` and ``compile_circuit`` hand them over."""
 
     channel: str
     t0: int
@@ -48,9 +51,8 @@ class PulseInstruction:
             raise PulseError(f"start time must be >= 0, got {self.t0}")
         if not self.samples:
             raise PulseError(f"empty pulse on channel {self.channel!r}")
-        object.__setattr__(
-            self, "samples", tuple(complex(s) for s in self.samples)
-        )
+        if type(self.samples) is not tuple or {complex} != set(map(type, self.samples)):
+            object.__setattr__(self, "samples", tuple(map(complex, self.samples)))
 
     @property
     def end(self) -> int:
@@ -156,7 +158,7 @@ def compile_circuit(
     target = circuit_unitary(Circuit(model.n_qubits, circuit.gates, circuit.free_params))
     result = get_optimizer(method, opts).optimize(model=model, target=target)
     instructions = tuple(
-        PulseInstruction(channel=ch, t0=0, samples=tuple(samples))
+        PulseInstruction(channel=ch, t0=0, samples=tuple(samples.tolist()))
         for ch, samples in sorted(result.synthesized_samples.items())
     )
     program = PulseProgram(

@@ -42,13 +42,14 @@ class Mutant:
 
 OPT = "tests/test_optimizers.py::"
 DYN = "tests/test_dynamics.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant(
         "gradient adjoint without its conjugate",
-        "optimize/problem.py",
-        "np.conjugate(state.fwd[1:], out=work[0])",
-        "np.positive(state.fwd[1:], out=work[0])",
+        "dynamics.py",
+        "np.conjugate(self.fwd[1:], out=work[0])",
+        "np.positive(self.fwd[1:], out=work[0])",
         OPT + "test_gradient_matches_an_independent_constant_drive_reference",
     ),
     Mutant(
@@ -123,10 +124,73 @@ MUTANTS = (
     ),
     Mutant(
         "wrong sign in _su2_gradient's series below SU2_SERIES_BELOW",
-        "optimize/problem.py",
+        "dynamics.py",
         "series = (1.0 / 30.0 - t2 / 840.0) * t2 - 1.0 / 3.0",
         "series = (-1.0 / 30.0 - t2 / 840.0) * t2 - 1.0 / 3.0",
         OPT + "test_qubit_kernels_match_expm_the_loop_reference_and_finite_differences",
+    ),
+    Mutant(
+        "minimizer without its active set",
+        "optimize/problem.py",
+        "free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))",
+        "free = np.ones(x.shape, dtype=bool)",
+        OPT + "test_minimize_finds_box_minimizer_on_a_bound",
+    ),
+    Mutant(
+        "no dt check on an empty program",
+        "cli.py",
+        "if not dt_matches(program.dt, model.dt):",
+        "if False:",
+        CLI + "test_simulate_dt_mismatch_exits_2[empty-closed]",
+    ),
+    Mutant(
+        "horizon tiling tolerance 1e-7",
+        "limits.py",
+        "HORIZON_TILE_RTOL = 1e-9",
+        "HORIZON_TILE_RTOL = 1e-7",
+        OPT + "test_problem_and_signal_tile_a_horizon_alike",
+    ),
+    Mutant(
+        "no target-dimension check",
+        "optimize/problem.py",
+        "if target.shape[0] != self.model.dim:",
+        "if False:",
+        OPT + "test_problem_rejects_a_target_of_another_dimension",
+    ),
+    Mutant(
+        "control-funcs slots without the finite check",
+        "optimize/goat.py",
+        "if not (math.isfinite(value) and (value > 0.0 or need == \"finite\")):",
+        "if not (value > 0.0 or need == \"finite\"):",
+        OPT + "test_parse_control_func_errors_are_positioned",
+    ),
+    Mutant(
+        "sweep's converged never cleared",
+        "cli.py",
+        "converged &= ok",
+        "converged &= True",
+        CLI + "test_sweep_writes_every_row_then_exits_3_when_a_value_misses",
+    ),
+    Mutant(
+        "qubit limit raised",
+        "limits.py",
+        "if n_qubits > MAX_QUBITS:",
+        "if n_qubits > 64:",
+        "tests/test_model.py::test_oversize_model_rejected_before_any_allocation[40]",
+    ),
+    Mutant(
+        "target-U digit-limit except narrowed",
+        "optimize/__init__.py",
+        "except ValueError:  # past int()'s digit limit",
+        "except TypeError:  # past int()'s digit limit",
+        "tests/test_registry.py::test_target_unitary_gate_names_match_the_gates",
+    ),
+    Mutant(
+        "operator syntax errors without within",
+        "model.py",
+        "exc.within(f\"in operator expression {expression!r} on {n_qubits} qubit(s)\")",
+        "f\"in operator expression {expression!r} on {n_qubits} qubit(s)\"",
+        "tests/test_registry.py::test_target_unitary_syntax_errors_are_positioned",
     ),
 )
 

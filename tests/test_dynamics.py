@@ -392,6 +392,17 @@ def test_continuous_engine_stops_at_a_non_finite_result():
     assert len(calls) == 3 * 100  # three RK3 stages per step
 
 
+def test_continuous_engine_raises_at_the_step_floor(monkeypatch):
+    # three X slices at 5.0 with dt 1.0: ten RK3 steps per slice leave a
+    # unitarity defect of 0.13, and no halving is allowed
+    monkeypatch.setattr(dynamics, "MAX_STEP_HALVINGS", 0)
+    sig = ControlSignal.from_samples({"dx": [5.0] * 3}, dt=1.0)
+    with pytest.raises(
+        DynamicsError, match=r"step floor reached; unitarity defect 1\.3\d\de-01 > 1\.0e-09"
+    ):
+        evolve_continuous(x_model(dt=1.0), sig)
+
+
 def test_continuous_engine_matches_pulse_area_on_commuting_drive():
     # X-only Hamiltonian commutes with itself at all times, so
     # U = exp(-i A X) with A the envelope area; p1 = sin^2(A).

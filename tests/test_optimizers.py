@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.dynamics import (
+    SU2_SERIES_BELOW,
     ControlSignal,
     _propagate,
     _stacked_hamiltonians,
@@ -41,8 +42,6 @@ from optpulse.optimize.goat import (
     parse_control_func,
 )
 from optpulse.optimize.problem import (
-    SU2_SERIES_BELOW,
-    _gradient_from_state,
     _trace_loss,
     clip_amplitudes,
     initial_amplitudes,
@@ -113,6 +112,13 @@ def test_infidelity_identities():
 def test_problem_rejects_non_unitary_target():
     with pytest.raises(OptimizationError):
         x_problem(target_u=np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_problem_rejects_a_target_of_another_dimension():
+    # a two-qubit gate on a one-qubit model; both the registry's target-U and
+    # compile_circuit's target reach this one check
+    with pytest.raises(OptimizationError, match="target dimension 4 != model dimension 2"):
+        x_problem(target_u=np.eye(4))
 
 
 @pytest.mark.parametrize("bound", [-0.1, float("nan")])
@@ -301,6 +307,19 @@ def test_krotov_evaluations_count_lambda_retries(monkeypatch):
     assert res.evaluations > res.iterations
 
 
+def test_krotov_raises_when_lambda_doublings_run_out(monkeypatch):
+    # the coarse drifted qubit needs lambda = 2^17 for its first sweep; with
+    # four doublings allowed the sweep gives up at lambda = 16
+    model = SystemModel(
+        n_qubits=1, dt=1.0, drift=((3.0, "Z0"),),
+        control=(("dx", "X0"), ("dy", "Y0")),
+    )
+    problem = ControlProblem(model=model, target_u=X, max_time=10.0, tol=1e-6)
+    monkeypatch.setattr(krotov_module, "MAX_LAMBDA_DOUBLINGS", 4)
+    with pytest.raises(OptimizationError, match="lambda=16; monotonicity is broken"):
+        krotov_optimize(problem)
+
+
 def _random_objective(rng, kind):
     """A GRAPE objective on one or two qubits, or GOAT under a random spec of
     one or two Gaussians per channel with every slot trainable, with two
@@ -487,9 +506,9 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
         goat_case,
         (qubit_state, qubit_ops, H, hadamard.dt),
     ]
-    for case in cases:
-        reference = _loop_gradient(*case)
-        error = np.max(np.abs(_gradient_from_state(*case) - reference))
+    for state, *rest in cases:
+        reference = _loop_gradient(state, *rest)
+        error = np.max(np.abs(state.gradient(*rest) - reference))
         assert error <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -547,7 +566,7 @@ def test_gradient_matches_an_independent_constant_drive_reference(d, n):
     state = _propagate(drift, ops, amps, dt)
     slices = [0, 1, n // 2, n - 2, n - 1]
     reference = _constant_drive_reference(drift, ops, amps, dt, target, slices)
-    grad = _gradient_from_state(state, ops, target, dt)[:, slices]
+    grad = state.gradient(ops, target, dt)[:, slices]
     assert np.max(np.abs(grad - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
@@ -608,7 +627,7 @@ def test_qubit_kernels_match_expm_the_loop_reference_and_finite_differences(
     for h, u in zip(hams, state.umats):
         assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
     reference = _loop_gradient(state, ops, target, dt)  # reads state.hams
-    grad = _gradient_from_state(state, ops, target, dt)
+    grad = state.gradient(ops, target, dt)
     # relative to the larger of the gradient and dt ||Op||, a bound on each
     # entry's terms: the reference sums the global phase's terms too, and
     # they cancel only to round-off of that size when the gradient is small
@@ -1005,6 +1024,19 @@ def test_every_method_keeps_the_result_contract(monkeypatch, run, build, emitted
     assert len(result.trace) == result.iterations + grids
     if run is goat_optimize and build is refining_problem:
         assert len(runs) == 2  # the contract covers a refined run too
+
+
+def test_goat_raises_when_substep_doublings_run_out(fixtures, monkeypatch):
+    # on the drifted qubit the default family's loss moves by 4.6e-6 when its
+    # CF4 grid is refined once, above INTEGRATION_TOL
+    model = load_model(fixtures / "model_1q_x.json")
+    monkeypatch.setattr(goat_module, "MAX_SUBSTEP_DOUBLINGS", 0)
+    with pytest.raises(
+        OptimizationError,
+        match=r"envelope under-resolved: the loss still moves by \d\.\d{3}e-0[56] when "
+        "the CF4 grid is refined to 4 steps per dt",
+    ):
+        goat_optimize(ControlProblem(model=model, target_u=X, max_time=10.0))
 
 
 def test_goat_width_floor():
