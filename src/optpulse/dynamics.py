@@ -544,16 +544,17 @@ class _Propagation:
         self.product_work = _product_work(n, d, left, right)
         self.gradient_work = None
 
-    def gradient(self, ops: np.ndarray, target: np.ndarray, dt: float) -> np.ndarray:
+    def gradient(self, ops: np.ndarray, boundary: np.ndarray, dt: float) -> np.ndarray:
         """Exact d(loss)/d(amps), shape (C, N), of the trace infidelity
-        L = 1 - |g|^2 / d^2, g = Tr(target^+ total), for the ops and dt of
-        the last propagation.
+        L = 1 - |g|^2 / d^2, g = Tr(boundary), for the ops and dt of the
+        last propagation and boundary = target^+ total, the product the
+        loss was formed from.
 
         The loss derivative along a slice derivative dU_n is
         -(2/d^2) Re(conj(g) Tr(C_n dU_n)), where the products after slice n
         are U_{N-1}...U_{n+1} = total F^+ with F = fwd[n+1], the adjoint
         standing for the inverse by unitarity, so
-        C_n = fwd[n] (target^+ total) F^+. The slice derivatives come from
+        C_n = fwd[n] boundary F^+. The slice derivatives come from
         the map that formed U_n: the su(2) map for qubits
         (``_su2_gradient``), the eigenbasis for larger systems
         (``_eigenbasis_gradient``). Every stack lives in the propagation's
@@ -573,12 +574,11 @@ class _Propagation:
             work = (self.hams, *self.scratch)
             self.gradient_work = (allocated[0], *work, *allocated[1:])
         c, *work = self.gradient_work
-        boundary = target.conj().T @ self.total
         adjoints = np.conjugate(self.fwd[1:], out=work[0]).swapaxes(1, 2)
         # fwd[n] (target^+ total) fwd[n+1]^+, every n
         c = _matmul(_matmul(self.fwd[:-1], boundary, work[1]), adjoints, c)
         overlap = complex(boundary.trace())
-        if target.shape[0] == 2:
+        if boundary.shape[0] == 2:
             return _su2_gradient(self, ops, c, overlap, dt)
         return _eigenbasis_gradient(self, ops, c, overlap, dt, work)
 

@@ -23,9 +23,11 @@ to the core's exact amplitude gradient, is the exact gradient of the discrete
 map. The emitted samples and ``OptimResult.envelopes`` come from the same
 evaluator.
 
-The discretization error is O(h^4). At the returned point the loss is
-re-evaluated with twice the substeps; if the two differ by more than
-INTEGRATION_TOL the substeps double and the run goes on from that point.
+The discretization error is O(h^4). At the returned point the loss alone,
+no gradient, is re-evaluated with twice the substeps; if the two differ by
+more than INTEGRATION_TOL the substeps double and the run goes on from
+that point. Every grid is held to ``limits.MAX_SLICE_ENTRIES`` before its
+objective is built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 
 from ..circuits import _TEMPLATE_LEXER, _Arithmetic, _tokenize
 from ..errors import CircuitSyntaxError, OptimizationError
+from ..limits import check_grid
 from .problem import ControlProblem, OptimResult, minimize, sampled_objective
 
 SUBSTEPS = 2  # CF4 steps per model sample period
@@ -230,6 +233,7 @@ def _cf4_objective(
     applies the transposed mix and the envelopes' pullback.
     """
     n_steps = problem.n_samples * substeps
+    check_grid(2 * n_steps, problem.dim, OptimizationError)
     h = problem.max_time / n_steps
     nodes = ((np.arange(n_steps)[:, None] + _GAUSS_NODES) * h).ravel()
 
@@ -313,7 +317,7 @@ def goat_optimize(
         x0 = found.x
         substeps *= 2
         objective = _cf4_objective(problem, evaluate, ops, substeps)
-        gap = abs(objective(found.x, grad=False)[0] - found.loss)
+        gap = abs(objective(found.x)[0] - found.loss)
         if gap <= INTEGRATION_TOL:
             break
     else:

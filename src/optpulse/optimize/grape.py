@@ -40,7 +40,7 @@ def grape_gradient(problem: ControlProblem, amps: np.ndarray) -> np.ndarray:
     shape = (len(problem.model.channels), problem.n_samples)
     if arr.shape not in (shape, (shape[0] * shape[1],)):
         raise OptimizationError(f"amplitudes shape {arr.shape} != {shape}")
-    return _objective(problem)(arr.ravel())[1].reshape(arr.shape)
+    return _objective(problem)(arr.ravel())[1]().reshape(arr.shape)
 
 
 def grape_optimize(problem: ControlProblem) -> OptimResult:

@@ -18,12 +18,14 @@ and one (C, d^2) x (d^2,) product give every channel's update; the
 costates are scaled by 1/lambda once per sweep, which is exact because
 lambda is a power of two. The slice then goes through the dynamics core's
 one-slice step, ``dynamics._slice_step``: one product for H, one LAPACK
-eigh and two products, written straight into the sweep's forward stack.
-Qubit slices take that eigh too; only the core's sampled stacks take the
-su(2) exponential map. The first sweep starts from the
-stacked ``dynamics._propagate``; an accepted sweep keeps the forward
-products fwd[k] = U_{k-1}...U_0 it built and its loss, and the next
-costates come from their adjoints (``_costates``), with no backward loop.
+eigh and two products, written straight into the forward stack. Qubit
+slices take that eigh too; only the core's sampled stacks take the su(2)
+exponential map. The run has one forward stack, that of the stacked
+``dynamics._propagate`` it starts from; each sweep attempt overwrites its
+products fwd[k] = U_{k-1}...U_0, and an accepted one leaves them with the
+product target^+ fwd[N] its loss was formed from (``problem._trace_loss``).
+The next costates come from that product and the adjoints of fwd
+(``_costates``), with no backward loop.
 """
 
 from __future__ import annotations
@@ -46,13 +48,11 @@ MAX_LAMBDA_DOUBLINGS = 60
 INITIAL_LAMBDA = 1.0
 
 
-def _costates(
-    fwd: np.ndarray, total: np.ndarray, target: np.ndarray, overlap: complex
-) -> np.ndarray:
-    """chi_k^+ = (g*/d^2) target^+ U_{N-1}...U_k, with U_{N-1}...U_k equal
-    to total fwd[k]^+ by unitarity."""
-    d = target.shape[0]
-    boundary = (np.conj(overlap) / d**2) * (target.conj().T @ total)
+def _costates(fwd: np.ndarray, boundary: np.ndarray, overlap: complex) -> np.ndarray:
+    """chi_k^+ = (g*/d^2) target^+ U_{N-1}...U_k, with boundary =
+    target^+ total and U_{N-1}...U_k equal to total fwd[k]^+ by unitarity."""
+    d = boundary.shape[0]
+    boundary = (np.conj(overlap) / d**2) * boundary
     return _matmul(boundary, fwd.conj().swapaxes(1, 2))
 
 
@@ -64,7 +64,6 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
     so round-off cannot decide when a plateau stalls.
     """
     tol, max_sweeps = problem.stopping("krotov")
-    n = problem.n_samples
     dt = problem.dt
     d = problem.dim
     target = problem.target_u
@@ -73,15 +72,11 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
     op_rows = ops.swapaxes(1, 2).reshape(len(ops), d * d)
     op_flat = ops.reshape(len(ops), d * d)
     bound = problem.amplitude_bound
-    # the sweep's forward products fwd[k] = U_{k-1}...U_0, laid out as the
-    # core's; an attempt overwrites them, and an accepted one keeps them
-    sweep_fwd = np.empty((n + 1, d, d), dtype=complex)
-    sweep_fwd[0] = np.eye(d)
 
     def sweep(amps: np.ndarray, chi_h: np.ndarray, lam: float) -> np.ndarray:
         chi_h = chi_h * (1.0 / lam)  # exact: lambda is a power of two
         rows = amps.T.copy()  # the channel amplitudes of one slice per row
-        for row, chi, psi, out in zip(rows, chi_h, sweep_fwd[:-1], sweep_fwd[1:]):
+        for row, chi, psi, out in zip(rows, chi_h, fwd[:-1], fwd[1:]):
             row += (op_rows @ (psi @ chi).ravel()).imag
             if bound > 0:
                 np.clip(row, -bound, bound, out=row)
@@ -89,9 +84,9 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         return rows.T
 
     amps = clip_amplitudes(initial_amplitudes(problem), bound)
-    start = _propagate(drift, ops, amps, dt)
-    fwd, total = start.fwd[:-1], start.total
-    overlap, loss = _trace_loss(total, target)
+    # fwd[k] = U_{k-1}...U_0 with fwd[0] = I: the start's, then each sweep's
+    fwd = _propagate(drift, ops, amps, dt).fwd
+    boundary, overlap, loss = _trace_loss(fwd[-1], target)
     trace = [loss]
     status, message = "max-iters", f"sweep cap {max_sweeps} reached"
     sweeps = attempts = 0
@@ -101,12 +96,12 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
         status, message = "converged", "initial guess already below tolerance"
     else:
         while sweeps < max_sweeps:
-            chi_h = _costates(fwd, total, target, overlap)
+            chi_h = _costates(fwd[:-1], boundary, overlap)
             for _ in range(MAX_LAMBDA_DOUBLINGS):
                 new_amps = sweep(amps, chi_h, lam)
                 attempts += 1
-                new_overlap, new_loss = _trace_loss(sweep_fwd[-1], target)
-                if new_loss <= loss + MONOTONE_TOL:
+                attempt = _trace_loss(fwd[-1], target)
+                if attempt[2] <= loss + MONOTONE_TOL:
                     break
                 lam *= 2.0  # too aggressive; retry the sweep more gently
             else:
@@ -114,8 +109,7 @@ def krotov_optimize(problem: ControlProblem) -> OptimResult:
                     "Krotov sweep failed to decrease the infidelity even at "
                     f"lambda={lam:g}; monotonicity is broken"
                 )
-            amps, fwd, total = new_amps, sweep_fwd[:-1], sweep_fwd[-1]
-            overlap, loss = new_overlap, new_loss
+            amps, (boundary, overlap, loss) = new_amps, attempt
             sweeps += 1
             trace.append(loss)
             if loss <= tol:

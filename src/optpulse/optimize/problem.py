@@ -13,11 +13,13 @@ GRAPE and GOAT share one objective, ``sampled_objective``: piecewise-constant
 slice amplitudes propagated by the simulators' core, ``dynamics._propagate``,
 which also forms the exact amplitude gradient. They differ only in the
 parametrization x -> (amps, vjp) that feeds it: GRAPE's is a reshape,
-GOAT's samples its Gaussian envelopes on the CF4 grid. An objective owns
-one propagation of its grid: its first evaluation allocates the buffers
-and every later one overwrites them in place. What it returns never
-aliases them: the loss is a float and each gradient a new array, which
-the minimizer may keep.
+GOAT's samples its Gaussian envelopes on the CF4 grid. An evaluation
+returns the loss and a callable that forms the gradient, so a point whose
+gradient nothing reads costs a loss alone. An objective owns one
+propagation of its grid: its first evaluation allocates the buffers and
+every later one overwrites them in place. What it returns never aliases
+them: the loss is a float and each gradient a new array, which the
+minimizer may keep.
 """
 
 from __future__ import annotations
@@ -61,14 +63,19 @@ def infidelity(u: np.ndarray, target: np.ndarray) -> float:
         raise OptimizationError(
             f"dimension mismatch: propagator {mat.shape} vs target {tgt.shape}"
         )
-    return _trace_loss(mat, tgt)[1]
+    return _trace_loss(mat, tgt)[2]
 
 
-def _trace_loss(total: np.ndarray, target: np.ndarray) -> tuple[complex, float]:
-    """Overlap g = Tr(target^+ total) and the loss 1 - |g|^2 / d^2."""
+def _trace_loss(
+    total: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, complex, float]:
+    """The product target^+ total, its trace g (the overlap) and the loss
+    1 - |g|^2 / d^2; the gradient and Krotov's costates start from the
+    product."""
     d = target.shape[0]
-    overlap = complex(np.trace(target.conj().T @ total))
-    return overlap, float(1.0 - abs(overlap) ** 2 / d**2)
+    boundary = target.conj().T @ total
+    overlap = complex(np.trace(boundary))
+    return boundary, overlap, float(1.0 - abs(overlap) ** 2 / d**2)
 
 
 @dataclass(frozen=True)
@@ -196,25 +203,34 @@ def sampled_objective(
     target: np.ndarray,
     dt: float,
     parametrize: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
-) -> Callable[..., tuple[float, np.ndarray | None]]:
-    """fun(x) -> (loss, d(loss)/dx) for controls given by a parametrization.
+) -> Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]:
+    """fun(x) -> (loss, gradient) for controls given by a parametrization.
 
     parametrize(x) -> (amps, vjp): amps (C, N) drive ops on N slices of
     length dt, and vjp pulls d(loss)/d(amps), shape (C, N), back to x.
-    fun(x, grad=False) returns (loss, None) without forming the gradient.
-    fun overwrites one propagation on every call, so it is not reentrant;
-    what it returns does not alias it.
+    gradient() forms d(loss)/dx at x from the propagation fun just made;
+    after any later call of fun, which overwrites that propagation, it
+    raises ``OptimizationError``. fun is not reentrant; what it returns does
+    not alias the propagation.
     """
-    state = None
+    # a count marks the live evaluation; the last gradient kept here to compare
+    # with would form a reference cycle, holding the buffers until a collection
+    state, calls = None, 0
 
-    def fun(x: np.ndarray, grad: bool = True) -> tuple[float, np.ndarray | None]:
-        nonlocal state
+    def fun(x: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        nonlocal state, calls
+        calls += 1
+        call = calls
         amps, vjp = parametrize(x)
         state = _propagate(drift, ops, amps, dt, state)
-        loss = _trace_loss(state.total, target)[1]
-        if not grad:
-            return loss, None
-        return loss, vjp(state.gradient(ops, target, dt))
+        boundary, _, loss = _trace_loss(state.total, target)
+
+        def gradient() -> np.ndarray:
+            if calls != call:
+                raise OptimizationError("a later evaluation overwrote the propagation")
+            return vjp(state.gradient(ops, boundary, dt))
+
+        return loss, gradient
 
     return fun
 
@@ -251,14 +267,19 @@ def _lbfgs_direction(g: np.ndarray, pairs: list[tuple]) -> np.ndarray:
 
 
 def minimize(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     lower: float | np.ndarray,
     upper: float | np.ndarray,
     tol: float,
     max_iters: int,
 ) -> Minimum:
-    """Projected L-BFGS on the box lower <= x <= upper; fun(x) -> (loss, grad).
+    """Projected L-BFGS on the box lower <= x <= upper.
+
+    fun(x) -> (loss, gradient) as ``sampled_objective`` returns them; the
+    gradient is formed at the start point and at each trial whose finite
+    loss passes the Armijo test, and a trial that fails it is judged on its
+    loss alone.
 
     A variable at a bound whose gradient points out of the box is left out
     of the step, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
@@ -274,8 +295,8 @@ def minimize(
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     evaluations = 1
-    loss, grad = fun(x)
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+    loss, gradient = fun(x)
+    if not (np.isfinite(loss) and np.all(np.isfinite(grad := gradient()))):
         raise OptimizationError("non-finite loss or gradient at the start point")
     trace, pairs, free_before = [loss], [], None
     status, message = "max-iters", f"iteration cap {max_iters} reached"
@@ -295,8 +316,10 @@ def minimize(
             if np.array_equal(trial, last) or not -decrease > _EPS * abs(loss):
                 break  # the path stopped moving, or the gain is below rounding
             evaluations += 1
-            last, (trial_loss, trial_grad) = trial, fun(trial)
-            finite = np.isfinite(trial_loss) and np.all(np.isfinite(trial_grad))
+            last, (trial_loss, gradient) = trial, fun(trial)
+            finite = np.isfinite(trial_loss)
+            if finite and trial_loss <= loss + ARMIJO * decrease:
+                finite = np.all(np.isfinite(trial_grad := gradient()))
             if not (finite and trial_loss <= loss + ARMIJO * decrease):
                 hi = step
             else:

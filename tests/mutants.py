@@ -1,12 +1,14 @@
 """Mutation gate for the dual-route checks: each mutant must fail its test.
 
 Every entry names a file under src/optpulse, a text that occurs there
-exactly once, the text that replaces it, and the pytest node id of the test
-that must fail once the mutant is applied. The script copies src/ into a
+exactly once, the text that replaces it, further such edits of the same
+file if the mutant needs them, and the pytest node id of the test that
+must fail once the mutant is applied. The script copies src/ into a
 temporary directory, checks that every named test passes on the unmutated
 copy, then applies one mutant at a time, runs only its test against the
-copy, and restores the file. It exits 1 if a mutant's test passes, if its
-text is not found exactly once, or if its test errors instead of failing.
+copy, and restores the file. It exits 1 if a mutant's test passes, if one
+of its texts is not found exactly once, or if its test errors instead of
+failing.
 An entry with a ``survivor`` reason is a known survivor: it is run and
 reported, and it does not fail the gate.
 
@@ -38,6 +40,7 @@ class Mutant:
     new: str
     test: str  # pytest node id, relative to the repository root
     survivor: str = ""  # why the test cannot kill it, for a known survivor
+    also: tuple[tuple[str, str], ...] = ()  # further (old, new) edits of path
 
 
 OPT = "tests/test_optimizers.py::"
@@ -72,6 +75,20 @@ MUTANTS = (
         "if trial_grad @ (trial - x) >= WOLFE * decrease:",
         "if True:",
         OPT + "test_minimize_leaves_a_flat_non_convex_start",
+    ),
+    Mutant(
+        "a gradient formed at every line-search trial",
+        "optimize/problem.py",
+        "            if finite and trial_loss <= loss + ARMIJO * decrease:\n",
+        "            if finite:\n",
+        OPT + "test_gradients_are_formed_only_where_the_minimizer_reads_them[GRAPE]",
+    ),
+    Mutant(
+        "a gradient formed from an overwritten propagation",
+        "optimize/problem.py",
+        "if calls != call:",
+        "if False:",
+        OPT + "test_a_gradient_raises_after_a_later_evaluation",
     ),
     Mutant(
         "no memory clear on an active-set change",
@@ -165,6 +182,47 @@ MUTANTS = (
         OPT + "test_parse_control_func_errors_are_positioned",
     ),
     Mutant(
+        "no slice limit on GOAT's CF4 grids",
+        "optimize/goat.py",
+        "check_grid(2 * n_steps, problem.dim, OptimizationError)",
+        "None",
+        OPT + "test_goat_holds_each_cf4_grid_to_the_slice_limit[run-grid]",
+    ),
+    Mutant(
+        "Taylor series capped at 4 terms, superoperator kernel",
+        "dynamics.py",
+        "for k in range(2, MAX_TAYLOR_TERMS + 1):",
+        "for k in range(2, 4 + 1):",
+        DYN + "test_lindblad_matches_dense_liouvillian_exponential",
+    ),
+    Mutant(
+        "Taylor series capped at 4 terms, factor kernel",
+        "dynamics.py",
+        "for k in range(1, MAX_TAYLOR_TERMS + 1):",
+        "for k in range(1, 4 + 1):",
+        DYN + "test_factor_kernel_substeps_match_dense_liouvillian_exponential",
+    ),
+    Mutant(
+        "half the Lindblad substeps and a 12-term cap, superoperator kernel",
+        "dynamics.py",
+        "np.ceil(bound * signal.dt)",
+        "np.ceil(0.5 * bound * signal.dt)",
+        DYN + "test_lindblad_matches_dense_liouvillian_exponential",
+        also=(
+            ("for k in range(2, MAX_TAYLOR_TERMS + 1):", "for k in range(2, 12 + 1):"),
+        ),
+    ),
+    Mutant(
+        "half the Lindblad substeps and a 12-term cap, factor kernel",
+        "dynamics.py",
+        "np.ceil(bound * signal.dt)",
+        "np.ceil(0.5 * bound * signal.dt)",
+        DYN + "test_factor_kernel_substeps_match_dense_liouvillian_exponential",
+        also=(
+            ("for k in range(1, MAX_TAYLOR_TERMS + 1):", "for k in range(1, 12 + 1):"),
+        ),
+    ),
+    Mutant(
         "sweep's converged never cleared",
         "cli.py",
         "converged &= ok",
@@ -230,12 +288,17 @@ def main(names: list[str]) -> int:
         for mutant in chosen:
             target = copy / "optpulse" / mutant.path
             original = target.read_text(encoding="utf-8")
-            if original.count(mutant.old) != 1:
-                print(f"BROKEN   {mutant.name}: text found "
-                      f"{original.count(mutant.old)} times in {mutant.path}")
+            edits = ((mutant.old, mutant.new), *mutant.also)
+            counts = [original.count(old) for old, _ in edits]
+            if counts != [1] * len(edits):
+                print(f"BROKEN   {mutant.name}: texts found {counts} times "
+                      f"in {mutant.path}")
                 failures += 1
                 continue
-            target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            mutated = original
+            for old, new in edits:
+                mutated = mutated.replace(old, new)
+            target.write_text(mutated, encoding="utf-8")
             try:
                 run = _pytest(copy, mutant.test)
             finally:

@@ -209,15 +209,13 @@ def test_criterion_4_gradients_match_finite_differences():
         spec, x0 = default_envelope_spec(p)
         objective = _cf4_objective(p, spec.evaluator(), p.model.control_stack, SUBSTEPS)
         x = x0 + rng.uniform(-0.02, 0.02, x0.shape)
-        _, grad = objective(x)
+        grad = objective(x)[1]()
         fd = np.zeros_like(x)
         for i in range(x.size):
             up, dn = x.copy(), x.copy()
             up[i] += fd_step
             dn[i] -= fd_step
-            fd[i] = (
-                objective(up, grad=False)[0] - objective(dn, grad=False)[0]
-            ) / (2 * fd_step)
+            fd[i] = (objective(up)[0] - objective(dn)[0]) / (2 * fd_step)
         rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12)
         worst_goat = max(worst_goat, rel)
     assert worst_goat <= 1e-5

@@ -64,4 +64,4 @@ def test_the_layering_check_sees_each_kind_of_breach(source, message):
 
 def test_the_layering_check_passes_the_cores_public_face():
     source = "from ..dynamics import _EPS, _matmul, _propagate, _slice_step\n"
-    assert _violations(source + "g = state.gradient(ops, target, dt)") == []
+    assert _violations(source + "g = state.gradient(ops, boundary, dt)") == []

@@ -1,6 +1,8 @@
 """GRAPE, GOAT, and Krotov against finite differences and each other."""
 
+import gc
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from optpulse import limits as limits_module
 from optpulse.circuits import circuit_unitary, parse_circuit
 from optpulse.dynamics import (
     SU2_SERIES_BELOW,
     ControlSignal,
+    _Propagation,
     _propagate,
     _stacked_hamiltonians,
     evolve_continuous,
@@ -32,6 +36,7 @@ from optpulse.optimize import (
     krotov_optimize,
 )
 from optpulse.optimize import goat as goat_module
+from optpulse.optimize import grape as grape_module
 from optpulse.optimize import krotov as krotov_module
 from optpulse.optimize import problem as problem_module
 from optpulse.optimize.grape import _objective as grape_objective
@@ -248,7 +253,7 @@ def test_minimize_finds_box_minimizer_on_a_bound():
 
     def fun(x):
         dx = x - x_star
-        return g_star @ dx + 0.5 * dx @ a_mat @ dx, g_star + a_mat @ dx
+        return g_star @ dx + 0.5 * dx @ a_mat @ dx, lambda: g_star + a_mat @ dx
 
     found = minimize(fun, np.zeros(3), -1.0, 1.0, tol=0.0, max_iters=100)
     assert np.max(np.abs(found.x - x_star)) <= 1e-10
@@ -264,7 +269,7 @@ def test_minimize_leaves_a_flat_non_convex_start():
     def fun(x):
         calls.append(x)
         bump = np.exp(-0.5 * (x[0] - 5.0) ** 2)
-        return 1.0 - bump, np.array([bump * (x[0] - 5.0)])
+        return 1.0 - bump, lambda: np.array([bump * (x[0] - 5.0)])
 
     found = minimize(fun, np.zeros(1), -np.inf, np.inf, tol=1e-10, max_iters=50)
     assert found.status == "converged"
@@ -291,6 +296,162 @@ def test_evaluations_count_every_propagation(monkeypatch, run):
     calls = _counting(monkeypatch, problem_module, "_propagate")
     res = run(h_problem(seed=3, tol=1e-6))
     assert res.evaluations == len(calls) > res.iterations
+
+
+def _minimizer_log(monkeypatch, module):
+    """Log, in order, each minimizer run of ``module`` ('run', 'end'), each
+    of its line searches ('search'), and each evaluation of its objective
+    as [x, loss, gradient], the gradient None unless it was formed."""
+    log = []
+    objective, run = module.sampled_objective, module.minimize
+    direction = problem_module._lbfgs_direction
+
+    def logged_objective(*args):
+        fun = objective(*args)
+
+        def logged(x):
+            loss, gradient = fun(x)
+            entry = [x.copy(), loss, None]
+            log.append(entry)
+
+            def formed():
+                entry[2] = gradient()
+                return entry[2]
+
+            return loss, formed
+
+        return logged
+
+    def logged_run(*args):
+        log.append("run")
+        found = run(*args)
+        log.append("end")
+        return found
+
+    def logged_direction(*args):
+        log.append("search")
+        return direction(*args)
+
+    monkeypatch.setattr(module, "sampled_objective", logged_objective)
+    monkeypatch.setattr(module, "minimize", logged_run)
+    monkeypatch.setattr(problem_module, "_lbfgs_direction", logged_direction)
+    return log
+
+
+def _replay_armijo(log):
+    """(Armijo-failing trials, evaluations after a run) of a minimizer log,
+    checking that a gradient was formed at each start point and each trial
+    that passes the Armijo test, and nowhere else. A trial's line search
+    starts from the last point whose gradient was formed before it."""
+    failures = checks = 0
+    role, base, latest = None, None, None
+    for item in log:
+        if isinstance(item, str):
+            role = {"run": "start", "search": "trial", "end": "check"}[item]
+            base = latest if item == "search" else base
+            continue
+        x, loss, grad = item
+        if role == "trial":
+            decrease = base[2] @ (x - base[0])
+            armijo = base[1] + problem_module.ARMIJO * decrease
+            passes = np.isfinite(loss) and loss <= armijo
+            failures += not passes
+        else:
+            passes = role == "start"
+            checks += role == "check"
+        assert (grad is not None) == passes
+        latest = item if passes else latest
+    return failures, checks
+
+
+@pytest.mark.parametrize("method", ["GRAPE", "GOAT"])
+def test_gradients_are_formed_only_where_the_minimizer_reads_them(
+    fixtures, monkeypatch, method
+):
+    if method == "GRAPE":
+        model = load_model(fixtures / "model_2q_12ch.json")
+        target = circuit_unitary(parse_circuit((fixtures / "qft2.xasm").read_text()))
+        problem = ControlProblem(model=model, target_u=target, max_time=10.0, tol=1e-3)
+        module, run = grape_module, grape_optimize
+    else:
+        theta = 2.3
+        rx = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * X
+        model = load_model(fixtures / "model_1q_x_nodrift.json")
+        problem = ControlProblem(model=model, target_u=rx, max_time=10.0, tol=1e-6)
+        module, run = goat_module, goat_optimize
+    log = _minimizer_log(monkeypatch, module)
+    gradients = _counting(monkeypatch, _Propagation, "gradient")
+    result = run(problem)
+    failures, checks = _replay_armijo(log)
+    evaluations = sum(isinstance(item, list) for item in log)
+    assert result.evaluations == evaluations
+    assert len(gradients) == evaluations - failures - checks
+    assert failures > 0
+    # GOAT checks each run's result on the finer grid, and forms no gradient there
+    assert checks == (log.count("run") if method == "GOAT" else 0)
+
+
+def test_a_gradient_raises_after_a_later_evaluation():
+    problem = x_problem()
+    fun = grape_objective(problem)
+    x = np.full(problem.n_samples, 0.1)
+    stale = "a later evaluation overwrote the propagation"
+    _, first = fun(x)
+    _, gradient = fun(x + 0.1)
+    with pytest.raises(OptimizationError, match=stale):
+        first()
+    assert np.array_equal(gradient(), grape_gradient(problem, x + 0.1))
+    # nor after a later call that raises before it propagates
+    _, gradient = fun(x)
+    with pytest.raises(ValueError):
+        fun(np.zeros(3))
+    with pytest.raises(OptimizationError, match=stale):
+        gradient()
+
+
+def test_an_objective_frees_its_buffers_without_a_collection(monkeypatch):
+    # GOAT drops each grid's objective before the next grid allocates; with
+    # a reference cycle its buffers would wait for the cyclic collector
+    states = []
+
+    def recording(drift, ops, amps, dt, out=None):
+        state = _propagate(drift, ops, amps, dt, out)
+        states.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(problem_module, "_propagate", recording)
+    problem = x_problem()
+    fun = grape_objective(problem)
+    _, gradient = fun(np.full(problem.n_samples, 0.1))
+    gradient()
+    gc.disable()
+    try:
+        del fun, gradient
+        assert states[0]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "limit, run_slices", [(400, set()), (1000, {200})], ids=["run-grid", "check-grid"]
+)
+def test_goat_holds_each_cf4_grid_to_the_slice_limit(monkeypatch, limit, run_slices):
+    # 50 qubit samples hold 200 entries; GOAT's run grid has 2 * SUBSTEPS
+    # half steps per sample, 200 slices (800 entries), its check twice that
+    problem = x_problem()
+    assert problem.n_samples * problem.dim**2 == 200 and SUBSTEPS == 2
+    grids = []
+
+    def recording(drift, ops, amps, dt, out=None):
+        grids.append(amps.shape[1])
+        return _propagate(drift, ops, amps, dt, out)
+
+    monkeypatch.setattr(problem_module, "_propagate", recording)
+    monkeypatch.setattr(limits_module, "MAX_SLICE_ENTRIES", limit)
+    message = rf"slices of a 2-level system exceed the limit of {limit} slices x d\^2"
+    with pytest.raises(OptimizationError, match=message):
+        goat_optimize(problem)
+    assert set(grids) == run_slices
 
 
 def test_krotov_evaluations_count_lambda_retries(monkeypatch):
@@ -359,17 +520,21 @@ def _random_objective(rng, kind):
 def test_an_objective_reuses_its_buffers_without_touching_its_results(seed, kind):
     make, x1, x2 = _random_objective(np.random.default_rng(seed), kind)
     fun = make()
-    loss1, grad1 = fun(x1)
+    loss1, gradient1 = fun(x1)
+    grad1 = gradient1()
     kept = grad1.copy()
-    loss2, grad2 = fun(x2)
-    fun(x1 + 0.01, grad=False)
+    loss2, gradient2 = fun(x2)
+    grad2 = gradient2()
+    fun(x1 + 0.01)  # a loss alone, as a trial that fails Armijo takes it
     # an earlier result is not overwritten by later evaluations
     assert np.array_equal(grad1, kept) and not np.shares_memory(grad1, grad2)
-    # and the reused buffers give exactly what new ones give
+    # and the reused buffers give exactly what new ones give, the gradient
+    # pulled after a loss-only evaluation included
     for x, loss, grad in ((x1, loss1, kept), (x2, loss2, grad2)):
-        again, fresh = fun(x), make()(x)
-        assert again[0] == fresh[0] == loss
-        assert np.array_equal(again[1], fresh[1]) and np.array_equal(fresh[1], grad)
+        (again, pull), (fresh, fresh_pull) = fun(x), make()(x)
+        assert again == fresh == loss
+        pulled, fresh_grad = pull(), fresh_pull()
+        assert pulled.tobytes() == fresh_grad.tobytes() == grad.tobytes()
 
 
 def test_grape_amplitude_bound_reaches_the_bang_bang_floor(fixtures):
@@ -479,7 +644,7 @@ def _goat_pi_case(monkeypatch):
     objective = _cf4_objective(
         problem, spec.evaluator(), problem.model.control_stack, SUBSTEPS
     )
-    objective(np.array([8.0]), grad=False)
+    objective(np.array([8.0]))
     monkeypatch.undo()
     return built[0]
 
@@ -506,9 +671,10 @@ def test_gradient_matches_the_forward_backward_loop_reference(fixtures, monkeypa
         goat_case,
         (qubit_state, qubit_ops, H, hadamard.dt),
     ]
-    for state, *rest in cases:
-        reference = _loop_gradient(state, *rest)
-        error = np.max(np.abs(state.gradient(*rest) - reference))
+    for state, ops, target, dt in cases:
+        reference = _loop_gradient(state, ops, target, dt)
+        grad = state.gradient(ops, target.conj().T @ state.total, dt)
+        error = np.max(np.abs(grad - reference))
         assert error <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -566,7 +732,7 @@ def test_gradient_matches_an_independent_constant_drive_reference(d, n):
     state = _propagate(drift, ops, amps, dt)
     slices = [0, 1, n // 2, n - 2, n - 1]
     reference = _constant_drive_reference(drift, ops, amps, dt, target, slices)
-    grad = state.gradient(ops, target, dt)[:, slices]
+    grad = state.gradient(ops, target.conj().T @ state.total, dt)[:, slices]
     assert np.max(np.abs(grad - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
@@ -627,7 +793,7 @@ def test_qubit_kernels_match_expm_the_loop_reference_and_finite_differences(
     for h, u in zip(hams, state.umats):
         assert np.max(np.abs(u - expm(-1j * dt * h))) <= 1e-10
     reference = _loop_gradient(state, ops, target, dt)  # reads state.hams
-    grad = state.gradient(ops, target, dt)
+    grad = state.gradient(ops, target.conj().T @ state.total, dt)
     # relative to the larger of the gradient and dt ||Op||, a bound on each
     # entry's terms: the reference sums the global phase's terms too, and
     # they cancel only to round-off of that size when the gradient is small
@@ -635,7 +801,7 @@ def test_qubit_kernels_match_expm_the_loop_reference_and_finite_differences(
     assert np.max(np.abs(grad - reference)) <= 1e-12 * bound
 
     def loss(a):
-        return _trace_loss(_propagate(drift, ops, a, dt).total, target)[1]
+        return _trace_loss(_propagate(drift, ops, a, dt).total, target)[2]
 
     step = 1e-6 / (scale * dt)  # moves each slice's theta by about 1e-6
     fd = np.zeros_like(amps)
@@ -820,7 +986,7 @@ def _central_differences(objective, x, h=1e-6):
         up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (objective(up, grad=False)[0] - objective(dn, grad=False)[0]) / (2 * h)
+        fd[i] = (objective(up)[0] - objective(dn)[0]) / (2 * h)
     return fd
 
 
@@ -830,7 +996,7 @@ def test_goat_gradient_matches_finite_differences():
     spec, x0 = default_envelope_spec(p)
     objective = _cf4_objective(p, spec.evaluator(), p.model.control_stack, SUBSTEPS)
     x = x0 + rng.uniform(-0.02, 0.02, x0.shape)
-    _, grad = objective(x)
+    grad = objective(x)[1]()
     fd = _central_differences(objective, x)
     denom = max(np.max(np.abs(fd)), 1e-12)
     assert np.max(np.abs(grad - fd)) / denom <= 1e-5
@@ -852,7 +1018,7 @@ def test_goat_multi_term_spec_gradient_values_and_envelopes():
     x = np.array([0.4, 1.7, 0.9, -0.3, 0.6, 0.25])
     evaluate = spec.evaluator()
     objective = _cf4_objective(p, evaluate, p.model.control_stack, SUBSTEPS)
-    _, grad = objective(x)
+    grad = objective(x)[1]()
     fd = _central_differences(objective, x)
     assert np.all(grad != 0.0)
     assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-5
@@ -919,7 +1085,7 @@ def test_goat_cf4_steps_converge_at_fourth_order(monkeypatch):
     monkeypatch.setattr(problem_module, "_propagate", recording)
     for substeps in (1, 2, 4, 8):
         objective = _cf4_objective(p, spec.evaluator(), p.model.control_stack, substeps)
-        objective(np.array([0.8]), grad=False)
+        objective(np.array([0.8]))
     changes = [np.max(np.abs(a - b)) for a, b in zip(totals, totals[1:])]
     for coarse, fine in zip(changes, changes[1:]):
         assert 12 < coarse / fine < 20
@@ -1149,16 +1315,14 @@ def test_krotov_costates_match_the_back_propagation_loop(fixtures):
         drift, ops = problem.model.drift_matrix(), problem.model.control_stack
         amps = initial_amplitudes(problem)
         state = _propagate(drift, ops, amps, problem.dt)
-        overlap = _trace_loss(state.total, problem.target_u)[0]
+        boundary, overlap, _ = _trace_loss(state.total, problem.target_u)
         reference = _loop_costates(state.umats, problem.target_u, overlap)
         # forward products as the start builds them, and as a sweep does
         sequential = [np.eye(problem.dim, dtype=complex)]
         for u in state.umats[:-1]:
             sequential.append(u @ sequential[-1])
         for fwd in (state.fwd[:-1], np.array(sequential)):
-            chi_h = krotov_module._costates(
-                fwd, state.total, problem.target_u, overlap
-            )
+            chi_h = krotov_module._costates(fwd, boundary, overlap)
             error = np.max(np.abs(chi_h - reference))
             assert error <= 1e-12 * np.max(np.abs(reference))
 
@@ -1172,7 +1336,7 @@ def _reference_krotov(problem):
     drift, ops = problem.model.drift_matrix(), problem.model.control_stack
     amps = clip_amplitudes(initial_amplitudes(problem), problem.amplitude_bound)
     state = _propagate(drift, ops, amps, dt)
-    overlap, loss = _trace_loss(state.total, target)
+    _, overlap, loss = _trace_loss(state.total, target)
     trace, status, sweeps, lam = [loss], "max-iters", 0, 1.0
     if loss <= tol:
         return amps, 0, "converged"
@@ -1194,7 +1358,7 @@ def _reference_krotov(problem):
             lam *= 2.0
         amps = new_amps
         state = _propagate(drift, ops, amps, dt)
-        overlap, loss = _trace_loss(state.total, target)
+        _, overlap, loss = _trace_loss(state.total, target)
         sweeps += 1
         trace.append(loss)
         if loss <= tol:
